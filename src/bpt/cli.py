@@ -11,10 +11,8 @@ requested output file.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
-import os
 import re
 import sys
 from pathlib import Path
@@ -37,6 +35,7 @@ from .serialize import (
     manifest_path,
     read_header,
     read_instances,
+    sha256_file,
     write_instances,
     write_instances_jsonl,
 )
@@ -103,23 +102,6 @@ class _Options:
         if value is None:
             raise UsageError(f"{flag} is required (flag or config key '{key}')")
         return value
-
-
-def _resolve_threads(opts: _Options) -> int:
-    value = opts.get("threads")
-    if value is None:
-        env = os.environ.get("BPT_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"BPT_THREADS must be an integer, got {env!r}") from None
-    if value is None:
-        value = os.cpu_count() or 1
-    value = int(value)
-    if value < 1:
-        raise UsageError("--threads must be >= 1")
-    return value
 
 
 def _check_input(path, what: str) -> Path:
@@ -297,7 +279,6 @@ def cmd_create_instances(args, cfg) -> int:
     fmt = str(opts.get("format", "binary")).lower()
     if fmt not in ("binary", "jsonl"):
         raise UsageError(f"--format must be 'binary' or 'jsonl', got {fmt!r}")
-    threads = _resolve_threads(opts)
     each = parse_size(opts.get("each_file_size", "10MB"))
     max_file_bytes = opts.get("max_file_bytes")
     if max_file_bytes is not None:
@@ -319,10 +300,10 @@ def cmd_create_instances(args, cfg) -> int:
     if mode == "simpt":
         small_shards = split_corpus(small, each)
         large_shards = split_corpus(large, each)
-        stream, report = generate_simpt(small_shards, large_shards, tokenizer, icfg, threads)
+        stream, report = generate_simpt(small_shards, large_shards, tokenizer, icfg)
     else:
         docs = (small.documents if small else []) + (large.documents if large else [])
-        stream, report = generate_conventional(docs, tokenizer, icfg, threads)
+        stream, report = generate_conventional(docs, tokenizer, icfg)
 
     run_config = {
         "mode": mode,
@@ -334,7 +315,6 @@ def cmd_create_instances(args, cfg) -> int:
         "out": str(out_path),
         "format": fmt,
         "each_file_size": each,
-        "threads": threads,
         **icfg.to_dict(),
     }
 
@@ -350,9 +330,8 @@ def cmd_create_instances(args, cfg) -> int:
         )
     else:
         count = write_instances_jsonl(stream, out_path, vocabulary)
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         manifest = Manifest(
-            files=[{"name": out_path.name, "instances": count, "sha256": digest}],
+            files=[{"name": out_path.name, "instances": count, "sha256": sha256_file(out_path)}],
             max_seq_length=icfg.max_seq_length,
             vocab_hash="",
             instance_count=count,
@@ -367,35 +346,46 @@ def cmd_create_instances(args, cfg) -> int:
     return EXIT_OK
 
 
+# verify flags and config keys that override the Tolerances default of the same
+# name; a given value is cast to the type of that default
+_TOLERANCE_KEYS = (
+    "mask_selection_target",
+    "mask_selection_tol",
+    "mask_split_tol",
+    "nsp_tol",
+    "origin_tol",
+    "min_instances",
+    "min_masked",
+    "min_candidates",
+)
+
+
 def cmd_verify(args, cfg) -> int:
     opts = _Options(args, cfg)
     path = _check_input(opts.require("infile", "--in"), "instance file")
     vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
 
-    origin_target: "float | None" = opts.get("expected_origin_fraction")
-    if origin_target is None and not bool(opts.get("no_origin_check", False)):
-        mpath = manifest_path(path)
-        if mpath.is_file():
-            manifest = Manifest.load(mpath)
-            mode = (manifest.statistics or {}).get("mode") or (manifest.config or {}).get("mode")
-            if mode == "conventional":
-                log.info("verify: conventional-mode file; origin-balance check skipped "
-                         "(pass --expected-origin-fraction to enable)")
-                origin_target = -1.0  # sentinel: skip
-    tol = Tolerances(
-        mask_selection_target=float(opts.get("mask_selection_target", 0.15)),
-        mask_selection_tol=float(opts.get("mask_selection_tol", 0.003)),
-        mask_split_tol=float(opts.get("mask_split_tol", 0.005)),
-        nsp_tol=float(opts.get("nsp_tol", 0.02)),
-        origin_tol=float(opts.get("origin_tol", 0.05)),
-        min_instances=int(opts.get("min_instances", 1000)),
-        min_masked=int(opts.get("min_masked", 10_000)),
-        min_candidates=int(opts.get("min_candidates", 10_000)),
-    )
-    if bool(opts.get("no_origin_check", False)) or origin_target == -1.0:
+    tol = Tolerances()
+    for key in _TOLERANCE_KEYS:
+        value = opts.get(key)
+        if value is not None:
+            setattr(tol, key, type(getattr(tol, key))(value))
+    origin_target = opts.get("expected_origin_fraction")
+    if origin_target is not None:
+        origin_target = float(origin_target)
+        if not 0.0 <= origin_target <= 1.0:
+            raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
+    if bool(opts.get("no_origin_check", False)):
         tol.origin_target = None
     elif origin_target is not None:
-        tol.origin_target = float(origin_target)
+        tol.origin_target = origin_target
+    elif manifest_path(path).is_file():
+        manifest = Manifest.load(manifest_path(path))
+        mode = (manifest.statistics or {}).get("mode") or (manifest.config or {}).get("mode")
+        if mode == "conventional":
+            log.info("verify: conventional-mode file; origin-balance check skipped "
+                     "(pass --expected-origin-fraction to enable)")
+            tol.origin_target = None
 
     try:
         report = verify_file(path, vocabulary, tol)
@@ -557,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-predictions-per-seq", dest="max_predictions_per_seq", type=int)
     p.add_argument("--short-seq-prob", dest="short_seq_prob", type=float)
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, help="worker threads (default: BPT_THREADS or CPU count)")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--max-file-bytes", dest="max_file_bytes",
                    help="rotate output files above this body size")
     p.set_defaults(func=cmd_create_instances)

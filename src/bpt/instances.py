@@ -12,13 +12,12 @@ Two modes share one per-document pairing routine:
   stay within the group.
 
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
-output is independent of thread count and execution order.
+any round or group can be regenerated in isolation. Rounds and groups run
+serially in index order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -53,8 +52,9 @@ class InstanceConfig:
             raise InstanceError(f"masked_lm_prob must be in (0, 1), got {self.masked_lm_prob}")
         if self.max_predictions_per_seq < 1:
             raise InstanceError("max_predictions_per_seq must be >= 1")
-        if self.max_seq_length < 8:
-            raise InstanceError("max_seq_length must be >= 8")
+        if not 8 <= self.max_seq_length <= 0xFFFF:
+            # the instance file stores lengths and positions as u16
+            raise InstanceError(f"max_seq_length must be in [8, 65535], got {self.max_seq_length}")
         if not 0.0 <= self.short_seq_prob <= 1.0:
             raise InstanceError("short_seq_prob must be in [0, 1]")
         if self.dupe_factor < 1:
@@ -173,22 +173,6 @@ class GenerationReport:
         self.candidate_positions_total += len(inst.token_ids) - 3
         self.origin_small_tokens += inst.origin_small_tokens
         self.origin_large_tokens += inst.origin_large_tokens
-
-    def merge(self, other: "GenerationReport") -> None:
-        for name in (
-            "instances",
-            "positives",
-            "negatives",
-            "skipped_negatives",
-            "empty_documents",
-            "degenerate_no_mask",
-            "masked_positions_total",
-            "candidate_positions_total",
-            "origin_small_tokens",
-            "origin_large_tokens",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.negative_pair_ids |= other.negative_pair_ids
 
     @property
     def distinct_negative_pairs(self) -> int:
@@ -467,23 +451,6 @@ def create_instances_from_documents(
     return instances
 
 
-def _map_units(indices: range, fn, threads: int) -> Iterator:
-    """Run fn over indices, yielding results in index order. Keeps a bounded
-    window of outstanding units so a slow consumer does not buffer them all."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pending: deque = deque()
-            for i in indices:
-                pending.append(ex.submit(fn, i))
-                if len(pending) >= 2 * threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-    else:
-        for i in indices:
-            yield fn(i)
-
-
 def _sample_shards(shards: list[Shard], k: int, rng: SplitRng) -> list[Shard]:
     if len(shards) >= k:
         return rng.sample(shards, k)
@@ -501,38 +468,34 @@ def generate_simpt(
     """Balanced generation: per round, equal shard counts from each corpus.
 
     Returns a lazy instance stream and a report that is complete once the
-    stream is exhausted. Rounds run in parallel with `threads` workers; the
-    stream order is always ascending (round, within-round index).
+    stream is exhausted. Rounds run one after another; the stream order is
+    ascending (round, within-round index). `threads` is accepted for
+    compatibility and has no effect.
     """
     config.validate()
     if not small_shards or not large_shards:
         raise InstanceError("simpt requires non-empty shard lists for both corpora")
     report = GenerationReport(mode="simpt")
 
-    def run_round(r: int):
-        local = GenerationReport()
-        rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
-        small_sel = _sample_shards(small_shards, config.shards_per_corpus, rng_shards)
-        large_sel = _sample_shards(large_shards, config.shards_per_corpus, rng_shards)
-        combo = (
-            tuple(sorted(s.shard_id for s in small_sel)),
-            tuple(sorted(s.shard_id for s in large_sel)),
-        )
-        docs = [d for s in small_sel for d in s.documents]
-        docs += [d for s in large_sel for d in s.documents]
-        insts = create_instances_from_documents(
-            docs, tokenizer, config, SplitRng(config.master_seed, _STREAM_DOCS, r), report=local
-        )
-        return insts, local, combo
-
     def stream():
         seen: set = set()
-        for insts, local, combo in _map_units(range(config.n_rounds), run_round, threads):
+        for r in range(config.n_rounds):
+            rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
+            small_sel = _sample_shards(small_shards, config.shards_per_corpus, rng_shards)
+            large_sel = _sample_shards(large_shards, config.shards_per_corpus, rng_shards)
+            combo = (
+                tuple(sorted(s.shard_id for s in small_sel)),
+                tuple(sorted(s.shard_id for s in large_sel)),
+            )
+            docs = [d for s in small_sel for d in s.documents]
+            docs += [d for s in large_sel for d in s.documents]
+            insts = create_instances_from_documents(
+                docs, tokenizer, config, SplitRng(config.master_seed, _STREAM_DOCS, r), report=report
+            )
             report.rounds += 1
             if combo in seen:
                 report.shard_combo_collisions += 1
             seen.add(combo)
-            report.merge(local)
             yield from insts
 
     return stream(), report
@@ -547,7 +510,8 @@ def generate_conventional(
     """Duplicate-factor generation over contiguous document groups.
 
     Negative partners are confined to each group; dupe_factor re-masks the
-    same segment pairs with fresh mask randomness.
+    same segment pairs with fresh mask randomness. Groups run one after
+    another; `threads` is accepted for compatibility and has no effect.
     """
     config.validate()
     if not all_documents:
@@ -555,22 +519,17 @@ def generate_conventional(
     groups = split_documents(all_documents, config.n_splits)
     report = GenerationReport(mode="conventional")
 
-    def run_group(g: int):
-        local = GenerationReport()
-        insts = create_instances_from_documents(
-            groups[g],
-            tokenizer,
-            config,
-            SplitRng(config.master_seed, _STREAM_DOCS, g),
-            n_dupes=config.dupe_factor,
-            report=local,
-        )
-        return insts, local, None
-
     def stream():
-        for insts, local, _ in _map_units(range(len(groups)), run_group, threads):
+        for g, group in enumerate(groups):
+            insts = create_instances_from_documents(
+                group,
+                tokenizer,
+                config,
+                SplitRng(config.master_seed, _STREAM_DOCS, g),
+                n_dupes=config.dupe_factor,
+                report=report,
+            )
             report.groups += 1
-            report.merge(local)
             yield from insts
 
     return stream(), report
@@ -591,9 +550,7 @@ def split_documents(docs: list[Document], n_splits: int) -> list[list[Document]]
 
 def pair_diversity(instances: Iterable[PretrainInstance]) -> int:
     """Distinct unordered (doc_id_a, doc_id_b) pairs among negative instances."""
-    pairs = set()
+    report = GenerationReport()
     for inst in instances:
-        if not inst.is_next:
-            a, b = inst.doc_id_a, inst.doc_id_b
-            pairs.add((a, b) if a <= b else (b, a))
-    return len(pairs)
+        report.record(inst)
+    return report.distinct_negative_pairs

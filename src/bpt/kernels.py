@@ -1,40 +1,24 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""The pipeline's numeric inner loops, written with numpy.
 
-Three inner loops dominate pipeline runtime: adjacent-pair counting and merge
-application during vocabulary training, and per-sequence mask selection during
-instance generation. Each kernel exists twice — a numba @njit version and a
-numpy/Python fallback — and both consume random draws in the same order from
-the same splitmix64 stream, so outputs are bit-identical across backends.
+Adjacent-pair counting and merge application run during vocabulary training,
+per-sequence mask selection during instance generation. Masking consumes
+draws from the splitmix64 stream of rng.py in a fixed order, so its output
+depends only on its arguments.
 
-Backend selection: numba is used when importable unless BPT_NO_NUMBA is set to
-a non-empty value other than "0". Both implementations stay importable either
-way (the benchmark compares them head to head).
+Callers reach these as module attributes (``kernels.count_pairs`` and so on),
+so a profiler can swap in a timed wrapper.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .rng import _GAMMA, _MASK64, mix64
 
+BACKEND = "numpy"  # reported by tools that record the machine set-up
+
 _EMPTY_I64 = np.empty(0, np.int64)
 _EMPTY_I32 = np.empty(0, np.int32)
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("BPT_NO_NUMBA", "").strip() not in ("", "0")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _env_disabled()
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +30,7 @@ NUMBA_ENABLED = HAVE_NUMBA and not _env_disabled()
 # ---------------------------------------------------------------------------
 
 
-def count_pairs_numpy(flat, offsets, counts):
+def count_pairs(flat, offsets, counts):
     lengths = np.diff(offsets)
     if flat.size < 2:
         return _EMPTY_I64, _EMPTY_I64
@@ -70,7 +54,7 @@ def count_pairs_numpy(flat, offsets, counts):
 # ---------------------------------------------------------------------------
 
 
-def apply_merge_numpy(flat, offsets, left, right, new_id):
+def apply_merge(flat, offsets, left, right, new_id):
     lengths = np.diff(offsets)
     n_words = lengths.size
     if flat.size < 2:
@@ -101,13 +85,13 @@ def apply_merge_numpy(flat, offsets, left, right, new_id):
 # non-special positions, then per position replace with mask_id (80%), a
 # uniform non-special vocab id (10%), or leave unchanged (10%).
 #
-# Draw i of the stream is mix64(seed + i*GAMMA); both backends consume draws
-# in the identical order: selection swaps first, then one float per chosen
+# Draw i of the stream is mix64(seed + i*GAMMA); draws are consumed in this
+# order: selection swaps first, then one float per chosen
 # position plus one extra integer draw on the random-replacement branch.
 # ---------------------------------------------------------------------------
 
 
-def mask_sequence_numpy(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
+def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
     out = ids.copy()
     cand = [i for i in range(len(ids)) if not special[i]]
     n = len(cand)
@@ -135,143 +119,3 @@ def mask_sequence_numpy(ids, special, seed, prob, cap, mask_id, n_special, vocab
             r2 = mix64((state + ctr * _GAMMA) & _MASK64)
             out[p] = n_special + r2 % n_random
     return out, positions, labels
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _mix64_nb(x):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, nogil=True)
-    def count_pairs_numba(flat, offsets, counts):
-        n_words = offsets.shape[0] - 1
-        total = 0
-        for w in range(n_words):
-            length = offsets[w + 1] - offsets[w]
-            if length > 1:
-                total += length - 1
-        keys = np.empty(total, np.int64)
-        weights = np.empty(total, np.int64)
-        k = 0
-        for w in range(n_words):
-            c = counts[w]
-            for p in range(offsets[w], offsets[w + 1] - 1):
-                keys[k] = (np.int64(flat[p]) << 32) | np.int64(flat[p + 1])
-                weights[k] = c
-                k += 1
-        if total == 0:
-            return keys, weights
-        order = np.argsort(keys)
-        n_uniq = 1
-        for i in range(1, total):
-            if keys[order[i]] != keys[order[i - 1]]:
-                n_uniq += 1
-        uniq = np.empty(n_uniq, np.int64)
-        totals = np.zeros(n_uniq, np.int64)
-        u = 0
-        uniq[0] = keys[order[0]]
-        for i in range(total):
-            ki = keys[order[i]]
-            if ki != uniq[u]:
-                u += 1
-                uniq[u] = ki
-            totals[u] += weights[order[i]]
-        return uniq, totals
-
-    @njit(cache=True, nogil=True)
-    def apply_merge_numba(flat, offsets, left, right, new_id):
-        n_words = offsets.shape[0] - 1
-        out = np.empty(flat.size, np.int32)
-        new_offsets = np.empty_like(offsets)
-        new_offsets[0] = 0
-        k = 0
-        for w in range(n_words):
-            p = offsets[w]
-            end = offsets[w + 1]
-            while p < end:
-                if p + 1 < end and flat[p] == left and flat[p + 1] == right:
-                    out[k] = new_id
-                    p += 2
-                else:
-                    out[k] = flat[p]
-                    p += 1
-                k += 1
-            new_offsets[w + 1] = k
-        return out[:k].copy(), new_offsets
-
-    @njit(cache=True, nogil=True)
-    def mask_sequence_numba(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
-        n_tokens = ids.shape[0]
-        out = ids.copy()
-        cand = np.empty(n_tokens, np.int64)
-        n = 0
-        for i in range(n_tokens):
-            if special[i] == 0:
-                cand[n] = i
-                n += 1
-        if n == 0:
-            return out, np.empty(0, np.int64), np.empty(0, np.int32)
-        num = int(prob * n + 0.5)
-        if num < 1:
-            num = 1
-        if num > cap:
-            num = cap
-        state = seed
-        ctr = np.uint64(0)
-        one = np.uint64(1)
-        gamma = np.uint64(0x9E3779B97F4A7C15)
-        for i in range(num):
-            ctr += one
-            r = _mix64_nb(state + ctr * gamma)
-            j = i + np.int64(r % np.uint64(n - i))
-            tmp = cand[i]
-            cand[i] = cand[j]
-            cand[j] = tmp
-        sel = np.sort(cand[:num])
-        positions = sel.copy()
-        labels = np.empty(num, np.int32)
-        for k in range(num):
-            labels[k] = out[sel[k]]
-        n_random = vocab_size - n_special
-        for k in range(num):
-            p = sel[k]
-            ctr += one
-            u = np.float64(_mix64_nb(state + ctr * gamma) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-            if u < 0.8:
-                out[p] = mask_id
-            elif u < 0.9 and n_random > 0:
-                ctr += one
-                r2 = _mix64_nb(state + ctr * gamma)
-                out[p] = np.int32(n_special + np.int64(r2 % np.uint64(n_random)))
-        return out, positions, labels
-
-else:  # pragma: no cover
-    count_pairs_numba = None
-    apply_merge_numba = None
-    mask_sequence_numba = None
-
-
-def _mask_sequence_nb_wrapper(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
-    return mask_sequence_numba(
-        ids, special, np.uint64(seed), float(prob), cap, mask_id, n_special, vocab_size
-    )
-
-
-if NUMBA_ENABLED:
-    # per-kernel selection, measured in benchmarks/bench_kernels.py: the JIT
-    # wins merge application and masking; numpy's fused C sort wins pair
-    # counting, so that one stays on numpy even on the numba backend
-    count_pairs = count_pairs_numpy
-    apply_merge = apply_merge_numba
-    mask_sequence = _mask_sequence_nb_wrapper
-    BACKEND = "numba"
-else:
-    count_pairs = count_pairs_numpy
-    apply_merge = apply_merge_numpy
-    mask_sequence = mask_sequence_numpy
-    BACKEND = "numpy"

@@ -2,9 +2,8 @@
 
 Every random decision in the pipeline is keyed by (master_seed, stream keys...)
 through a splitmix64 hash, so any work unit can be regenerated in isolation and
-results are independent of thread count and execution order. The same integer
-arithmetic is mirrored in the numba/numpy kernels (see kernels.py), which keeps
-the two backends bit-identical.
+results do not depend on execution order. The masking kernel (see kernels.py)
+draws from the same counter-based stream.
 """
 
 from __future__ import annotations

@@ -49,6 +49,15 @@ def vocab_hash(vocab: Vocabulary) -> bytes:
     return hashlib.sha256(vocab.file_bytes()).digest()[:8]
 
 
+def sha256_file(path: "str | Path") -> str:
+    """Hex sha256 of a file, read in chunks so memory stays flat."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @dataclass
 class InstanceFileHeader:
     magic: bytes
@@ -145,8 +154,7 @@ class _FileWriter:
         self._f.seek(16)  # instance_count is the final u64 of the header
         self._f.write(struct.pack("<Q", self.count))
         self._f.close()
-        digest = hashlib.sha256(self.path.read_bytes()).hexdigest()
-        return {"name": self.path.name, "instances": self.count, "sha256": digest}
+        return {"name": self.path.name, "instances": self.count, "sha256": sha256_file(self.path)}
 
 
 def write_instances(

@@ -46,24 +46,6 @@ def test_no_command_prints_help(capsys):
     assert main([]) == 2
 
 
-def test_threads_env_fallback(monkeypatch):
-    import argparse
-
-    from bpt.cli import _Options, _resolve_threads
-
-    opts = _Options(argparse.Namespace(), {})
-    monkeypatch.setenv("BPT_THREADS", "3")
-    assert _resolve_threads(opts) == 3
-    monkeypatch.setenv("BPT_THREADS", "zero")
-    with pytest.raises(UsageError):
-        _resolve_threads(opts)
-    monkeypatch.delenv("BPT_THREADS")
-    assert _resolve_threads(opts) >= 1
-    # explicit flag wins over the environment
-    monkeypatch.setenv("BPT_THREADS", "3")
-    assert _resolve_threads(_Options(argparse.Namespace(threads=2), {})) == 2
-
-
 # --- filter ------------------------------------------------------------------
 
 
@@ -218,6 +200,13 @@ def test_create_simpt_deterministic_across_runs_and_threads(tmp_path, capsys, vo
     code2, out2, _ = create(capsys, tmp_path, vocab_file, corpora, "b.bin", *args, "--threads", "4")
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # manifests record nothing about the worker count or the host
+    m1, m2 = (json.loads((tmp_path / f"{n}.bin.manifest.json").read_text()) for n in "ab")
+    for manifest in (m1, m2):
+        del manifest["config"]["out"]
+        for entry in manifest["files"]:
+            del entry["name"]
+    assert m1 == m2
 
 
 def test_create_conventional_dupe_factor_doubles(tmp_path, capsys, vocab_file, corpora):
@@ -286,6 +275,17 @@ def test_verify_pass_and_exit_codes(tmp_path, capsys, vocab_file, corpora):
                        "--mask-split-tol", "0.2", "--origin-tol", "0.5")
     assert code == 0
     assert "overall: PASS" in stdout
+
+
+@pytest.mark.parametrize("fraction", ["-1", "1.5", "nan"])
+def test_verify_expected_origin_fraction_out_of_range_exits_2(tmp_path, capsys, vocab_file, corpora,
+                                                              fraction):
+    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "o.bin",
+                          "--mode", "simpt", "--rounds", "1", "--shards-per-corpus", "1")
+    assert code == 0
+    code, _ = run(capsys, "verify", "--in", out, "--vocab", vocab_file,
+                  "--expected-origin-fraction", fraction)
+    assert code == 2
 
 
 def test_verify_nonexistent_file_exits_2(tmp_path, capsys, vocab_file):
@@ -371,26 +371,3 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["name"] == "fP"
-
-
-def test_backends_produce_identical_files(tmp_path, vocab_file, corpora):
-    import os
-    import subprocess
-    import sys
-
-    small, large = corpora
-    outputs = {}
-    for tag, no_numba in (("numba", "0"), ("numpy", "1")):
-        out = tmp_path / f"{tag}.bin"
-        env = dict(os.environ, BPT_NO_NUMBA=no_numba)
-        result = subprocess.run(
-            [sys.executable, "-m", "bpt.cli", "create-instances", "--mode", "simpt",
-             "--small", str(small), "--large", str(large), "--vocab", str(vocab_file),
-             "--out", str(out), "--rounds", "3", "--shards-per-corpus", "2",
-             "--each-file-size", "2KB", "--max-seq-length", "64", "--seed", "5",
-             "--threads", "2"],
-            capture_output=True, text=True, env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        outputs[tag] = out.read_bytes()
-    assert outputs["numba"] == outputs["numpy"]

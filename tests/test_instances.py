@@ -383,6 +383,7 @@ def test_simpt_beats_conventional_diversity_on_toy_corpora():
         {"n_rounds": -1},
         {"n_splits": 0},
         {"shards_per_corpus": 0},
+        {"max_seq_length": 65536},
     ],
 )
 def test_config_validation(kw):
