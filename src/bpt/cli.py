@@ -4,8 +4,8 @@ create-instances, verify, compare.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O error. Every subcommand accepts --config FILE (JSON, flat keys named
 like the long flags with dashes as underscores); explicit flags override
-config-file values. Logs go to stderr; data and reports go to stdout or the
-requested output file.
+config-file values, which are cast like the flag of the same name. Logs go
+to stderr; data and reports go to stdout or the requested output file.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from pathlib import Path
 from .corpus import Origin, load_corpus, split_corpus, write_document_text
 from .errors import (
     BptError,
-    CorpusError,
     InstanceError,
     InstanceFileError,
     RulesetError,
-    SerializeError,
     UsageError,
     VocabError,
 )
@@ -33,8 +31,7 @@ from .mesh_filter import load_ruleset, parse_records_jsonl, select_articles
 from .serialize import (
     Manifest,
     manifest_path,
-    read_header,
-    read_instances,
+    open_instance_set,
     sha256_file,
     write_instances,
     write_instances_jsonl,
@@ -57,6 +54,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# config keys with no flag to take their type from
+_CONFIG_ONLY_TYPES = {"mask_selection_target": float}
 
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(kib|mib|gib|kb|mb|gb|b)?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {
@@ -93,7 +93,7 @@ class _Options:
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if key in self.cfg:
+        if self.cfg.get(key) is not None:  # a null config value is unset
             return self.cfg[key]
         return default
 
@@ -109,6 +109,15 @@ def _check_input(path, what: str) -> Path:
     if not p.exists():
         raise UsageError(f"{what} not found: {p}")
     return p
+
+
+def _load_corpora(opts: _Options, small_path, large_path) -> tuple:
+    """The small and large corpora; None for one not given."""
+    return tuple(
+        load_corpus(_check_input(path, f"{name} corpus"), opts.get(f"{name}_label", name), origin)
+        if path else None
+        for name, path, origin in (("small", small_path, Origin.SMALL), ("large", large_path, Origin.LARGE))
+    )
 
 
 def _emit_report(payload: dict, report_path) -> None:
@@ -190,19 +199,10 @@ def cmd_build_vocab(args, cfg) -> int:
     if amplify and (small_path is None or large_path is None):
         raise UsageError("--amplify requires both --small and --large corpora")
     out_path = Path(opts.require("out", "--out"))
-    target_size = int(opts.get("target_size", DEFAULT_TARGET_SIZE))
-    min_frequency = int(opts.get("min_frequency", DEFAULT_MIN_FREQUENCY))
+    target_size = opts.get("target_size", DEFAULT_TARGET_SIZE)
+    min_frequency = opts.get("min_frequency", DEFAULT_MIN_FREQUENCY)
 
-    small = (
-        load_corpus(_check_input(small_path, "small corpus"), opts.get("small_label", "small"), Origin.SMALL)
-        if small_path
-        else None
-    )
-    large = (
-        load_corpus(_check_input(large_path, "large corpus"), opts.get("large_label", "large"), Origin.LARGE)
-        if large_path
-        else None
-    )
+    small, large = _load_corpora(opts, small_path, large_path)
     small_counts = corpus_word_counts(small) if small else {}
     large_counts = corpus_word_counts(large) if large else {}
     repeat_factor = None
@@ -251,15 +251,15 @@ def _build_instance_config(opts: _Options, mode: str) -> InstanceConfig:
     if mode == "simpt" and rounds is None:
         raise UsageError("--rounds is required in simpt mode")
     return InstanceConfig(
-        max_seq_length=int(opts.get("max_seq_length", 128)),
-        masked_lm_prob=float(opts.get("masked_lm_prob", 0.15)),
-        max_predictions_per_seq=int(opts.get("max_predictions_per_seq", 20)),
-        short_seq_prob=float(opts.get("short_seq_prob", 0.10)),
-        dupe_factor=int(opts.get("dupe_factor", 1)),
-        n_rounds=int(rounds) if rounds is not None else 0,
-        n_splits=int(opts.get("n_splits", 1)),
-        shards_per_corpus=int(opts.get("shards_per_corpus", 10)),
-        master_seed=int(opts.get("seed", 0)),
+        max_seq_length=opts.get("max_seq_length", 128),
+        masked_lm_prob=opts.get("masked_lm_prob", 0.15),
+        max_predictions_per_seq=opts.get("max_predictions_per_seq", 20),
+        short_seq_prob=opts.get("short_seq_prob", 0.10),
+        dupe_factor=opts.get("dupe_factor", 1),
+        n_rounds=rounds if rounds is not None else 0,
+        n_splits=opts.get("n_splits", 1),
+        shards_per_corpus=opts.get("shards_per_corpus", 10),
+        master_seed=opts.get("seed", 0),
     )
 
 
@@ -286,16 +286,7 @@ def cmd_create_instances(args, cfg) -> int:
 
     vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
-    small = (
-        load_corpus(_check_input(small_path, "small corpus"), opts.get("small_label", "small"), Origin.SMALL)
-        if small_path
-        else None
-    )
-    large = (
-        load_corpus(_check_input(large_path, "large corpus"), opts.get("large_label", "large"), Origin.LARGE)
-        if large_path
-        else None
-    )
+    small, large = _load_corpora(opts, small_path, large_path)
 
     if mode == "simpt":
         small_shards = split_corpus(small, each)
@@ -333,7 +324,6 @@ def cmd_create_instances(args, cfg) -> int:
         manifest = Manifest(
             files=[{"name": out_path.name, "instances": count, "sha256": sha256_file(out_path)}],
             max_seq_length=icfg.max_seq_length,
-            vocab_hash="",
             instance_count=count,
             master_seed=icfg.master_seed,
             config=run_config,
@@ -346,8 +336,7 @@ def cmd_create_instances(args, cfg) -> int:
     return EXIT_OK
 
 
-# verify flags and config keys that override the Tolerances default of the same
-# name; a given value is cast to the type of that default
+# verify flags and config keys that override the Tolerances default of the same name
 _TOLERANCE_KEYS = (
     "mask_selection_target",
     "mask_selection_tol",
@@ -362,33 +351,29 @@ _TOLERANCE_KEYS = (
 
 def cmd_verify(args, cfg) -> int:
     opts = _Options(args, cfg)
-    path = _check_input(opts.require("infile", "--in"), "instance file")
+    infile = opts.require("infile", "--in")
     vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
 
     tol = Tolerances()
     for key in _TOLERANCE_KEYS:
         value = opts.get(key)
         if value is not None:
-            setattr(tol, key, type(getattr(tol, key))(value))
+            setattr(tol, key, value)
     origin_target = opts.get("expected_origin_fraction")
-    if origin_target is not None:
-        origin_target = float(origin_target)
-        if not 0.0 <= origin_target <= 1.0:
-            raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
-    if bool(opts.get("no_origin_check", False)):
-        tol.origin_target = None
-    elif origin_target is not None:
-        tol.origin_target = origin_target
-    elif manifest_path(path).is_file():
-        manifest = Manifest.load(manifest_path(path))
-        mode = (manifest.statistics or {}).get("mode") or (manifest.config or {}).get("mode")
-        if mode == "conventional":
+    if origin_target is not None and not 0.0 <= origin_target <= 1.0:
+        raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
+
+    try:
+        instance_set = open_instance_set(infile)
+        if bool(opts.get("no_origin_check", False)):
+            tol.origin_target = None
+        elif origin_target is not None:
+            tol.origin_target = origin_target
+        elif instance_set.mode == "conventional":
             log.info("verify: conventional-mode file; origin-balance check skipped "
                      "(pass --expected-origin-fraction to enable)")
             tol.origin_target = None
-
-    try:
-        report = verify_file(path, vocabulary, tol)
+        report = verify_file(instance_set, vocabulary, tol)
     except InstanceFileError as exc:
         log.error("verify: %s", exc)
         return EXIT_VERIFY
@@ -397,50 +382,32 @@ def cmd_verify(args, cfg) -> int:
     else:
         print(report.render_table())
     if opts.get("report"):
-        Path(opts.get("report")).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _emit_report(report.to_dict(), opts.get("report"))
     return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def _scan_for_compare(path: Path) -> dict:
-    header = read_header(path)
-    n = positives = 0
-    small = total_origin = 0
-    for inst in read_instances(path):
-        n += 1
-        if inst.is_next:
-            positives += 1
-        small += inst.origin_small_tokens
-        total_origin += inst.origin_small_tokens + inst.origin_large_tokens
-    stats: dict = {}
-    mode = None
-    mpath = manifest_path(path)
-    if mpath.is_file():
-        manifest = Manifest.load(mpath)
-        stats = manifest.statistics or {}
-        mode = (manifest.config or {}).get("mode") or stats.get("mode")
-    return {
-        "path": str(path),
-        "mode": mode,
-        "instances": n,
-        "max_seq_length": header.max_seq_length,
-        "nsp_positive_rate": positives / n if n else None,
-        "small_origin_fraction": small / total_origin if total_origin else None,
-        "distinct_negative_pairs": stats.get("distinct_negative_pairs"),
-    }
 
 
 def cmd_compare(args, cfg) -> int:
     opts = _Options(args, cfg)
-    paths = [_check_input(p, "instance file") for p in (args.files or [])]
+    paths = [Path(p) for p in (args.files or [])]
     if len(paths) != 2:
         raise UsageError("compare requires exactly two instance files")
-    rows = [_scan_for_compare(p) for p in paths]
     labels = opts.get("labels")
     names = labels.split(",") if labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
+    rows = []
+    for path in paths:
+        instance_set = open_instance_set(path)
+        report = verify_file(instance_set)
+        rows.append({
+            "path": str(path),
+            "mode": instance_set.mode,
+            "instances": report.instances,
+            "max_seq_length": instance_set.max_seq_length,
+            "nsp_positive_rate": report.nsp_positive_rate,
+            "small_origin_fraction": report.small_origin_fraction,
+            "distinct_negative_pairs": report.distinct_negative_pairs,
+        })
 
     def fmt(value):
         if value is None:
@@ -464,10 +431,7 @@ def cmd_compare(args, cfg) -> int:
     out.insert(1, "  ".join("-" * w for w in widths))
     print("\n".join(out))
     if opts.get("report"):
-        Path(opts.get("report")).write_text(
-            json.dumps({"a": rows[0], "b": rows[1]}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _emit_report({"a": rows[0], "b": rows[1]}, opts.get("report"))
     return EXIT_OK
 
 
@@ -579,6 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="sP or fP, or a path")
     p.set_defaults(func=cmd_dump_ruleset)
 
+    for p in sub.choices.values():
+        types = {action.dest: action.type for action in p._actions if action.type}
+        p.set_defaults(config_types={**_CONFIG_ONLY_TYPES, **types})
     return parser
 
 
@@ -597,24 +564,27 @@ def main(argv=None) -> int:
         except FileNotFoundError:
             log.error("config file not found: %s", config_path)
             return EXIT_USAGE
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             log.error("config file %s is not valid JSON: %s", config_path, exc)
             return EXIT_USAGE
         if not isinstance(cfg, dict):
             log.error("config file %s must hold a JSON object", config_path)
             return EXIT_USAGE
+    for key, value in cfg.items():
+        cast = args.config_types.get(key)
+        if cast is not None and value is not None:
+            try:
+                cfg[key] = cast(str(value))
+            except ValueError:
+                log.error("config file %s: key '%s' must be %s, got %r",
+                          config_path, key, cast.__name__, value)
+                return EXIT_USAGE
     try:
         return args.func(args, cfg)
-    except (UsageError, RulesetError, VocabError, InstanceError) as exc:
+    except (UsageError, RulesetError, VocabError, InstanceError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except (CorpusError, SerializeError, InstanceFileError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_IO
-    except BptError as exc:  # pragma: no cover - safety net
+    except (BptError, OSError) as exc:  # corpus, serialize and instance file errors
         log.error("%s", exc)
         return EXIT_IO
 

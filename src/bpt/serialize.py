@@ -13,15 +13,19 @@ File layout (little-endian):
 The JSON manifest sidecar ("<path>.manifest.json") carries the effective
 config, master seed, per-file instance counts and sha256 checksums, and
 generation statistics. Files written from identical inputs and seeds are
-byte-identical; nothing time- or host-dependent is stored.
+byte-identical; nothing time- or host-dependent is stored. Output rotated with
+max_file_bytes is the set of files "<path>.00000", "<path>.00001", ... that
+the one sidecar "<path>.manifest.json" lists; `open_instance_set` resolves a
+path to such a set and `read_instances` streams it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,6 +35,7 @@ from .errors import (
     BadMagicError,
     BadVersionError,
     ChecksumMismatchError,
+    InstanceFileError,
     SerializeError,
     TruncatedFileError,
     VocabHashMismatchError,
@@ -53,7 +58,7 @@ def sha256_file(path: "str | Path") -> str:
     """Hex sha256 of a file, read in chunks so memory stays flat."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-        while chunk := f.read(1 << 20):
+        while chunk := f.read(1 << 18):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -69,10 +74,10 @@ class InstanceFileHeader:
 
 @dataclass
 class Manifest:
-    files: list  # [{"name", "instances", "sha256"}]
-    max_seq_length: int
-    vocab_hash: str
-    instance_count: int
+    files: list = field(default_factory=list)  # [{"name", "instances", "sha256"}]
+    max_seq_length: int = 0
+    vocab_hash: str = ""
+    instance_count: int = 0
     master_seed: "int | None" = None
     config: "dict | None" = None
     statistics: "dict | None" = None
@@ -80,17 +85,7 @@ class Manifest:
     version: int = VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "format": self.format,
-            "version": self.version,
-            "max_seq_length": self.max_seq_length,
-            "vocab_hash": self.vocab_hash,
-            "instance_count": self.instance_count,
-            "master_seed": self.master_seed,
-            "files": self.files,
-            "config": self.config,
-            "statistics": self.statistics,
-        }
+        return asdict(self)
 
     def write(self, path: "str | Path") -> None:
         Path(path).write_text(
@@ -99,18 +94,26 @@ class Manifest:
 
     @classmethod
     def load(cls, path: "str | Path") -> "Manifest":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            files=data.get("files", []),
-            max_seq_length=data.get("max_seq_length", 0),
-            vocab_hash=data.get("vocab_hash", ""),
-            instance_count=data.get("instance_count", 0),
-            master_seed=data.get("master_seed"),
-            config=data.get("config"),
-            statistics=data.get("statistics"),
-            format=data.get("format", "binary"),
-            version=data.get("version", VERSION),
-        )
+        """Parse a sidecar; one of another shape raises InstanceFileError."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InstanceFileError(f"{path}: manifest is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InstanceFileError(f"{path}: manifest must hold a JSON object")
+        files = data.get("files")
+        if not (isinstance(files, list) and files and all(_is_entry(e) for e in files)):
+            raise InstanceFileError(f"{path}: manifest 'files' must list objects named by file names")
+        for key in ("config", "statistics"):
+            if not isinstance(data.get(key), (dict, type(None))):
+                raise InstanceFileError(f"{path}: manifest '{key}' must be an object or null")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+
+
+def _is_entry(entry) -> bool:
+    """A manifest file entry whose name stays in the manifest's directory."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    return isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
 
 
 def manifest_path(path: "str | Path") -> Path:
@@ -231,75 +234,111 @@ def read_header(path: "str | Path") -> InstanceFileHeader:
     return InstanceFileHeader(magic, version, max_seq_length, vhash, count)
 
 
-def _find_checksum(path: Path) -> "str | None":
-    """Expected sha256 for `path` from its own or its rotation base's manifest."""
-    candidates = [manifest_path(path)]
-    if path.suffix and path.suffix[1:].isdigit():
-        candidates.append(manifest_path(path.with_suffix("")))
-    for mp in candidates:
-        if mp.is_file():
-            manifest = Manifest.load(mp)
-            for entry in manifest.files:
-                if entry.get("name") == path.name:
-                    return entry.get("sha256")
-    return None
+@dataclass
+class InstanceSet:
+    """The instance files a path names and the manifest that lists them."""
+
+    path: Path
+    parts: list  # [(file path, InstanceFileHeader, manifest entry)]
+    manifest: "Manifest | None" = None
+
+    @property
+    def whole(self) -> bool:
+        """Whether the manifest's total count and statistics describe the set."""
+        return self.manifest is not None and len(self.parts) == len(self.manifest.files)
+
+    @property
+    def mode(self) -> "str | None":
+        if self.manifest is None:
+            return None
+        return (self.manifest.config or {}).get("mode") or (self.manifest.statistics or {}).get("mode")
+
+    @property
+    def max_seq_length(self) -> int:
+        return self.parts[0][1].max_seq_length
+
+
+def open_instance_set(path: "str | Path") -> InstanceSet:
+    """Resolve a path to its instance set and read every file's header.
+
+    With its own sidecar, a path is the file the manifest lists under its
+    name or else, as for rotated output, every file the manifest lists. A
+    numbered part is its entry in the base's manifest; any other file stands
+    alone. A missing file raises FileNotFoundError naming it.
+    """
+    path = Path(path)
+    entries = []
+    if manifest_path(path).is_file():
+        manifest = Manifest.load(manifest_path(path))
+        entries = [e for e in manifest.files if e["name"] == path.name] or manifest.files
+    elif path.suffix[1:].isdigit() and manifest_path(path.with_suffix("")).is_file():
+        manifest = Manifest.load(manifest_path(path.with_suffix("")))
+        entries = [e for e in manifest.files if e["name"] == path.name]
+    if not entries:
+        manifest, entries = None, [{"name": path.name}]
+    parts = [(path.parent / e["name"], read_header(path.parent / e["name"]), e) for e in entries]
+    return InstanceSet(path, parts, manifest)
 
 
 def read_instances(
-    path: "str | Path",
+    source: "str | Path | InstanceSet",
     expected_vocab: "Vocabulary | None" = None,
-    verify_checksum: bool = True,
 ) -> Iterator[PretrainInstance]:
-    """Yield instances in stored order after validating header and checksum.
+    """Yield the instances of a path's set (see `open_instance_set`) in order.
 
-    Checksum verification uses the manifest sidecar when present; a missing
-    sidecar skips the check. doc id metadata is not stored and comes back
-    empty.
+    Every file's vocabulary hash, sha256 and count are checked against its
+    manifest entry, and a whole set's total count, before the first instance
+    is yielded; records then stream through a buffered file. doc id metadata
+    is not stored and comes back empty.
     """
-    path = Path(path)
-    header = read_header(path)  # validates magic/version before the full read
-    if expected_vocab is not None and header.vocab_hash != vocab_hash(expected_vocab):
-        raise VocabHashMismatchError(f"{path}: vocabulary hash mismatch")
-    data = path.read_bytes()
-    if verify_checksum:
-        expected = _find_checksum(path)
-        if expected is not None:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected:
-                raise ChecksumMismatchError(f"{path}: checksum verification failed")
+    instance_set = source if isinstance(source, InstanceSet) else open_instance_set(source)
+    expected_hash = vocab_hash(expected_vocab) if expected_vocab is not None else None
+    for path, header, entry in instance_set.parts:
+        if expected_hash is not None and header.vocab_hash != expected_hash:
+            raise VocabHashMismatchError(f"{path}: vocabulary hash mismatch")
+        if "sha256" in entry and sha256_file(path) != entry["sha256"]:
+            raise ChecksumMismatchError(f"{path}: checksum verification failed")
+        if "instances" in entry and header.instance_count != entry["instances"]:
+            raise InstanceFileError(f"{path}: header holds {header.instance_count} instances, "
+                                    f"manifest lists {entry['instances']}")
+    total = sum(header.instance_count for _, header, _ in instance_set.parts)
+    if instance_set.whole and total != instance_set.manifest.instance_count:
+        raise InstanceFileError(f"{instance_set.path}: files hold {total} instances, "
+                                f"manifest lists {instance_set.manifest.instance_count}")
+    return _stream(instance_set.parts)
 
-    def generate() -> Iterator[PretrainInstance]:
-        pos = _HEADER.size
-        end = len(data)
 
-        def take(nbytes: int) -> memoryview:
-            nonlocal pos
-            if pos + nbytes > end:
-                raise TruncatedFileError(f"{path}: unexpected end of records")
-            view = memoryview(data)[pos : pos + nbytes]
-            pos += nbytes
-            return view
+def _stream(parts: list) -> Iterator[PretrainInstance]:
+    for path, header, _ in parts:
+        with open(path, "rb") as f:
+            f.seek(_HEADER.size)
 
-        for _ in range(header.instance_count):
-            (n,) = struct.unpack("<H", take(2))
-            token_ids = np.frombuffer(take(4 * n), "<u4").astype(np.int32)
-            segment_ids = np.frombuffer(take(n), "<u1").astype(np.int8)
-            (m,) = struct.unpack("<H", take(2))
-            masked = np.frombuffer(take(6 * m), _MASKED_DTYPE)
-            is_next, small, large = _TAIL.unpack(take(_TAIL.size))
-            yield PretrainInstance(
-                token_ids=token_ids,
-                segment_ids=segment_ids,
-                masked_positions=masked["pos"].astype(np.int64),
-                masked_labels=masked["label"].astype(np.int32),
-                is_next=bool(is_next),
-                origin_small_tokens=small,
-                origin_large_tokens=large,
-            )
-        if pos != end:
-            raise SerializeError(f"{path}: {end - pos} trailing bytes after records")
+            def take(nbytes: int) -> bytes:
+                data = f.read(nbytes)
+                if len(data) < nbytes:
+                    raise TruncatedFileError(f"{path}: unexpected end of records")
+                return data
 
-    return generate()
+            for _ in range(header.instance_count):
+                (n,) = struct.unpack("<H", take(2))
+                tokens = take(5 * n + 2)  # token ids, segment ids, n_masked
+                (m,) = struct.unpack_from("<H", tokens, 5 * n)
+                rest = take(6 * m + _TAIL.size)
+                masked = np.frombuffer(rest, _MASKED_DTYPE, m)
+                is_next, small, large = _TAIL.unpack_from(rest, 6 * m)
+                yield PretrainInstance(
+                    token_ids=np.frombuffer(tokens, "<u4", n).astype(np.int32),
+                    segment_ids=np.frombuffer(tokens, "<u1", n, 4 * n).astype(np.int8),
+                    masked_positions=masked["pos"].astype(np.int64),
+                    masked_labels=masked["label"].astype(np.int32),
+                    is_next=bool(is_next),
+                    origin_small_tokens=small,
+                    origin_large_tokens=large,
+                )
+            records_end = f.tell()
+            trailing = f.seek(0, os.SEEK_END) - records_end
+            if trailing:
+                raise InstanceFileError(f"{path}: {trailing} trailing bytes after records")
 
 
 def write_instances_jsonl(

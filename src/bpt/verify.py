@@ -3,16 +3,17 @@
 Turns the masking scheme's stated probabilities (15% selection; 80/10/10
 mask/random/unchanged; 50/50 next-sentence balance; balanced small-corpus
 fraction) into pass/fail checks with configurable tolerances. Checks with too
-few observations report "insufficient data" rather than failing.
+few observations report "insufficient data" rather than failing. `bpt compare`
+runs the same scan without a vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .instances import structural_errors
-from .serialize import Manifest, manifest_path, read_header, read_instances
+from .serialize import InstanceSet, open_instance_set, read_instances
 from .vocab import Vocabulary
 
 PASS = "pass"
@@ -44,13 +45,7 @@ class CheckResult:
     tolerance: "float | None" = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "value": self.value,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _check(name, value, expected, tol, n_obs, min_obs) -> CheckResult:
@@ -77,18 +72,7 @@ class VerificationReport:
         return all(c.status != FAIL for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "instances": self.instances,
-            "mask_selection_rate": self.mask_selection_rate,
-            "mask_split": list(self.mask_split) if self.mask_split else None,
-            "nsp_positive_rate": self.nsp_positive_rate,
-            "small_origin_fraction": self.small_origin_fraction,
-            "structural_violations": self.structural_violations,
-            "distinct_negative_pairs": self.distinct_negative_pairs,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def render_table(self) -> str:
         rows = [("check", "status", "value", "expected", "tolerance")]
@@ -112,17 +96,17 @@ class VerificationReport:
 
 
 def verify_file(
-    path: "str | Path",
-    vocab: Vocabulary,
+    path: "str | Path | InstanceSet",
+    vocab: "Vocabulary | None" = None,
     tolerances: "Tolerances | None" = None,
 ) -> VerificationReport:
-    """Read-only scan of an instance file against the configured tolerances."""
+    """Read-only scan of what `read_instances` reads against the tolerances;
+    without a vocabulary the structural and mask-split checks are left out."""
     tol = tolerances if tolerances is not None else Tolerances()
-    path = Path(path)
-    header = read_header(path)
-    report = VerificationReport(path=str(path))
+    instance_set = path if isinstance(path, InstanceSet) else open_instance_set(path)
+    report = VerificationReport(path=str(instance_set.path))
 
-    mask_id = vocab.mask_id
+    mask_id = vocab.mask_id if vocab is not None else None
     n_inst = 0
     positives = 0
     candidates_total = 0
@@ -132,14 +116,19 @@ def verify_file(
     origin_total = 0
     violations = 0
 
-    for inst in read_instances(path, expected_vocab=vocab):
+    for inst in read_instances(instance_set, expected_vocab=vocab):
         n_inst += 1
-        if structural_errors(inst, vocab, header.max_seq_length):
-            violations += 1
         if inst.is_next:
             positives += 1
         candidates_total += len(inst.token_ids) - 3
         masked_total += len(inst.masked_positions)
+        small_total += inst.origin_small_tokens
+        origin_total += inst.origin_small_tokens + inst.origin_large_tokens
+        if vocab is None:
+            continue
+        if structural_errors(inst, vocab, instance_set.max_seq_length):
+            violations += 1
+            continue  # its masked positions may point outside the sequence
         for p, label in zip(inst.masked_positions, inst.masked_labels):
             token = int(inst.token_ids[p])
             if token == mask_id:
@@ -148,14 +137,13 @@ def verify_file(
                 n_unchanged += 1
             else:
                 n_random += 1
-        small_total += inst.origin_small_tokens
-        origin_total += inst.origin_small_tokens + inst.origin_large_tokens
 
     report.instances = n_inst
     report.structural_violations = violations
-    report.checks.append(
-        CheckResult("structural", PASS if violations == 0 else FAIL, violations, 0, 0)
-    )
+    if vocab is not None:
+        report.checks.append(
+            CheckResult("structural", PASS if violations == 0 else FAIL, violations, 0, 0)
+        )
 
     if candidates_total:
         report.mask_selection_rate = masked_total / candidates_total
@@ -170,27 +158,28 @@ def verify_file(
         )
     )
 
-    if masked_total:
-        report.mask_split = (
-            n_mask / masked_total,
-            n_random / masked_total,
-            n_unchanged / masked_total,
-        )
-    for name, value, expected in (
-        ("mask_replaced_fraction", n_mask, 0.80),
-        ("mask_random_fraction", n_random, 0.10),
-        ("mask_unchanged_fraction", n_unchanged, 0.10),
-    ):
-        report.checks.append(
-            _check(
-                name,
-                value / masked_total if masked_total else 0.0,
-                expected,
-                tol.mask_split_tol,
-                masked_total,
-                tol.min_masked,
+    if vocab is not None:
+        if masked_total:
+            report.mask_split = (
+                n_mask / masked_total,
+                n_random / masked_total,
+                n_unchanged / masked_total,
             )
-        )
+        for name, value, expected in (
+            ("mask_replaced_fraction", n_mask, 0.80),
+            ("mask_random_fraction", n_random, 0.10),
+            ("mask_unchanged_fraction", n_unchanged, 0.10),
+        ):
+            report.checks.append(
+                _check(
+                    name,
+                    value / masked_total if masked_total else 0.0,
+                    expected,
+                    tol.mask_split_tol,
+                    masked_total,
+                    tol.min_masked,
+                )
+            )
 
     if n_inst:
         report.nsp_positive_rate = positives / n_inst
@@ -221,8 +210,7 @@ def verify_file(
             )
         )
 
-    mpath = manifest_path(path)
-    if mpath.is_file():
-        stats = Manifest.load(mpath).statistics or {}
+    if instance_set.whole:
+        stats = instance_set.manifest.statistics or {}
         report.distinct_negative_pairs = stats.get("distinct_negative_pairs")
     return report

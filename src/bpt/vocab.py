@@ -157,8 +157,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: "str | Path", merges_path: "str | Path | None" = None) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        tokens = text.splitlines()
+        try:
+            tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise VocabError(f"{path}: not UTF-8 text (byte offset {exc.start})") from exc
         if tokens and tokens[-1] == "":
             tokens.pop()
         if len(tokens) < len(SPECIAL_TOKENS) or tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:

@@ -6,6 +6,7 @@ import pytest
 from bpt.cli import main, parse_size
 from bpt.errors import UsageError
 from bpt.rng import SplitRng
+from bpt.serialize import manifest_path
 
 from .conftest import make_corpus_text, write_corpus_file
 
@@ -371,3 +372,168 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["name"] == "fP"
+
+
+# --- rotated sets, malformed inputs ---------------------------------------------
+
+LENIENT = ("--min-instances", "5", "--min-masked", "20", "--min-candidates", "50",
+           "--nsp-tol", "0.4", "--mask-selection-tol", "0.05", "--mask-split-tol", "0.2",
+           "--origin-tol", "0.5")
+SIMPT = ("--mode", "simpt", "--rounds", "3", "--shards-per-corpus", "2")
+
+
+def rotated(capsys, tmp_path, vocab_file, corpora):
+    """A simpt set written in several parts; the base path itself is no file."""
+    code, base, _ = create(capsys, tmp_path, vocab_file, corpora, "rot.bin", *SIMPT,
+                           "--max-file-bytes", "4KB")
+    assert code == 0 and not base.exists()
+    parts = [tmp_path / e["name"] for e in json.loads(manifest_path(base).read_text())["files"]]
+    assert len(parts) >= 3 and all(p.is_file() for p in parts)
+    return base, parts
+
+
+def test_rotated_set_verifies_and_compares_like_unrotated(tmp_path, capsys, vocab_file, corpora):
+    base, _ = rotated(capsys, tmp_path, vocab_file, corpora)
+    _, plain, _ = create(capsys, tmp_path, vocab_file, corpora, "plain.bin", *SIMPT)
+    code_rot, out_rot = run(capsys, "verify", "--in", base, "--vocab", vocab_file, "--json", *LENIENT)
+    code_plain, out_plain = run(capsys, "verify", "--in", plain, "--vocab", vocab_file, "--json",
+                                *LENIENT)
+    assert code_rot == code_plain == 0
+    report_rot, report_plain = json.loads(out_rot), json.loads(out_plain)
+    assert report_rot.pop("path") == str(base)
+    report_plain.pop("path")
+    assert report_rot == report_plain
+    assert report_rot["distinct_negative_pairs"] is not None
+
+    code, stdout = run(capsys, "compare", base, plain)
+    assert code == 0
+    rows = stdout.splitlines()[2:]
+    assert len(rows) == 5
+    for line in rows:
+        cells = [c for c in line.split("  ") if c.strip()]
+        assert cells[1].strip() == cells[2].strip()
+
+
+def test_rotated_set_missing_part_exits_2_naming_it(tmp_path, capsys, caplog, vocab_file, corpora):
+    base, parts = rotated(capsys, tmp_path, vocab_file, corpora)
+    parts[1].unlink()
+    code, stdout = run(capsys, "verify", "--in", base, "--vocab", vocab_file)
+    assert code == 2 and stdout == ""
+    assert parts[1].name in caplog.text
+    code, stdout = run(capsys, "compare", base, base)
+    assert code == 2 and stdout == ""
+
+
+@pytest.mark.parametrize("damage", ["flip_body_byte", "edit_manifest_count"])
+def test_rotated_set_damaged_part_exits_1_before_statistics(tmp_path, capsys, vocab_file, corpora,
+                                                            damage):
+    base, parts = rotated(capsys, tmp_path, vocab_file, corpora)
+    if damage == "flip_body_byte":
+        raw = bytearray(parts[-1].read_bytes())
+        raw[30] ^= 0xFF
+        parts[-1].write_bytes(bytes(raw))
+    else:
+        manifest = json.loads(manifest_path(base).read_text())
+        manifest["files"][1]["instances"] += 1
+        manifest_path(base).write_text(json.dumps(manifest))
+    code, stdout = run(capsys, "verify", "--in", base, "--vocab", vocab_file, *LENIENT)
+    assert code == 1 and stdout == ""
+
+
+def test_numbered_part_is_checked_against_base_manifest(tmp_path, capsys, vocab_file, corpora):
+    base, parts = rotated(capsys, tmp_path, vocab_file, corpora)
+    code, stdout = run(capsys, "verify", "--in", parts[0], "--vocab", vocab_file, "--json")
+    report = json.loads(stdout)
+    origin = [c for c in report["checks"] if c["name"] == "small_origin_fraction"][0]
+    assert report["distinct_negative_pairs"] is None  # statistics describe the whole set
+    assert origin["status"] != "skipped"
+    raw = bytearray(parts[0].read_bytes())
+    raw[30] ^= 0xFF
+    parts[0].write_bytes(bytes(raw))
+    code, stdout = run(capsys, "verify", "--in", parts[0], "--vocab", vocab_file)
+    assert code == 1 and stdout == ""
+
+
+def test_conventional_part_skips_origin_check(tmp_path, capsys, vocab_file, corpora):
+    code, base, _ = create(capsys, tmp_path, vocab_file, corpora, "conv.bin",
+                           "--mode", "conventional", "--max-file-bytes", "4KB")
+    assert code == 0
+    code, stdout = run(capsys, "verify", "--in", f"{base}.00000", "--vocab", vocab_file, "--json")
+    origin = [c for c in json.loads(stdout)["checks"] if c["name"] == "small_origin_fraction"][0]
+    assert origin["status"] == "skipped"
+
+
+@pytest.mark.parametrize("manifest_text", [
+    "{not json",
+    "[]",
+    json.dumps({"files": [1, 2]}),
+    json.dumps({"files": "c.bin"}),
+    "part name with a separator",
+])
+def test_malformed_manifest_is_named(tmp_path, capsys, caplog, vocab_file, corpora, manifest_text):
+    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "c.bin", "--mode", "conventional")
+    assert code == 0
+    if manifest_text == "part name with a separator":
+        manifest = json.loads(manifest_path(out).read_text())
+        manifest["files"][0]["name"] = "../c.bin"
+        manifest_text = json.dumps(manifest)
+    manifest_path(out).write_text(manifest_text)
+    code, stdout = run(capsys, "verify", "--in", out, "--vocab", vocab_file)
+    assert code == 1 and stdout == ""
+    assert "manifest" in caplog.text and "Traceback" not in caplog.text
+    code, stdout = run(capsys, "compare", out, out)
+    assert code == 3 and stdout == ""
+
+
+def test_trailing_bytes_exit_1(tmp_path, capsys, vocab_file, corpora):
+    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "t.bin", "--mode", "conventional")
+    assert code == 0
+    manifest_path(out).unlink()  # so the trailing bytes are hit, not the checksum
+    out.write_bytes(out.read_bytes() + b"\x00\x01\x02")
+    code, _ = run(capsys, "verify", "--in", out, "--vocab", vocab_file, *LENIENT)
+    assert code == 1
+
+
+def test_non_utf8_vocabulary_exits_2(tmp_path, capsys):
+    vocab = tmp_path / "latin1.txt"
+    vocab.write_bytes("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\ncaf\xe9\n".encode("latin-1"))
+    code, _ = run(capsys, "tokenize", "--vocab", vocab, "--in", vocab)
+    assert code == 2
+
+
+def test_config_value_of_wrong_type_exits_2_naming_key(tmp_path, capsys, caplog, vocab_file,
+                                                       corpora):
+    small, large = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "simpt", "rounds": "abc"}))
+    code, _ = run(capsys, "create-instances", "--config", cfg, "--small", small, "--large", large,
+                  "--vocab", vocab_file, "--out", tmp_path / "x.bin")
+    assert code == 2
+    assert "'rounds'" in caplog.text
+
+
+def test_null_config_value_means_unset(tmp_path, capsys, vocab_file, corpora):
+    small, large = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "conventional", "max_seq_length": None}))
+    out = tmp_path / "n.bin"
+    code, _ = run(capsys, "create-instances", "--config", cfg, "--small", small, "--large", large,
+                  "--vocab", vocab_file, "--out", out)
+    assert code == 0
+    assert json.loads(manifest_path(out).read_text())["max_seq_length"] == 128
+
+
+def test_verify_rotated_set_closes_every_file(tmp_path, capsys, vocab_file, corpora):
+    import os
+    import subprocess
+    import sys
+
+    base, _ = rotated(capsys, tmp_path, vocab_file, corpora)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "bpt.cli", "verify", "--in", str(base),
+         "--vocab", str(vocab_file), *LENIENT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr

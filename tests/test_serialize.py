@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +158,10 @@ def test_rotation_by_size(tmp_path):
     assert len(back) == len(insts)
     for a, b in zip(insts, back):
         assert a.payload() == b.payload()
+    # the base path names the whole set
+    assert [i.payload() for i in read_instances(path, expected_vocab=VOCAB)] == [
+        i.payload() for i in insts
+    ]
 
 
 def test_manifest_round_trip(tmp_path):
@@ -180,3 +186,23 @@ def test_jsonl_debug_format(tmp_path):
     assert first["tokens"].count("[SEP]") >= 2
     assert isinstance(first["is_next"], bool)
     assert first["doc_id_a"].startswith("d#")
+
+
+def test_read_memory_does_not_grow_with_file_size(tmp_path):
+    config = InstanceConfig(max_seq_length=512, master_seed=1)
+    docs = [Document(f"d#{i}", Origin.SMALL, [" ".join(WORDS)] * 12) for i in range(2)]
+    inst = max(create_instances_from_documents(docs, TOKENIZER, config, SplitRng(1)),
+               key=lambda i: len(i.token_ids))
+    path = tmp_path / "big.bin"
+    repeats = (4 << 20) // (5 * len(inst.token_ids)) + 1
+    write_instances(itertools.repeat(inst, repeats), path, VOCAB, config)
+    size = path.stat().st_size
+    assert size >= 4 << 20
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in read_instances(path, expected_vocab=VOCAB))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == repeats
+    assert peak < size / 4

@@ -116,6 +116,20 @@ def test_verify_counts_structural_violations(tmp_path):
     assert not report.passed
 
 
+def test_verify_out_of_range_masked_position_is_a_violation(tmp_path):
+    path, _ = make_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    (n,) = struct.unpack_from("<H", raw, 24)
+    struct.pack_into("<H", raw, 24 + 2 + 5 * n + 2, 60000)  # first masked position
+    path.write_bytes(bytes(raw))
+    from bpt.serialize import manifest_path
+
+    manifest_path(path).unlink()
+    report = verify_file(path, VOCAB, lenient())
+    assert report.structural_violations == 1
+    assert not report.passed
+
+
 def test_verify_origin_check_skippable(tmp_path):
     path, _ = make_file(tmp_path)
     tol = lenient()
