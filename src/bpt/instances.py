@@ -13,7 +13,8 @@ Two modes share one per-document pairing routine:
 
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
 any round or group can be regenerated in isolation. Rounds and groups run
-serially in index order.
+serially in index order, and each instance is yielded as soon as it is
+assembled.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def structural_errors(inst: PretrainInstance, vocab: Vocabulary, max_seq_length:
         errs.append("segment_ids length differs from token_ids")
     if n == 0 or ids[0] != vocab.cls_id:
         errs.append("first token is not [CLS]")
-    sep_positions = [i for i in range(n) if ids[i] == vocab.sep_id]
+    sep_positions = np.flatnonzero(ids == vocab.sep_id).tolist()
     if len(sep_positions) != 2:
         errs.append(f"expected exactly 2 [SEP], found {len(sep_positions)}")
     segs = np.asarray(inst.segment_ids)
@@ -426,6 +427,18 @@ def create_instances_from_documents(
         raise InstanceError("docs must be non-empty")
     if report is None:
         report = GenerationReport()
+    return list(_instances(docs, tokenizer, config, rng, n_dupes, report))
+
+
+def _instances(
+    docs: list[Document],
+    tokenizer: WordPieceTokenizer,
+    config: InstanceConfig,
+    rng: SplitRng,
+    n_dupes: int,
+    report: GenerationReport,
+) -> Iterator[PretrainInstance]:
+    """Yield each instance as soon as it is assembled and recorded."""
     usable_docs: list[Document] = []
     tokenized: list[list[list[int]]] = []
     for doc in docs:
@@ -436,19 +449,21 @@ def create_instances_from_documents(
             tokenized.append(sents)
         else:
             report.empty_documents += 1
-    pairs: list[_SegmentPair] = []
-    for di in range(len(usable_docs)):
-        pairs.extend(
-            _build_pairs_for_document(di, usable_docs, tokenized, config, rng.child(di), report)
-        )
     vocab = tokenizer.vocab
-    instances = []
-    for dupe in range(n_dupes):
-        for pair in pairs:
+    # later passes re-mask the first pass's pairs, so keep them only if needed
+    kept: list[_SegmentPair] = []
+    for di in range(len(usable_docs)):
+        for pair in _build_pairs_for_document(di, usable_docs, tokenized, config, rng.child(di), report):
+            if n_dupes > 1:
+                kept.append(pair)
+            inst = _assemble(pair, vocab, config, 0)
+            report.record(inst)
+            yield inst
+    for dupe in range(1, n_dupes):
+        for pair in kept:
             inst = _assemble(pair, vocab, config, dupe)
             report.record(inst)
-            instances.append(inst)
-    return instances
+            yield inst
 
 
 def _sample_shards(shards: list[Shard], k: int, rng: SplitRng) -> list[Shard]:
@@ -489,14 +504,12 @@ def generate_simpt(
             )
             docs = [d for s in small_sel for d in s.documents]
             docs += [d for s in large_sel for d in s.documents]
-            insts = create_instances_from_documents(
-                docs, tokenizer, config, SplitRng(config.master_seed, _STREAM_DOCS, r), report=report
-            )
             report.rounds += 1
             if combo in seen:
                 report.shard_combo_collisions += 1
             seen.add(combo)
-            yield from insts
+            rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
+            yield from _instances(docs, tokenizer, config, rng_docs, 1, report)
 
     return stream(), report
 
@@ -521,16 +534,9 @@ def generate_conventional(
 
     def stream():
         for g, group in enumerate(groups):
-            insts = create_instances_from_documents(
-                group,
-                tokenizer,
-                config,
-                SplitRng(config.master_seed, _STREAM_DOCS, g),
-                n_dupes=config.dupe_factor,
-                report=report,
-            )
             report.groups += 1
-            yield from insts
+            rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, g)
+            yield from _instances(group, tokenizer, config, rng_docs, config.dupe_factor, report)
 
     return stream(), report
 

@@ -116,8 +116,11 @@ def _is_entry(entry) -> bool:
     return isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
 
 
+_SIDECAR_SUFFIX = ".manifest.json"
+
+
 def manifest_path(path: "str | Path") -> Path:
-    return Path(str(path) + ".manifest.json")
+    return Path(str(path) + _SIDECAR_SUFFIX)
 
 
 def _record_bytes(inst: PretrainInstance) -> bytes:
@@ -261,12 +264,16 @@ class InstanceSet:
 def open_instance_set(path: "str | Path") -> InstanceSet:
     """Resolve a path to its instance set and read every file's header.
 
-    With its own sidecar, a path is the file the manifest lists under its
-    name or else, as for rotated output, every file the manifest lists. A
-    numbered part is its entry in the base's manifest; any other file stands
-    alone. A missing file raises FileNotFoundError naming it.
+    A sidecar path stands for its base path. With its own sidecar, a path is
+    the file the manifest lists under its name or else, as for rotated
+    output, every file the manifest lists. A numbered part is its entry in
+    the base's manifest; any other file stands alone. A missing file raises
+    FileNotFoundError naming it.
     """
     path = Path(path)
+    base_name = path.name.removesuffix(_SIDECAR_SUFFIX)
+    if base_name not in ("", path.name) and path.is_file():
+        path = path.with_name(base_name)
     entries = []
     if manifest_path(path).is_file():
         manifest = Manifest.load(manifest_path(path))

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, normalize, pretokenize
 
 DEFAULT_MAX_CHARS_PER_WORD = 100
+# The chunk cache holds at most this many chunks, each of at most this many
+# characters: about 15 MB full on word-like chunks, about 90 MB at worst.
+CHUNK_CACHE_ENTRIES = 1 << 16
+CHUNK_CACHE_MAX_CHARS = 100
 
 
 @dataclass
@@ -19,7 +23,18 @@ class TokenSequence:
 
 
 class WordPieceTokenizer:
-    """Tokenizes normalized text; words with any unmatched position become [UNK]."""
+    """Tokenizes normalized text; words with any unmatched position become [UNK].
+
+    `tokenize` splits raw text on U+0020 and caches the ids of each distinct
+    chunk, so a repeated chunk is normalized and matched once. Chunks longer
+    than CHUNK_CACHE_MAX_CHARS are not cached and the cache is emptied
+    whenever it is full, which bounds its memory on inputs of any size. The
+    split is exact: U+0020 becomes a word separator under `normalize`, and
+    neither NFKD reordering nor final-sigma lowercasing looks across it.
+    `str.split()` would not be: it also splits on control characters (such
+    as U+001C) that `normalize` deletes, joining their neighbours into one
+    word.
+    """
 
     def __init__(self, vocab: Vocabulary, max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD):
         if UNK not in vocab:
@@ -27,6 +42,7 @@ class WordPieceTokenizer:
         self.vocab = vocab
         self.max_chars_per_word = max_chars_per_word
         self._unk = UNK
+        self._chunk_ids: dict[str, tuple[int, ...]] = {}
 
     def tokenize_word(self, word: str) -> list[str]:
         """Greedy longest-match pieces of one already-normalized word."""
@@ -59,9 +75,18 @@ class WordPieceTokenizer:
         return out
 
     def tokenize(self, text: str) -> TokenSequence:
-        tokens = self.tokenize_words(pretokenize(normalize(text)))
-        ids = [self.vocab.id_of(t) for t in tokens]
-        return TokenSequence(tokens, ids)
+        ids: list[int] = []
+        for chunk in text.split(" "):
+            chunk_ids = self._chunk_ids.get(chunk)
+            if chunk_ids is None:
+                pieces = self.tokenize_words(pretokenize(normalize(chunk)))
+                chunk_ids = tuple(self.vocab.id_of(t) for t in pieces)
+                if len(chunk) <= CHUNK_CACHE_MAX_CHARS:
+                    if len(self._chunk_ids) >= CHUNK_CACHE_ENTRIES:
+                        self._chunk_ids.clear()
+                    self._chunk_ids[chunk] = chunk_ids
+            ids.extend(chunk_ids)
+        return TokenSequence([self.vocab.tokens[i] for i in ids], ids)
 
 
 def wordpiece_tokenize(

@@ -414,6 +414,28 @@ def test_rotated_set_verifies_and_compares_like_unrotated(tmp_path, capsys, voca
         assert cells[1].strip() == cells[2].strip()
 
 
+def test_sidecar_path_verifies_and_compares_like_base_path(tmp_path, capsys, vocab_file, corpora):
+    rot, _ = rotated(capsys, tmp_path, vocab_file, corpora)
+    _, plain, _ = create(capsys, tmp_path, vocab_file, corpora, "plain.bin", *SIMPT)
+    for base in (plain, rot):
+        reports = []
+        for path in (base, manifest_path(base)):
+            code, out = run(capsys, "verify", "--in", path, "--vocab", vocab_file, "--json", *LENIENT)
+            assert code == 0
+            report = json.loads(out)
+            report.pop("path")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["instances"] == json.loads(manifest_path(base).read_text())["instance_count"]
+
+    code, by_base = run(capsys, "compare", rot, plain, "--labels", "rot,plain")
+    assert code == 0
+    code, by_sidecar = run(capsys, "compare", manifest_path(rot), manifest_path(plain),
+                           "--labels", "rot,plain")
+    assert code == 0
+    assert by_sidecar == by_base
+
+
 def test_rotated_set_missing_part_exits_2_naming_it(tmp_path, capsys, caplog, vocab_file, corpora):
     base, parts = rotated(capsys, tmp_path, vocab_file, corpora)
     parts[1].unlink()

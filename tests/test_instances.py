@@ -197,6 +197,68 @@ def test_empty_docs_arg_is_fatal():
         create_instances_from_documents([], TOKENIZER, config(), SplitRng(0))
 
 
+def well_formed():
+    """[CLS] w0 w1 [SEP] w2 [SEP] with w0 masked; all three tokens small-origin."""
+    w = [VOCAB.id_of(t) for t in WORDS[:3]]
+    return PretrainInstance(
+        token_ids=np.array([VOCAB.cls_id, w[0], w[1], VOCAB.sep_id, w[2], VOCAB.sep_id], np.int32),
+        segment_ids=np.array([0, 0, 0, 0, 1, 1], np.int8),
+        masked_positions=np.array([1], np.int64),
+        masked_labels=np.array([w[0]], np.int32),
+        is_next=True,
+        origin_small_tokens=3,
+        origin_large_tokens=0,
+    )
+
+
+def broken(**changes):
+    inst = well_formed()
+    for name, value in changes.items():
+        if name.startswith("token_"):
+            inst.token_ids[int(name[6:])] = value
+        else:
+            setattr(inst, name, value)
+    return inst
+
+
+@pytest.mark.parametrize(
+    "inst, expected",
+    [
+        (well_formed(), []),
+        (broken(token_0=VOCAB.id_of("w9")), ["first token is not [CLS]"]),
+        (broken(token_3=VOCAB.id_of("w9")), ["expected exactly 2 [SEP], found 1"]),
+        (broken(token_2=VOCAB.sep_id), ["expected exactly 2 [SEP], found 3"]),
+        (broken(masked_positions=np.array([3], np.int64)),
+         ["masked position 3 points at [CLS]/[SEP]"]),
+        (broken(masked_positions=np.array([0, 6], np.int64), masked_labels=np.array([1, 1], np.int32)),
+         ["masked position 0 points at [CLS]/[SEP]", "masked position 6 out of range"]),
+        (broken(segment_ids=np.array([0, 1, 0, 0, 1, 1], np.int8)),
+         ["segment_ids are not a non-decreasing 0/1 sequence"]),
+        (broken(origin_small_tokens=2), ["origin token counts do not sum to non-special token count"]),
+    ],
+)
+def test_structural_errors_exact_messages(inst, expected):
+    assert structural_errors(inst, VOCAB, 32) == expected
+
+
+def test_structural_errors_all_at_once_in_order():
+    inst = broken(token_0=VOCAB.sep_id, token_1=VOCAB.size, segment_ids=np.array([1, 1], np.int8),
+                  masked_positions=np.array([0, 5, 7], np.int64), origin_large_tokens=1)
+    assert structural_errors(inst, VOCAB, 5) == [
+        "length 6 exceeds max_seq_length 5",
+        "segment_ids length differs from token_ids",
+        "first token is not [CLS]",
+        "expected exactly 2 [SEP], found 3",
+        "segment_ids are not a non-decreasing 0/1 sequence",
+        "masked_positions and masked_labels differ in length",
+        "masked position 0 points at [CLS]/[SEP]",
+        "masked position 5 points at [CLS]/[SEP]",
+        "masked position 7 out of range",
+        "origin token counts do not sum to non-special token count",
+        "token id out of vocabulary range",
+    ]
+
+
 # --- generate_simpt ---------------------------------------------------------
 
 
@@ -268,6 +330,32 @@ def test_simpt_collisions_counted():
     stream, report = generate_simpt(small, large, TOKENIZER, cfg)
     list(stream)
     assert report.shard_combo_collisions == 2  # single possible combination
+
+
+def test_simpt_counts_an_empty_document_on_every_visit():
+    # one shard per corpus, drawn twice a round with replacement: every
+    # document is visited 2 * n_rounds times
+    empty = Document("s#empty", Origin.SMALL, ["\u200b"])  # tokenizes to nothing
+    small = [Shard(0, Origin.SMALL, [empty, doc("s#0", Origin.SMALL, [4, 4, 4])], target_bytes=1)]
+    large = make_shards("l", Origin.LARGE, 1, word_offset=60)
+    stream, report = generate_simpt(small, large, TOKENIZER, config(n_rounds=3, shards_per_corpus=2))
+    insts = list(stream)
+    assert report.empty_documents == report.to_dict()["empty_documents"] == 2 * 3
+    assert insts and report.instances == len(insts)
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+def test_stream_records_each_instance_as_it_is_yielded(mode):
+    small = make_shards("s", Origin.SMALL, 3)
+    large = make_shards("l", Origin.LARGE, 3, word_offset=60)
+    if mode == "simpt":
+        stream, report = generate_simpt(small, large, TOKENIZER, config(n_rounds=2, shards_per_corpus=2))
+    else:
+        docs = [d for shard in small + large for d in shard.documents]
+        stream, report = generate_conventional(docs, TOKENIZER, config(dupe_factor=2))
+    next(stream)
+    assert report.instances == 1
+    assert report.instances + sum(1 for _ in stream) > 1
 
 
 # --- generate_conventional ---------------------------------------------------

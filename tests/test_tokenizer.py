@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bpt.tokenizer import WordPieceTokenizer, wordpiece_tokenize
+from bpt import tokenizer
+from bpt.tokenizer import CHUNK_CACHE_MAX_CHARS, WordPieceTokenizer, wordpiece_tokenize
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary, normalize, pretokenize
 
 from .oracles import greedy_longest_prefix_oracle
@@ -92,3 +95,58 @@ def test_vocabulary_member_tokenizes_to_itself(small_vocab):
     for token in members[:200]:
         if normalize(token) == token:
             assert tok.tokenize(token).tokens == [token]
+
+
+# Characters where caching on raw U+0020 chunks could go wrong: U+0020 runs
+# (empty chunks), whitespace that str.split() sees but normalize drops (Cc) or
+# maps to a separator, Cf characters, NFKD expansions (U+00A8 becomes a space
+# and a combining mark) and a capital sigma whose lowercase depends on whether
+# it ends a word.
+CHUNK_PIECES = [
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000", "\u200b", "\xad", "\xa8", "\xbd", "\ufb01", "\u03a3", "A\u03a3",
+    "a", "b", "ab", "fi", "e\u0301", ".", "\u4e2d",
+]
+CHUNK_VOCAB = make_vocab([
+    "a", "b", "e", "f", "i", "1", ".", "\u4e2d", "\u03c3", "\u03c2", "ab", "fi",
+    "##a", "##b", "##e", "##i", "##2", "##\u2044", "##\u03c3", "##\u03c2", "##ab",
+])
+WARM = WordPieceTokenizer(CHUNK_VOCAB)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CHUNK_PIECES), max_size=24).map("".join))
+@example("a\x1cb")
+@example(" A\u03a3 a\u03a3b \xa8\u03a3 ")
+def test_chunk_cache_changes_no_ids(text):
+    uncached = WordPieceTokenizer(CHUNK_VOCAB).tokenize_words(pretokenize(normalize(text)))
+    expected = [CHUNK_VOCAB.id_of(t) for t in uncached]
+    cold = WordPieceTokenizer(CHUNK_VOCAB)
+    for tok in (cold, cold, WARM):
+        seq = tok.tokenize(text)
+        assert seq.ids == expected
+        assert seq.tokens == uncached
+
+
+def test_control_character_does_not_split_a_word():
+    tokens = WordPieceTokenizer(CHUNK_VOCAB).tokenize("a\x1cb a\x85b")
+    assert tokens.tokens == ["ab", "ab"]
+
+
+def test_chunk_cache_memory_stays_bounded_on_distinct_chunks(monkeypatch):
+    # a smaller cache keeps the run short; the bound scales with the constant
+    monkeypatch.setattr(tokenizer, "CHUNK_CACHE_ENTRIES", 256)
+    tok = WordPieceTokenizer(CHUNK_VOCAB)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        for start in range(0, 16 * 256, 32):
+            # 32 distinct short chunks and one distinct chunk too long to cache
+            words = [f"a{i}" for i in range(start, start + 32)]
+            too_long = f"{start:0{CHUNK_CACHE_MAX_CHARS + 1}d}"
+            tok.tokenize(" ".join(words + [too_long]))
+            assert len(tok._chunk_ids) <= 256 and too_long not in tok._chunk_ids
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
