@@ -40,10 +40,10 @@ from .tokenizer import WordPieceTokenizer
 from .vocab import (
     DEFAULT_MIN_FREQUENCY,
     DEFAULT_TARGET_SIZE,
+    AmplificationPlan,
     Vocabulary,
     combined_word_counts,
-    corpus_word_counts,
-    plan_amplification,
+    corpus_word_counts_and_bytes,
     train_bpe,
 )
 from .verify import Tolerances, verify_file
@@ -202,16 +202,17 @@ def cmd_build_vocab(args, cfg) -> int:
     target_size = opts.get("target_size", DEFAULT_TARGET_SIZE)
     min_frequency = opts.get("min_frequency", DEFAULT_MIN_FREQUENCY)
 
+    # One normalize pass per corpus gives both its word counts and its byte
+    # size; the corpora and their own counts are let go before training.
     small, large = _load_corpora(opts, small_path, large_path)
-    small_counts = corpus_word_counts(small) if small else {}
-    large_counts = corpus_word_counts(large) if large else {}
+    small_counts, small_bytes = corpus_word_counts_and_bytes(small) if small else ({}, 0)
+    large_counts, large_bytes = corpus_word_counts_and_bytes(large) if large else ({}, 0)
+    del small, large
     repeat_factor = None
     if amplify:
-        plan = plan_amplification(small, large)
-        repeat_factor = plan.repeat_factor
-        counts = combined_word_counts(small_counts, large_counts, plan.repeat_factor)
-    else:
-        counts = combined_word_counts(small_counts, large_counts, 1)
+        repeat_factor = AmplificationPlan.from_sizes(small_bytes, large_bytes).repeat_factor
+    counts = combined_word_counts(small_counts, large_counts, repeat_factor or 1)
+    del small_counts, large_counts
 
     vocabulary, train_report = train_bpe(counts, target_size, min_frequency=min_frequency)
     train_report.repeat_factor = repeat_factor

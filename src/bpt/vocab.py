@@ -205,12 +205,20 @@ def plan_amplification(small: Corpus, large: Corpus) -> AmplificationPlan:
     return AmplificationPlan.from_sizes(normalized_byte_size(small), normalized_byte_size(large))
 
 
-def corpus_word_counts(corpus: Corpus) -> Counter:
+def corpus_word_counts_and_bytes(corpus: Corpus) -> tuple[Counter, int]:
+    """Word counts and normalized_byte_size of the corpus, from one normalize pass."""
     counts: Counter = Counter()
+    size = 0
     for doc in corpus.documents:
         for sentence in doc.sentences:
-            counts.update(pretokenize(normalize(sentence)))
-    return counts
+            text = normalize(sentence)
+            size += len(text.encode("utf-8")) + 1
+            counts.update(pretokenize(text))
+    return counts, size
+
+
+def corpus_word_counts(corpus: Corpus) -> Counter:
+    return corpus_word_counts_and_bytes(corpus)[0]
 
 
 def combined_word_counts(
@@ -263,6 +271,53 @@ def merged_token(left: str, right: str) -> str:
     return left + right
 
 
+def _words_with_pair(flat, offsets, left_id: int, right_id: int):
+    """Sorted indices of the words that hold left_id directly followed by right_id."""
+    starts = np.flatnonzero(flat[:-1] == left_id)
+    starts = starts[flat[starts + 1] == right_id]
+    word_of = np.searchsorted(offsets, starts, side="right") - 1
+    # drop matches whose right symbol starts the next word
+    return np.unique(word_of[starts + 1 < offsets[word_of + 1]])
+
+
+def _gather(flat, offsets, words):
+    """The symbols of the given words as their own (flat, offsets) pair."""
+    starts = offsets[words]
+    lengths = offsets[words + 1] - starts
+    sub_offsets = np.zeros(words.size + 1, np.int64)
+    np.cumsum(lengths, out=sub_offsets[1:])
+    return flat[np.repeat(starts - sub_offsets[:-1], lengths) + np.arange(sub_offsets[-1])], sub_offsets
+
+
+def _splice(flat, offsets, words, after, after_offsets):
+    """Put the merged words back: a merge only shortens a word, so each one is
+    written at the start of its old range and the rest of that range deleted."""
+    starts = offsets[words]
+    new_lengths = np.diff(after_offsets)
+    flat[np.repeat(starts - after_offsets[:-1], new_lengths) + np.arange(after.size)] = after
+    removed = offsets[words + 1] - starts - new_lengths
+    removed_before = np.zeros(words.size + 1, np.int64)
+    np.cumsum(removed, out=removed_before[1:])
+    tail = np.repeat(starts + new_lengths - removed_before[:-1], removed) + np.arange(removed_before[-1])
+    shift = np.zeros(offsets.size, np.int64)
+    shift[words + 1] = removed
+    return np.delete(flat, tail), offsets - np.cumsum(shift)
+
+
+def _add_pair_counts(keys, totals, delta_keys, delta_totals):
+    """Add sorted pair-count deltas into sorted (keys, totals): new keys are
+    inserted in order and keys whose total reaches 0 are dropped."""
+    pos = np.searchsorted(keys, delta_keys)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == delta_keys[found]
+    totals[pos[found]] += delta_totals[found]
+    fresh = ~found
+    keys = np.insert(keys, pos[fresh], delta_keys[fresh])
+    totals = np.insert(totals, pos[fresh], delta_totals[fresh])
+    kept = totals != 0
+    return keys[kept], totals[kept]
+
+
 def train_bpe(
     word_counts: "Mapping[str, int] | Iterable[tuple[str, int]]",
     target_size: int = DEFAULT_TARGET_SIZE,
@@ -275,6 +330,12 @@ def train_bpe(
     ties prefer the lexicographically smallest (merged string, left, right).
     Stops at target_size, or earlier when no pair reaches min_frequency, in
     which case the report is marked truncated.
+
+    All pairs are counted once. After that a merge costs work in proportion
+    to the words it touches, plus one vectorized pass over the symbol array
+    that finds them and splices them back: their pairs are counted again
+    with weight -count before the merge and +count after it, and the
+    difference is added to the sorted pair counts.
     """
     specials = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
     if isinstance(word_counts, Mapping):
@@ -308,9 +369,9 @@ def train_bpe(
     )
     counts = np.asarray([c for _, c in items], np.int64)
 
+    keys, totals = kernels.count_pairs(flat, offsets, counts)
     merges: list[tuple[str, str]] = []
     while len(tokens) < target_size:
-        keys, totals = kernels.count_pairs(flat, offsets, counts)
         if keys.size == 0:
             report.warnings.append("stopped early: no adjacent pairs remain")
             break
@@ -338,9 +399,19 @@ def train_bpe(
             tokens.append(merged)
             index[merged] = new_id
         merges.append((left_tok, right_tok))
-        flat, offsets = kernels.apply_merge(
-            flat, offsets, np.int32(left_id), np.int32(right_id), np.int32(new_id)
+
+        words = _words_with_pair(flat, offsets, left_id, right_id)
+        before, before_offsets = _gather(flat, offsets, words)
+        after, after_offsets = kernels.apply_merge(
+            before, before_offsets, np.int32(left_id), np.int32(right_id), np.int32(new_id)
         )
+        delta_keys, delta_totals = kernels.count_pairs(
+            np.concatenate([before, after]),
+            np.concatenate([before_offsets, after_offsets[1:] + before.size]),
+            np.concatenate([-counts[words], counts[words]]),
+        )
+        keys, totals = _add_pair_counts(keys, totals, delta_keys, delta_totals)
+        flat, offsets = _splice(flat, offsets, words, after, after_offsets)
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)

@@ -17,10 +17,13 @@ def bpe_oracle(
     target_size: int,
     special_tokens: list[str],
     min_frequency: int = 2,
+    stop: "dict | None" = None,
 ) -> tuple[list[str], list[tuple[str, str]]]:
     """Reference BPE: returns (tokens, merges) under the same contract as the
     trainer: most frequent pair first, ties by smallest (merged, left, right),
-    stop at target_size or when the best pair count drops below min_frequency."""
+    stop at target_size or when the best pair count drops below min_frequency.
+    A `stop` dict, when given, receives why training ended early: "no pairs",
+    or "min_frequency" with the best pair count as "best_count"."""
     seqs = []
     alphabet = set()
     for word, count in word_counts.items():
@@ -39,9 +42,13 @@ def bpe_oracle(
             for left, right in zip(symbols, symbols[1:]):
                 pair_counts[(left, right)] = pair_counts.get((left, right), 0) + count
         if not pair_counts:
+            if stop is not None:
+                stop["reason"] = "no pairs"
             break
         best_count = max(pair_counts.values())
         if best_count < min_frequency:
+            if stop is not None:
+                stop.update(reason="min_frequency", best_count=best_count)
             break
         candidates = [p for p, c in pair_counts.items() if c == best_count]
         left, right = min(candidates, key=lambda p: (_merged(p[0], p[1]), p[0], p[1]))

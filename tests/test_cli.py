@@ -363,14 +363,16 @@ def test_compare_requires_two_files(tmp_path, capsys):
 
 
 def test_cli_entry_point_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-m", "bpt.cli", "dump-ruleset", "fP"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["name"] == "fP"
 
 

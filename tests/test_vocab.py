@@ -1,24 +1,31 @@
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpt.corpus import Origin, load_corpus
+from bpt.corpus import Corpus, Document, Origin, load_corpus
 from bpt.errors import VocabError
+from bpt.rng import SplitRng
 from bpt.vocab import (
     SPECIAL_TOKENS,
     AmplificationPlan,
     Vocabulary,
     combined_word_counts,
     corpus_word_counts,
+    corpus_word_counts_and_bytes,
     coverage_report,
     normalize,
+    normalized_byte_size,
     plan_amplification,
     pretokenize,
     train_bpe,
+    word_symbols,
 )
 
+from .conftest import make_lexicon
 from .oracles import bpe_oracle
 
 
@@ -114,6 +121,38 @@ def test_plan_from_corpora(tmp_path):
     assert plan.repeat_factor == plan.large_bytes // plan.small_bytes == 12
 
 
+ODD_TEXT = (
+    "Caf\u00e9 na\u0131ve \u00bd \ufb01le \u2460 \uff21\uff22\n"
+    "bell\x07ring zero\u200bwidth soft\u00adhyphen \u2066isolate\u2069\n"
+    "\n"
+    "no\u00a0break ideo\u3000space en\u2002space \t tab \u2028line\n"
+    "\u4e2d\u6587, \u00c5ngstr\u00f6m; \u03a3\u039f\u03a6\u0399\u0391 \u2126\n"
+)
+
+
+def test_one_pass_matches_word_counts_and_byte_size(tmp_path):
+    p = tmp_path / "odd.txt"
+    p.write_text(ODD_TEXT * 3, encoding="utf-8")
+    corpus = load_corpus(p, "odd", Origin.SMALL)
+    counts, size = corpus_word_counts_and_bytes(corpus)
+    assert size == normalized_byte_size(corpus)
+    assert counts == corpus_word_counts(corpus)
+    assert "fi" in "".join(counts) and "\u200b" not in "".join(counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet="aZ\u00e9\u00bd\ufb01\u0301 \t\x07\u200b\u00ad\u00a0\u3000\u4e2d.",
+                        min_size=1), min_size=1, max_size=6))
+def test_one_pass_byte_size_equals_normalized_byte_size(sentences):
+    sentences = [s for s in sentences if s.strip()]
+    if not sentences:
+        return
+    corpus = Corpus("c", Origin.SMALL, [Document("c#0", Origin.SMALL, sentences)])
+    counts, size = corpus_word_counts_and_bytes(corpus)
+    assert size == normalized_byte_size(corpus)
+    assert counts == corpus_word_counts(corpus)
+
+
 def test_combined_counts_keep_small_in_stream():
     combined = combined_word_counts({"m": 4}, {"w": 2}, repeat_factor=3)
     assert combined == Counter({"m": 12, "w": 2})
@@ -196,6 +235,95 @@ def test_amplified_marker_word_survives_whole():
     amplified, _ = train_bpe(combined_word_counts(small, large, 60), target, min_frequency=1)
     assert "zyxw" not in plain
     assert "zyxw" in amplified
+
+
+def floor_size(words) -> int:
+    return len(SPECIAL_TOKENS) + len({s for w in words for s in word_symbols(w)})
+
+
+def oracle_result(words, target, min_frequency):
+    """The oracle's tokens and merges, and the TrainReport dict they imply."""
+    stop: dict = {}
+    tokens, merges = bpe_oracle(words, target, SPECIAL_TOKENS, min_frequency, stop)
+    warnings = []
+    if stop.get("reason") == "no pairs":
+        warnings.append("stopped early: no adjacent pairs remain")
+    elif stop.get("reason") == "min_frequency":
+        warnings.append(
+            f"stopped early: best pair count {stop['best_count']} is below min_frequency {min_frequency}"
+        )
+    report = {
+        "requested_size": target,
+        "alphabet_size": floor_size(words) - len(SPECIAL_TOKENS),
+        "merges_performed": len(merges),
+        "final_size": len(tokens),
+        "min_frequency": min_frequency,
+        "truncated": len(tokens) < target,
+        "warnings": warnings,
+    }
+    return tokens, merges, report
+
+
+def assert_matches_oracle(words, target, min_frequency):
+    vocab, report = train_bpe(words, target, min_frequency=min_frequency)
+    tokens, merges, expected = oracle_result(words, target, min_frequency)
+    assert vocab.merges == merges
+    assert vocab.tokens == tokens
+    assert report.to_dict() == expected
+    return vocab, report
+
+
+@pytest.mark.parametrize(
+    "words, extra, min_frequency, merges, warning",
+    [
+        # left == right: a run of five symbols merges left to right, and the
+        # (a, ##a) count falls to 0 after the first merge
+        ({"aaaaa": 3}, 10, 1, [("##a", "##a"), ("##aa", "##aa"), ("a", "##aaaa")], "no adjacent pairs"),
+        # (##b, ##c) falls to 0 once (a, ##b) takes its left symbol
+        ({"abc": 5, "ab": 1}, 10, 1, [("a", "##b"), ("ab", "##c")], "no adjacent pairs"),
+        ({"ab": 2, "c": 1}, 20, 1, [("a", "##b")], "no adjacent pairs"),
+        # stops partway: only (x, ##y) with count 1 is left
+        ({"abcd": 3, "ab": 2, "xy": 1}, 20, 3, [("a", "##b"), ("##c", "##d"), ("ab", "##cd")],
+         "best pair count 1 is below min_frequency 3"),
+        # tie at count 2: "abc" < "bd" although the new token "ab" has the larger id
+        ({"abc": 2, "ab": 1, "bd": 2}, 3, 1, [("a", "##b"), ("ab", "##c"), ("b", "##d")], None),
+    ],
+    ids=["overlapping-run", "count-falls-to-zero", "no-pairs-left", "min-frequency-stop", "tie-order"],
+)
+def test_train_bpe_edge_cases_match_oracle(words, extra, min_frequency, merges, warning):
+    vocab, report = assert_matches_oracle(words, floor_size(words) + extra, min_frequency)
+    assert vocab.merges == merges
+    if warning is None:
+        assert report.warnings == [] and not report.truncated
+    else:
+        assert len(report.warnings) == 1 and warning in report.warnings[0] and report.truncated
+
+
+def test_train_bpe_matches_oracle_on_seeded_stress_corpora():
+    r = random.Random(20161)
+    for case in range(400):
+        alphabet = ("ab", "aab", "abcd", "a\u00e9\u4e2d")[case % 4]
+        words = {
+            "".join(r.choice(alphabet) for _ in range(r.randint(1, 7))): r.randint(1, 9)
+            for _ in range(r.randint(1, 25))
+        }
+        assert_matches_oracle(words, floor_size(words) + r.randint(1, 40), r.randint(1, 3))
+
+
+def test_train_bpe_memory_stays_at_flat_array_scale():
+    """The trainer keeps symbols, pair counts and their deltas in flat numpy
+    arrays. A per-pair index of Python objects (pair -> set of words, as in a
+    lazy-heap trainer) alone peaks at about 8.8 MB on this stream."""
+    rng = SplitRng(404)
+    words = {w: 1 + rng.randrange(50) for w in make_lexicon(rng, 10_000)}
+    tracemalloc.start()
+    try:
+        vocab, report = train_bpe(words, floor_size(words) + 60, min_frequency=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.merges_performed == 60
+    assert peak < 7_000_000, peak
 
 
 # --- coverage --------------------------------------------------------------
