@@ -20,6 +20,7 @@ from pathlib import Path
 from .corpus import Origin, load_corpus, split_corpus, write_document_text
 from .errors import (
     BptError,
+    CorpusError,
     InstanceError,
     InstanceFileError,
     RulesetError,
@@ -111,6 +112,18 @@ def _check_input(path, what: str) -> Path:
     return p
 
 
+def _each_file_size(opts: _Options) -> int:
+    each = parse_size(opts.get("each_file_size", "10MB"))
+    if each <= 0:
+        raise UsageError(f"--each-file-size must be positive, got {each}")
+    return each
+
+
+def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
+    """The I/O error (exit 3) for text input that is not UTF-8, as load_corpus raises."""
+    return CorpusError(f"{name}: invalid UTF-8 ({exc.reason})")
+
+
 def _load_corpora(opts: _Options, small_path, large_path) -> tuple:
     """The small and large corpora; None for one not given."""
     return tuple(
@@ -148,14 +161,17 @@ def cmd_filter(args, cfg) -> int:
         included, report = select_articles(records, ruleset)
         with open(out_path, "w", encoding="utf-8") as out:
             first = True
-            for record in included:
-                sentences = [line.strip() for line in record.text.splitlines() if line.strip()]
-                if not sentences:
-                    continue
-                if not first:
-                    out.write("\n")
-                out.write("\n".join(sentences) + "\n")
-                first = False
+            try:
+                for record in included:
+                    sentences = [line.strip() for line in record.text.splitlines() if line.strip()]
+                    if not sentences:
+                        continue
+                    if not first:
+                        out.write("\n")
+                    out.write("\n".join(sentences) + "\n")
+                    first = False
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(in_path, exc) from exc
     payload = {"ruleset": ruleset.name, **report.to_dict()}
     _emit_report(payload, opts.get("report"))
     log.info("filter: %d/%d records included -> %s", report.included, report.total, out_path)
@@ -168,7 +184,7 @@ def cmd_shard(args, cfg) -> int:
     out_dir = Path(opts.require("out_dir", "--out-dir"))
     label = opts.get("label", "corpus")
     origin = Origin.parse(opts.get("origin", "small"))
-    each = parse_size(opts.get("each_file_size", "10MB"))
+    each = _each_file_size(opts)
 
     corpus = load_corpus(in_path, label, origin)
     shards = split_corpus(corpus, each)
@@ -202,7 +218,7 @@ def cmd_build_vocab(args, cfg) -> int:
     target_size = opts.get("target_size", DEFAULT_TARGET_SIZE)
     min_frequency = opts.get("min_frequency", DEFAULT_MIN_FREQUENCY)
 
-    # One normalize pass per corpus gives both its word counts and its byte
+    # One counting pass per corpus gives both its word counts and its byte
     # size; the corpora and their own counts are let go before training.
     small, large = _load_corpora(opts, small_path, large_path)
     small_counts, small_bytes = corpus_word_counts_and_bytes(small) if small else ({}, 0)
@@ -239,6 +255,8 @@ def cmd_tokenize(args, cfg) -> int:
                 fout.write("\n")
                 continue
             fout.write(" ".join(tokenizer.tokenize(line).tokens) + "\n")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(infile or "<stdin>", exc) from exc
     finally:
         if infile:
             fin.close()
@@ -280,7 +298,7 @@ def cmd_create_instances(args, cfg) -> int:
     fmt = str(opts.get("format", "binary")).lower()
     if fmt not in ("binary", "jsonl"):
         raise UsageError(f"--format must be 'binary' or 'jsonl', got {fmt!r}")
-    each = parse_size(opts.get("each_file_size", "10MB"))
+    each = _each_file_size(opts)
     max_file_bytes = opts.get("max_file_bytes")
     if max_file_bytes is not None:
         max_file_bytes = parse_size(max_file_bytes)

@@ -19,7 +19,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -68,17 +68,7 @@ class InstanceConfig:
             raise InstanceError("shards_per_corpus must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "max_seq_length": self.max_seq_length,
-            "masked_lm_prob": self.masked_lm_prob,
-            "max_predictions_per_seq": self.max_predictions_per_seq,
-            "short_seq_prob": self.short_seq_prob,
-            "dupe_factor": self.dupe_factor,
-            "n_rounds": self.n_rounds,
-            "n_splits": self.n_splits,
-            "shards_per_corpus": self.shards_per_corpus,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -378,18 +368,8 @@ def _assemble(
     ids[-1] = vocab.sep_id
     segment_ids = np.zeros(ids.size, np.int8)
     segment_ids[2 + len_a :] = 1
-    special = np.zeros(ids.size, np.uint8)
-    special[0] = special[1 + len_a] = special[ids.size - 1] = 1
-
-    masked, positions, labels = kernels.mask_sequence(
-        ids,
-        special,
-        fold(pair.mask_seed_base, dupe_index),
-        config.masked_lm_prob,
-        config.max_predictions_per_seq,
-        vocab.mask_id,
-        vocab.n_special,
-        vocab.size,
+    masked, positions, labels = mask_tokens(
+        ids, (0, 1 + len_a, ids.size - 1), vocab, config, fold(pair.mask_seed_base, dupe_index)
     )
     small = (len_a if pair.origin_a is Origin.SMALL else 0) + (
         len_b if pair.origin_b is Origin.SMALL else 0

@@ -166,7 +166,8 @@ def select_articles(
 
 def parse_records_jsonl(lines: Iterable[str]) -> Iterator[ArticleRecord]:
     """JSON Lines input: one object per line with keys article_id,
-    tree_numbers, year, text."""
+    tree_numbers (a list of strings), year (an int or null) and text (a
+    string); a missing key takes its ArticleRecord default."""
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -174,9 +175,20 @@ def parse_records_jsonl(lines: Iterable[str]) -> Iterator[ArticleRecord]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RulesetError(f"line {i + 1}: invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise RulesetError(f"line {i + 1}: a record must be a JSON object, got {type(data).__name__}")
+        tree_numbers = data.get("tree_numbers", [])
+        year = data.get("year")
+        text = data.get("text", "")
+        if not isinstance(tree_numbers, list) or not all(isinstance(t, str) for t in tree_numbers):
+            raise RulesetError(f"line {i + 1}: tree_numbers must be a list of strings, got {tree_numbers!r}")
+        if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
+            raise RulesetError(f"line {i + 1}: year must be an integer or null, got {year!r}")
+        if not isinstance(text, str):
+            raise RulesetError(f"line {i + 1}: text must be a string, got {type(text).__name__}")
         yield ArticleRecord(
             article_id=str(data.get("article_id", f"line{i + 1}")),
-            tree_numbers=[str(t) for t in data.get("tree_numbers", [])],
-            year=data.get("year"),
-            text=str(data.get("text", "")),
+            tree_numbers=tree_numbers,
+            year=year,
+            text=text,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, normalize, pretokenize
+from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, chunk_words
 
 DEFAULT_MAX_CHARS_PER_WORD = 100
 # The chunk cache holds at most this many chunks, each of at most this many
@@ -15,25 +15,25 @@ CHUNK_CACHE_MAX_CHARS = 100
 
 @dataclass
 class TokenSequence:
-    tokens: list[str]
     ids: list[int]
+    vocab: Vocabulary
+
+    @property
+    def tokens(self) -> list[str]:
+        return [self.vocab.tokens[i] for i in self.ids]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
 
 
 class WordPieceTokenizer:
     """Tokenizes normalized text; words with any unmatched position become [UNK].
 
     `tokenize` splits raw text on U+0020 and caches the ids of each distinct
-    chunk, so a repeated chunk is normalized and matched once. Chunks longer
-    than CHUNK_CACHE_MAX_CHARS are not cached and the cache is emptied
-    whenever it is full, which bounds its memory on inputs of any size. The
-    split is exact: U+0020 becomes a word separator under `normalize`, and
-    neither NFKD reordering nor final-sigma lowercasing looks across it.
-    `str.split()` would not be: it also splits on control characters (such
-    as U+001C) that `normalize` deletes, joining their neighbours into one
-    word.
+    chunk, so a repeated chunk is normalized (by `chunk_words`, which says
+    why the split is exact) and matched once. Chunks longer than
+    CHUNK_CACHE_MAX_CHARS are not cached and the cache is emptied whenever
+    it is full, which bounds its memory on inputs of any size.
     """
 
     def __init__(self, vocab: Vocabulary, max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD):
@@ -79,14 +79,14 @@ class WordPieceTokenizer:
         for chunk in text.split(" "):
             chunk_ids = self._chunk_ids.get(chunk)
             if chunk_ids is None:
-                pieces = self.tokenize_words(pretokenize(normalize(chunk)))
+                pieces = self.tokenize_words(chunk_words(chunk)[0])
                 chunk_ids = tuple(self.vocab.id_of(t) for t in pieces)
                 if len(chunk) <= CHUNK_CACHE_MAX_CHARS:
                     if len(self._chunk_ids) >= CHUNK_CACHE_ENTRIES:
                         self._chunk_ids.clear()
                     self._chunk_ids[chunk] = chunk_ids
             ids.extend(chunk_ids)
-        return TokenSequence([self.vocab.tokens[i] for i in ids], ids)
+        return TokenSequence(ids, self.vocab)
 
 
 def wordpiece_tokenize(

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -84,6 +85,23 @@ def pretokenize(text: str) -> list[str]:
     return words
 
 
+def chunk_words(chunk: str) -> tuple[list[str], int]:
+    """Words of one chunk of raw text between U+0020 spaces, and the UTF-8
+    byte size of the normalized chunk.
+
+    Counting and tokenizing both split raw text on U+0020 and normalize each
+    distinct chunk once. The split is exact: a sentence's normalized words
+    are its chunks' words in order, and its normalized text is its non-empty
+    normalized chunks joined by one space. U+0020 becomes a word separator
+    under `normalize`, and neither NFKD reordering nor final-sigma
+    lowercasing looks across it. `str.split()` would not be exact: it also
+    splits on control characters (such as U+001C) that `normalize` deletes,
+    joining their neighbours into one word.
+    """
+    text = normalize(chunk)
+    return pretokenize(text), len(text.encode("utf-8"))
+
+
 class Vocabulary:
     """Ordered subword inventory: special tokens, then alphabet, then merges."""
 
@@ -92,16 +110,10 @@ class Vocabulary:
         tokens: Iterable[str],
         merges: "list[tuple[str, str]] | None" = None,
         special_tokens: "list[str] | None" = None,
-        continuation_prefix: str = CONTINUATION_PREFIX,
-        casing: str = "uncased",
     ):
         self.tokens = list(tokens)
         self.special_tokens = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
         self.merges = list(merges) if merges is not None else []
-        self.continuation_prefix = continuation_prefix
-        if casing != "uncased":
-            raise VocabError(f"unsupported casing {casing!r}")
-        self.casing = casing
         if self.tokens[: len(self.special_tokens)] != self.special_tokens:
             raise VocabError("special tokens must occupy the first vocabulary positions in order")
         self._index = {t: i for i, t in enumerate(self.tokens)}
@@ -192,28 +204,38 @@ class AmplificationPlan:
         return cls(small_bytes, large_bytes, max(1, large_bytes // small_bytes))
 
 
-def normalized_byte_size(corpus: Corpus) -> int:
-    """UTF-8 byte size of the corpus after normalization (what training consumes)."""
-    return sum(
-        len(normalize(s).encode("utf-8")) + 1 for doc in corpus.documents for s in doc.sentences
-    )
-
-
 def plan_amplification(small: Corpus, large: Corpus) -> AmplificationPlan:
     if not small.documents or not large.documents:
         raise VocabError("amplification requires two non-empty corpora")
-    return AmplificationPlan.from_sizes(normalized_byte_size(small), normalized_byte_size(large))
+    return AmplificationPlan.from_sizes(
+        corpus_word_counts_and_bytes(small)[1], corpus_word_counts_and_bytes(large)[1]
+    )
 
 
 def corpus_word_counts_and_bytes(corpus: Corpus) -> tuple[Counter, int]:
-    """Word counts and normalized_byte_size of the corpus, from one normalize pass."""
+    """Word counts and normalized UTF-8 byte size of the corpus, one newline
+    per sentence, from one `chunk_words` call per distinct U+0020 chunk.
+
+    A non-empty normalized chunk adds its bytes plus a separator or the
+    newline; a sentence whose chunks all normalize to nothing adds only its
+    newline. Whether a chunk does depends on each of its characters alone, so
+    such a sentence holds only U+0020 and characters of such chunks.
+    """
+    chunks = Counter(chain.from_iterable(s.split(" ") for doc in corpus.documents for s in doc.sentences))
     counts: Counter = Counter()
     size = 0
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            text = normalize(sentence)
-            size += len(text.encode("utf-8")) + 1
-            counts.update(pretokenize(text))
+    vanishing = {" "}
+    while chunks:  # popping lets each chunk string go once used, which lowers the peak
+        chunk, n = chunks.popitem()
+        words, nbytes = chunk_words(chunk)
+        if nbytes:
+            size += n * (nbytes + 1)
+        else:
+            vanishing.update(chunk)
+        for word in words:
+            counts[word] += n
+    blank = "".join(vanishing)
+    size += sum(1 for doc in corpus.documents for s in doc.sentences if not s.strip(blank))
     return counts, size
 
 
@@ -245,17 +267,9 @@ class TrainReport:
     repeat_factor: "int | None" = None
 
     def to_dict(self) -> dict:
-        out = {
-            "requested_size": self.requested_size,
-            "alphabet_size": self.alphabet_size,
-            "merges_performed": self.merges_performed,
-            "final_size": self.final_size,
-            "min_frequency": self.min_frequency,
-            "truncated": self.truncated,
-            "warnings": self.warnings,
-        }
-        if self.repeat_factor is not None:
-            out["repeat_factor"] = self.repeat_factor
+        out = asdict(self)
+        if self.repeat_factor is None:
+            del out["repeat_factor"]
         return out
 
 

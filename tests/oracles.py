@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the package's kernels and array encodings: the BPE
-oracle works on string symbol lists with dict counting, and the tree-number
-oracle compares dot-separated components directly.
+oracle works on string symbol lists with dict counting, the word-count oracle
+normalizes whole sentences, and the tree-number oracle compares dot-separated
+components directly.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 
 def _merged(left: str, right: str) -> str:
@@ -65,6 +68,20 @@ def bpe_oracle(
                 else:
                     i += 1
     return tokens, merges
+
+
+def word_counts_and_bytes_oracle(sentences) -> tuple[Counter, int]:
+    """Per-sentence reference for corpus_word_counts_and_bytes: normalize each
+    whole sentence, count its words, and add its UTF-8 size plus a newline."""
+    from bpt.vocab import normalize, pretokenize
+
+    counts: Counter = Counter()
+    size = 0
+    for sentence in sentences:
+        text = normalize(sentence)
+        size += len(text.encode("utf-8")) + 1
+        counts.update(pretokenize(text))
+    return counts, size
 
 
 def tree_matches_oracle(tree_number: str, prefix: str) -> bool:

@@ -89,6 +89,34 @@ def test_filter_overlapping_ruleset_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+GOOD_RECORD = {"article_id": "a1", "tree_numbers": ["C04.557"], "year": 2015, "text": "alpha"}
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("42", "a record must be a JSON object"),
+    ('["C04"]', "a record must be a JSON object"),
+    ('{"tree_numbers": ["C04"], "year": "x", "text": "t"}', "year must be an integer or null"),
+    ('{"tree_numbers": ["C04"], "year": true, "text": "t"}', "year must be an integer or null"),
+    ('{"tree_numbers": "C01", "year": 2015, "text": "t"}', "tree_numbers must be a list of strings"),
+    ('{"tree_numbers": ["C04", 5], "year": 2015, "text": "t"}', "tree_numbers must be a list of strings"),
+    ('{"tree_numbers": ["C04"], "year": 2015, "text": ["t"]}', "text must be a string"),
+], ids=["int", "array", "year_string", "year_bool", "trees_string", "trees_number", "text_array"])
+def test_filter_bad_record_exits_2_naming_line(tmp_path, capsys, caplog, bad_line, message):
+    records = tmp_path / "recs.jsonl"
+    records.write_text(json.dumps(GOOD_RECORD) + "\n" + bad_line + "\n", encoding="utf-8")
+    code, _ = run(capsys, "filter", "--ruleset", "sP", "--in", records, "--out", tmp_path / "o.txt")
+    assert code == 2
+    assert f"line 2: {message}" in caplog.text
+
+
+def test_filter_non_utf8_input_exits_3_naming_file(tmp_path, capsys, caplog):
+    records = tmp_path / "latin1.jsonl"
+    records.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + '{"text": "caf\xe9"}\n'.encode("latin-1"))
+    code, _ = run(capsys, "filter", "--ruleset", "sP", "--in", records, "--out", tmp_path / "o.txt")
+    assert code == 3
+    assert f"{records}: invalid UTF-8" in caplog.text
+
+
 def test_dump_ruleset(capsys):
     code, stdout = run(capsys, "dump-ruleset", "sP")
     assert code == 0
@@ -110,6 +138,21 @@ def test_shard_writes_files_and_report(tmp_path, capsys, corpora):
     files = sorted(out_dir.glob("shard-*.txt"))
     assert len(files) == report["shards"] >= 2
     assert sum(report["shard_bytes"]) == report["total_bytes"]
+
+
+@pytest.mark.parametrize("command", ["shard", "simpt", "conventional"])
+@pytest.mark.parametrize("size", ["0", "0.4"])
+def test_zero_each_file_size_exits_2_naming_flag(tmp_path, capsys, caplog, vocab_file, corpora,
+                                                 command, size):
+    small, large = corpora
+    if command == "shard":
+        code, _ = run(capsys, "shard", "--in", small, "--each-file-size", size,
+                      "--out-dir", tmp_path / "shards")
+    else:
+        code, _, _ = create(capsys, tmp_path, vocab_file, corpora, "x.bin", "--mode", command,
+                            "--rounds", "2", "--each-file-size", size)
+    assert code == 2
+    assert "--each-file-size must be positive, got 0" in caplog.text
 
 
 # --- build-vocab ---------------------------------------------------------------
@@ -165,6 +208,27 @@ def test_tokenize_round_trip_file(tmp_path, capsys, vocab_file, lexicon):
     assert len(lines) == 3 and lines[1] == ""  # blank separator lines survive
     rebuilt = "".join(p.removeprefix("##") for p in lines[0].split())
     assert rebuilt == word_a + word_b
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_tokenize_non_utf8_input_exits_3_naming_it(tmp_path, vocab_file, source):
+    import os
+    import subprocess
+    import sys
+
+    infile = tmp_path / "latin1.txt"
+    infile.write_bytes("caf\xe9 au lait\n".encode("latin-1"))
+    argv = [sys.executable, "-m", "bpt.cli", "tokenize", "--vocab", str(vocab_file)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    if source == "file":
+        result = subprocess.run(argv + ["--in", str(infile)], capture_output=True, env=env)
+    else:
+        result = subprocess.run(argv, input=infile.read_bytes(), capture_output=True, env=env)
+    stderr = result.stderr.decode()
+    assert result.returncode == 3, stderr
+    assert f"{infile if source == 'file' else '<stdin>'}: invalid UTF-8" in stderr
+    assert "Traceback" not in stderr
 
 
 # --- create-instances / verify / compare ----------------------------------------

@@ -3,9 +3,10 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bpt import vocab as vocab_module
 from bpt.corpus import Corpus, Document, Origin, load_corpus
 from bpt.errors import VocabError
 from bpt.rng import SplitRng
@@ -18,7 +19,6 @@ from bpt.vocab import (
     corpus_word_counts_and_bytes,
     coverage_report,
     normalize,
-    normalized_byte_size,
     plan_amplification,
     pretokenize,
     train_bpe,
@@ -26,7 +26,7 @@ from bpt.vocab import (
 )
 
 from .conftest import make_lexicon
-from .oracles import bpe_oracle
+from .oracles import bpe_oracle, word_counts_and_bytes_oracle
 
 
 # --- normalize -------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_one_pass_matches_word_counts_and_byte_size(tmp_path):
     p.write_text(ODD_TEXT * 3, encoding="utf-8")
     corpus = load_corpus(p, "odd", Origin.SMALL)
     counts, size = corpus_word_counts_and_bytes(corpus)
-    assert size == normalized_byte_size(corpus)
+    assert (counts, size) == word_counts_and_bytes_oracle(s for d in corpus.documents for s in d.sentences)
     assert counts == corpus_word_counts(corpus)
     assert "fi" in "".join(counts) and "\u200b" not in "".join(counts)
 
@@ -149,8 +149,41 @@ def test_one_pass_byte_size_equals_normalized_byte_size(sentences):
         return
     corpus = Corpus("c", Origin.SMALL, [Document("c#0", Origin.SMALL, sentences)])
     counts, size = corpus_word_counts_and_bytes(corpus)
-    assert size == normalized_byte_size(corpus)
+    assert (counts, size) == word_counts_and_bytes_oracle(sentences)
     assert counts == corpus_word_counts(corpus)
+
+
+# U+0020 runs, control and format characters, Unicode spaces, NFKD expansions,
+# a combining accent, both sigmas, CJK and punctuation
+CHUNK_ALPHABET = "aZ   \t\x07\x1c\u200b\u00ad\u00a0\u3000\u00e9\u00bd\ufb01\u0301\u03a3\u03c3\u4e2d."
+# characters that normalize to nothing, for sentences that normalize to nothing
+VANISHING = " \x07\u200b\u00ad\u0301"
+SENTENCES = st.one_of(
+    st.text(alphabet=CHUNK_ALPHABET, min_size=1, max_size=24),
+    st.text(alphabet=VANISHING, min_size=1, max_size=6),
+).filter(str.strip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(SENTENCES, min_size=1, max_size=4), min_size=1, max_size=5))
+@example([["\u03a3\u03a3 \u03c3\u03a3.  \u03a3", "\u200b \x07"], ["\u00ad"]])
+@example([["a\x1cb  \u00bd\u0301 \ufb01\u3000\u4e2d"], ["\u0301\u200b", "a \u200b"]])
+def test_chunked_counts_match_per_sentence_oracle(documents):
+    corpus = Corpus("c", Origin.SMALL, [Document(f"c#{i}", Origin.SMALL, d) for i, d in enumerate(documents)])
+    sentences = [s for d in documents for s in d]
+    assert corpus_word_counts_and_bytes(corpus) == word_counts_and_bytes_oracle(sentences)
+
+
+def test_counting_normalizes_each_distinct_chunk_at_most_once(monkeypatch):
+    sentences = ["the cat  sat", "The cat", "\u03a3\u200b the", "\u200b", "the cat  sat"]
+    corpus = Corpus("c", Origin.SMALL, [Document("c#0", Origin.SMALL, sentences)])
+    expected = word_counts_and_bytes_oracle(sentences)
+    calls = []
+    original = vocab_module.normalize
+    monkeypatch.setattr(vocab_module, "normalize", lambda text: calls.append(text) or original(text))
+    assert corpus_word_counts_and_bytes(corpus) == expected
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= {chunk for s in sentences for chunk in s.split(" ")}
 
 
 def test_combined_counts_keep_small_in_stream():
