@@ -9,6 +9,7 @@ from .corpus import Corpus, Document, Origin, Shard, load_corpus, split_corpus
 from .instances import (
     GenerationReport,
     InstanceConfig,
+    InstanceTally,
     PretrainInstance,
     create_instances_from_documents,
     generate_conventional,
@@ -38,6 +39,7 @@ __all__ = [
     "Document",
     "GenerationReport",
     "InstanceConfig",
+    "InstanceTally",
     "Manifest",
     "MeshRuleset",
     "Origin",

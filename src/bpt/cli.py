@@ -47,7 +47,7 @@ from .vocab import (
     corpus_word_counts_and_bytes,
     train_bpe,
 )
-from .verify import Tolerances, verify_file
+from .verify import Tolerances, render_table, verify_file
 
 log = logging.getLogger("bpt")
 
@@ -112,11 +112,16 @@ def _check_input(path, what: str) -> Path:
     return p
 
 
-def _each_file_size(opts: _Options) -> int:
-    each = parse_size(opts.get("each_file_size", "10MB"))
-    if each <= 0:
-        raise UsageError(f"--each-file-size must be positive, got {each}")
-    return each
+def _positive_size(opts: _Options, key: str, default=None) -> "int | None":
+    """The byte size under `key` (None when unset and no default); a size
+    below 1 byte is a usage error naming the flag."""
+    value = opts.get(key, default)
+    if value is None:
+        return None
+    size = parse_size(value)
+    if size <= 0:
+        raise UsageError(f"--{key.replace('_', '-')} must be positive, got {size}")
+    return size
 
 
 def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
@@ -184,7 +189,7 @@ def cmd_shard(args, cfg) -> int:
     out_dir = Path(opts.require("out_dir", "--out-dir"))
     label = opts.get("label", "corpus")
     origin = Origin.parse(opts.get("origin", "small"))
-    each = _each_file_size(opts)
+    each = _positive_size(opts, "each_file_size", "10MB")
 
     corpus = load_corpus(in_path, label, origin)
     shards = split_corpus(corpus, each)
@@ -298,10 +303,8 @@ def cmd_create_instances(args, cfg) -> int:
     fmt = str(opts.get("format", "binary")).lower()
     if fmt not in ("binary", "jsonl"):
         raise UsageError(f"--format must be 'binary' or 'jsonl', got {fmt!r}")
-    each = _each_file_size(opts)
-    max_file_bytes = opts.get("max_file_bytes")
-    if max_file_bytes is not None:
-        max_file_bytes = parse_size(max_file_bytes)
+    each = _positive_size(opts, "each_file_size", "10MB")
+    max_file_bytes = _positive_size(opts, "max_file_bytes")
 
     vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
@@ -445,10 +448,7 @@ def cmd_compare(args, cfg) -> int:
     table = [("metric", names[0].strip(), names[1].strip())]
     for metric in metrics:
         table.append((metric, fmt(rows[0][metric]), fmt(rows[1][metric])))
-    widths = [max(len(r[i]) for r in table) for i in range(3)]
-    out = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in table]
-    out.insert(1, "  ".join("-" * w for w in widths))
-    print("\n".join(out))
+    print(render_table(table))
     if opts.get("report"):
         _emit_report({"a": rows[0], "b": rows[1]}, opts.get("report"))
     return EXIT_OK

@@ -19,7 +19,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -133,50 +133,30 @@ def structural_errors(inst: PretrainInstance, vocab: Vocabulary, max_seq_length:
 
 
 @dataclass
-class GenerationReport:
-    mode: str = ""
+class InstanceTally:
+    """Running counts of a stream of instances and the balance rates derived
+    from them; the manifest statistics, `verify` and `compare` all count
+    through this."""
+
     instances: int = 0
     positives: int = 0
-    negatives: int = 0
-    skipped_negatives: int = 0
-    empty_documents: int = 0
-    degenerate_no_mask: int = 0
     masked_positions_total: int = 0
     candidate_positions_total: int = 0
     origin_small_tokens: int = 0
     origin_large_tokens: int = 0
-    rounds: int = 0
-    groups: int = 0
-    shard_combo_collisions: int = 0
-    negative_pair_ids: set = field(default_factory=set, repr=False)
 
     def record(self, inst: PretrainInstance) -> None:
         self.instances += 1
         if inst.is_next:
             self.positives += 1
-        else:
-            self.negatives += 1
-            a, b = inst.doc_id_a, inst.doc_id_b
-            self.negative_pair_ids.add((a, b) if a <= b else (b, a))
-        if len(inst.masked_positions) == 0:
-            self.degenerate_no_mask += 1
         self.masked_positions_total += len(inst.masked_positions)
         self.candidate_positions_total += len(inst.token_ids) - 3
         self.origin_small_tokens += inst.origin_small_tokens
         self.origin_large_tokens += inst.origin_large_tokens
 
     @property
-    def distinct_negative_pairs(self) -> int:
-        return len(self.negative_pair_ids)
-
-    @property
     def is_next_fraction(self) -> "float | None":
         return self.positives / self.instances if self.instances else None
-
-    @property
-    def small_origin_fraction(self) -> "float | None":
-        total = self.origin_small_tokens + self.origin_large_tokens
-        return self.origin_small_tokens / total if total else None
 
     @property
     def mask_selection_rate(self) -> "float | None":
@@ -184,27 +164,46 @@ class GenerationReport:
             return None
         return self.masked_positions_total / self.candidate_positions_total
 
+    @property
+    def small_origin_fraction(self) -> "float | None":
+        total = self.origin_small_tokens + self.origin_large_tokens
+        return self.origin_small_tokens / total if total else None
+
+
+@dataclass
+class GenerationReport(InstanceTally):
+    mode: str = ""
+    skipped_negatives: int = 0
+    empty_documents: int = 0
+    degenerate_no_mask: int = 0
+    rounds: int = 0
+    groups: int = 0
+    shard_combo_collisions: int = 0
+    negative_pair_ids: set = field(default_factory=set, repr=False)
+
+    # properties written next to the fields by to_dict
+    _DERIVED = ("negatives", "is_next_fraction", "mask_selection_rate", "small_origin_fraction",
+                "distinct_negative_pairs")
+
+    def record(self, inst: PretrainInstance) -> None:
+        super().record(inst)
+        if not inst.is_next:
+            a, b = inst.doc_id_a, inst.doc_id_b
+            self.negative_pair_ids.add((a, b) if a <= b else (b, a))
+        if len(inst.masked_positions) == 0:
+            self.degenerate_no_mask += 1
+
+    @property
+    def negatives(self) -> int:
+        return self.instances - self.positives
+
+    @property
+    def distinct_negative_pairs(self) -> int:
+        return len(self.negative_pair_ids)
+
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "instances": self.instances,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "is_next_fraction": self.is_next_fraction,
-            "skipped_negatives": self.skipped_negatives,
-            "empty_documents": self.empty_documents,
-            "degenerate_no_mask": self.degenerate_no_mask,
-            "masked_positions_total": self.masked_positions_total,
-            "candidate_positions_total": self.candidate_positions_total,
-            "mask_selection_rate": self.mask_selection_rate,
-            "origin_small_tokens": self.origin_small_tokens,
-            "origin_large_tokens": self.origin_large_tokens,
-            "small_origin_fraction": self.small_origin_fraction,
-            "distinct_negative_pairs": self.distinct_negative_pairs,
-            "rounds": self.rounds,
-            "groups": self.groups,
-            "shard_combo_collisions": self.shard_combo_collisions,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "negative_pair_ids"}
+        return {**out, **{name: getattr(self, name) for name in self._DERIVED}}
 
 
 def mask_tokens(
@@ -292,14 +291,16 @@ def _build_pairs_for_document(
             rest_exists = a_end < len(chunk)
             can_positive = rest_exists or i + 1 < len(sentences)
             make_negative = (not can_positive) or rng.random() < 0.5
-            if make_negative:
-                if len(docs) <= 1:
-                    report.skipped_negatives += 1
-                else:
+            if make_negative and len(docs) <= 1:
+                report.skipped_negatives += 1
+            else:
+                doc_b = doc
+                if make_negative:
                     target_b = target - len(tokens_a)
                     partner = rng.randrange(len(docs) - 1)
                     if partner >= doc_index:
                         partner += 1
+                    doc_b = docs[partner]
                     partner_sents = tokenized[partner]
                     start = rng.randrange(len(partner_sents))
                     tokens_b: list[int] = []
@@ -307,23 +308,9 @@ def _build_pairs_for_document(
                         tokens_b.extend(partner_sents[k])
                         if len(tokens_b) >= target_b:
                             break
-                    _truncate_pair(tokens_a, tokens_b, max_num)
-                    pairs.append(
-                        _SegmentPair(
-                            tokens_a,
-                            tokens_b,
-                            False,
-                            doc.origin,
-                            docs[partner].origin,
-                            doc.doc_id,
-                            docs[partner].doc_id,
-                            rng.next_u64(),
-                        )
-                    )
                     # unused chunk segments go back for the next chunk
                     i -= len(chunk) - a_end
-            else:
-                if rest_exists:
+                elif rest_exists:
                     tokens_b = [t for seg in chunk[a_end:] for t in seg]
                 else:
                     # single-segment chunk: segment B continues the document
@@ -335,18 +322,8 @@ def _build_pairs_for_document(
                         if len(tokens_b) >= target_b:
                             break
                 _truncate_pair(tokens_a, tokens_b, max_num)
-                pairs.append(
-                    _SegmentPair(
-                        tokens_a,
-                        tokens_b,
-                        True,
-                        doc.origin,
-                        doc.origin,
-                        doc.doc_id,
-                        doc.doc_id,
-                        rng.next_u64(),
-                    )
-                )
+                pairs.append(_SegmentPair(tokens_a, tokens_b, not make_negative, doc.origin, doc_b.origin,
+                                          doc.doc_id, doc_b.doc_id, rng.next_u64()))
             chunk = []
             chunk_len = 0
         i += 1

@@ -65,15 +65,16 @@ class MeshRuleset:
     @classmethod
     def from_dict(cls, data: dict) -> "MeshRuleset":
         try:
-            return cls(
-                name=data["name"],
-                included_prefixes=list(data["included_prefixes"]),
-                excluded_prefixes=list(data["excluded_prefixes"]),
-                min_year=data.get("min_year"),
-                notes=data.get("notes", ""),
-            )
+            name, included, excluded = data["name"], data["included_prefixes"], data["excluded_prefixes"]
         except KeyError as exc:
             raise RulesetError(f"ruleset is missing key {exc}") from exc
+        for key, value in (("included_prefixes", included), ("excluded_prefixes", excluded)):
+            if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+                raise RulesetError(f"ruleset {name!r}: {key} must be a list of strings, got {value!r}")
+        min_year = data.get("min_year")
+        if min_year is not None and (isinstance(min_year, bool) or not isinstance(min_year, int)):
+            raise RulesetError(f"ruleset {name!r}: min_year must be an integer or null, got {min_year!r}")
+        return cls(name, list(included), list(excluded), min_year, data.get("notes", ""))
 
     def to_dict(self) -> dict:
         out = {
@@ -92,7 +93,10 @@ def load_ruleset(source: "str | Path") -> MeshRuleset:
     name = str(source)
     path = Path(source)
     if path.is_file():
-        raw = path.read_text(encoding="utf-8")
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise RulesetError(f"ruleset {source}: invalid UTF-8 ({exc.reason})") from exc
     elif name.lower() in BUNDLED_RULESETS:
         raw = (
             resources.files("bpt")
@@ -105,6 +109,8 @@ def load_ruleset(source: "str | Path") -> MeshRuleset:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise RulesetError(f"{source}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise RulesetError(f"ruleset {source}: must be a JSON object, got {type(data).__name__}")
     return MeshRuleset.from_dict(data)
 
 

@@ -4,7 +4,8 @@ Turns the masking scheme's stated probabilities (15% selection; 80/10/10
 mask/random/unchanged; 50/50 next-sentence balance; balanced small-corpus
 fraction) into pass/fail checks with configurable tolerances. Checks with too
 few observations report "insufficient data" rather than failing. `bpt compare`
-runs the same scan without a vocabulary.
+runs the same scan without a vocabulary. The counts and rates come from
+`InstanceTally`, the accumulator that also fills the manifest statistics.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .instances import structural_errors
+from .instances import InstanceTally, structural_errors
 from .serialize import InstanceSet, open_instance_set, read_instances
 from .vocab import Vocabulary
 
@@ -77,22 +78,21 @@ class VerificationReport:
     def render_table(self) -> str:
         rows = [("check", "status", "value", "expected", "tolerance")]
         for c in self.checks:
-            rows.append(
-                (
-                    c.name,
-                    c.status,
-                    "-" if c.value is None else f"{c.value:.6g}",
-                    "-" if c.expected is None else f"{c.expected:.6g}",
-                    "-" if c.tolerance is None else f"{c.tolerance:.6g}",
-                )
-            )
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
+            cells = (c.value, c.expected, c.tolerance)
+            rows.append((c.name, c.status, *("-" if x is None else f"{x:.6g}" for x in cells)))
         verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"overall: {verdict} ({self.instances} instances, "
-                     f"{self.structural_violations} structural violations)")
-        return "\n".join(lines)
+        overall = (f"overall: {verdict} ({self.instances} instances, "
+                   f"{self.structural_violations} structural violations)")
+        return render_table(rows) + "\n" + overall
+
+
+def render_table(rows: list) -> str:
+    """Rows of strings as left-aligned columns two spaces apart, with a rule
+    of dashes under the first (header) row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def verify_file(
@@ -107,23 +107,12 @@ def verify_file(
     report = VerificationReport(path=str(instance_set.path))
 
     mask_id = vocab.mask_id if vocab is not None else None
-    n_inst = 0
-    positives = 0
-    candidates_total = 0
-    masked_total = 0
+    tally = InstanceTally()
     n_mask = n_random = n_unchanged = 0
-    small_total = 0
-    origin_total = 0
     violations = 0
 
     for inst in read_instances(instance_set, expected_vocab=vocab):
-        n_inst += 1
-        if inst.is_next:
-            positives += 1
-        candidates_total += len(inst.token_ids) - 3
-        masked_total += len(inst.masked_positions)
-        small_total += inst.origin_small_tokens
-        origin_total += inst.origin_small_tokens + inst.origin_large_tokens
+        tally.record(inst)
         if vocab is None:
             continue
         if structural_errors(inst, vocab, instance_set.max_seq_length):
@@ -138,77 +127,33 @@ def verify_file(
             else:
                 n_random += 1
 
-    report.instances = n_inst
+    masked_total = tally.masked_positions_total
+    report.instances = tally.instances
     report.structural_violations = violations
+    report.mask_selection_rate = tally.mask_selection_rate
+    report.nsp_positive_rate = tally.is_next_fraction
+    report.small_origin_fraction = tally.small_origin_fraction
+
+    # (name, value, expected, tolerance, observations, minimum observations)
+    rows = []
     if vocab is not None:
-        report.checks.append(
-            CheckResult("structural", PASS if violations == 0 else FAIL, violations, 0, 0)
-        )
-
-    if candidates_total:
-        report.mask_selection_rate = masked_total / candidates_total
-    report.checks.append(
-        _check(
-            "mask_selection_rate",
-            report.mask_selection_rate or 0.0,
-            tol.mask_selection_target,
-            tol.mask_selection_tol,
-            candidates_total,
-            tol.min_candidates,
-        )
-    )
-
+        rows.append(("structural", violations, 0, 0, 0, 0))
+    rows.append(("mask_selection_rate", report.mask_selection_rate or 0.0, tol.mask_selection_target,
+                 tol.mask_selection_tol, tally.candidate_positions_total, tol.min_candidates))
     if vocab is not None:
         if masked_total:
-            report.mask_split = (
-                n_mask / masked_total,
-                n_random / masked_total,
-                n_unchanged / masked_total,
-            )
-        for name, value, expected in (
-            ("mask_replaced_fraction", n_mask, 0.80),
-            ("mask_random_fraction", n_random, 0.10),
-            ("mask_unchanged_fraction", n_unchanged, 0.10),
-        ):
-            report.checks.append(
-                _check(
-                    name,
-                    value / masked_total if masked_total else 0.0,
-                    expected,
-                    tol.mask_split_tol,
-                    masked_total,
-                    tol.min_masked,
-                )
-            )
-
-    if n_inst:
-        report.nsp_positive_rate = positives / n_inst
-    report.checks.append(
-        _check(
-            "nsp_positive_rate",
-            report.nsp_positive_rate or 0.0,
-            tol.nsp_target,
-            tol.nsp_tol,
-            n_inst,
-            tol.min_instances,
-        )
-    )
-
-    if origin_total:
-        report.small_origin_fraction = small_total / origin_total
+            report.mask_split = (n_mask / masked_total, n_random / masked_total, n_unchanged / masked_total)
+        names = ("mask_replaced_fraction", "mask_random_fraction", "mask_unchanged_fraction")
+        for name, value, expected in zip(names, report.mask_split or (0.0, 0.0, 0.0), (0.80, 0.10, 0.10)):
+            rows.append((name, value, expected, tol.mask_split_tol, masked_total, tol.min_masked))
+    rows.append(("nsp_positive_rate", report.nsp_positive_rate or 0.0, tol.nsp_target, tol.nsp_tol,
+                 tally.instances, tol.min_instances))
+    if tol.origin_target is not None:
+        rows.append(("small_origin_fraction", report.small_origin_fraction or 0.0, tol.origin_target,
+                     tol.origin_tol, tally.instances, tol.min_instances))
+    report.checks = [_check(*row) for row in rows]
     if tol.origin_target is None:
         report.checks.append(CheckResult("small_origin_fraction", SKIPPED, report.small_origin_fraction))
-    else:
-        report.checks.append(
-            _check(
-                "small_origin_fraction",
-                report.small_origin_fraction or 0.0,
-                tol.origin_target,
-                tol.origin_tol,
-                n_inst,
-                tol.min_instances,
-            )
-        )
 
     if instance_set.whole:
         stats = instance_set.manifest.statistics or {}

@@ -89,6 +89,28 @@ def test_filter_overlapping_ruleset_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+RULESET = {"name": "bad", "included_prefixes": ["C"], "excluded_prefixes": ["N06"], "min_year": None}
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"name": "caf\xe9"}'.encode("latin-1"), "ruleset {path}: invalid UTF-8"),
+    (json.dumps([RULESET]).encode(), "ruleset {path}: must be a JSON object, got list"),
+    (json.dumps({**RULESET, "included_prefixes": [1]}).encode(),
+     "ruleset 'bad': included_prefixes must be a list of strings, got [1]"),
+    (json.dumps({**RULESET, "included_prefixes": "C01"}).encode(),
+     "ruleset 'bad': included_prefixes must be a list of strings, got 'C01'"),
+    (json.dumps({**RULESET, "min_year": "2000"}).encode(),
+     "ruleset 'bad': min_year must be an integer or null, got '2000'"),
+], ids=["non-utf8", "json-list", "int-prefix", "string-prefixes", "string-min-year"])
+def test_filter_malformed_ruleset_exits_2_naming_it(tmp_path, capsys, caplog, content, message):
+    ruleset = tmp_path / "rules.json"
+    ruleset.write_bytes(content)
+    records = write_records(tmp_path / "recs.jsonl")
+    code, _ = run(capsys, "filter", "--ruleset", ruleset, "--in", records, "--out", tmp_path / "o.txt")
+    assert code == 2
+    assert message.format(path=ruleset) in caplog.text
+
+
 GOOD_RECORD = {"article_id": "a1", "tree_numbers": ["C04.557"], "year": 2015, "text": "alpha"}
 
 
@@ -153,6 +175,23 @@ def test_zero_each_file_size_exits_2_naming_flag(tmp_path, capsys, caplog, vocab
                             "--rounds", "2", "--each-file-size", size)
     assert code == 2
     assert "--each-file-size must be positive, got 0" in caplog.text
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+@pytest.mark.parametrize("source, size", [("flag", "0"), ("flag", "0.4"), ("config", 0)])
+def test_nonpositive_max_file_bytes_exits_2_naming_flag(tmp_path, capsys, caplog, vocab_file, corpora,
+                                                        mode, source, size):
+    if source == "flag":
+        extra = ("--max-file-bytes", size)
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_file_bytes": size}))
+        extra = ("--config", cfg)
+    code, _, _ = create(capsys, tmp_path, vocab_file, corpora, "x.bin", "--mode", mode, "--rounds", "2",
+                        *extra)
+    assert code == 2
+    assert "--max-file-bytes must be positive, got 0" in caplog.text
+    assert not list(tmp_path.glob("x.bin*"))
 
 
 # --- build-vocab ---------------------------------------------------------------

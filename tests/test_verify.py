@@ -3,13 +3,22 @@ import struct
 import numpy as np
 import pytest
 
-from bpt.corpus import Document, Origin
-from bpt.instances import InstanceConfig, PretrainInstance, create_instances_from_documents
+from bpt.corpus import Document, Origin, load_corpus, split_corpus
+from bpt.instances import (
+    GenerationReport,
+    InstanceConfig,
+    PretrainInstance,
+    create_instances_from_documents,
+    generate_conventional,
+    generate_simpt,
+)
 from bpt.rng import SplitRng
-from bpt.serialize import write_instances
+from bpt.serialize import Manifest, manifest_path, write_instances
 from bpt.tokenizer import WordPieceTokenizer
-from bpt.verify import FAIL, INSUFFICIENT, PASS, SKIPPED, Tolerances, verify_file
+from bpt.verify import FAIL, INSUFFICIENT, PASS, SKIPPED, Tolerances, VerificationReport, verify_file
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
+
+from .conftest import make_corpus_text, write_corpus_file
 
 WORDS = [f"w{i}" for i in range(300)]
 VOCAB = Vocabulary(SPECIAL_TOKENS + WORDS)
@@ -170,3 +179,42 @@ def test_render_table_mentions_overall(tmp_path):
     table = report.render_table()
     assert "overall:" in table
     assert "mask_selection_rate" in table
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+def test_verify_agrees_with_generation_statistics(tmp_path, lexicon, small_tokenizer, mode):
+    small = load_corpus(write_corpus_file(tmp_path / "small.txt", make_corpus_text(SplitRng(11), lexicon, 6)),
+                        "small", Origin.SMALL)
+    large = load_corpus(write_corpus_file(tmp_path / "large.txt", make_corpus_text(SplitRng(12), lexicon, 18)),
+                        "large", Origin.LARGE)
+    config = InstanceConfig(max_seq_length=64, n_rounds=4, shards_per_corpus=2, dupe_factor=2,
+                            n_splits=3, master_seed=5)
+    if mode == "simpt":
+        stream, gen = generate_simpt(split_corpus(small, 2000), split_corpus(large, 2000),
+                                     small_tokenizer, config)
+    else:
+        stream, gen = generate_conventional(small.documents + large.documents, small_tokenizer, config)
+    path = tmp_path / "out.bin"
+    write_instances(stream, path, small_tokenizer.vocab, config, statistics=lambda: gen.to_dict())
+    stats = Manifest.load(manifest_path(path)).statistics
+    assert stats["instances"] > 0 and stats["distinct_negative_pairs"] > 0
+
+    report = verify_file(path, small_tokenizer.vocab)
+    assert report.instances == stats["instances"]
+    assert report.nsp_positive_rate == stats["is_next_fraction"]
+    assert report.mask_selection_rate == stats["mask_selection_rate"]
+    assert report.small_origin_fraction == stats["small_origin_fraction"]
+    assert report.distinct_negative_pairs == stats["distinct_negative_pairs"]
+
+
+def test_report_key_sets_are_pinned():
+    assert set(GenerationReport().to_dict()) == {
+        "mode", "instances", "positives", "negatives", "is_next_fraction", "skipped_negatives",
+        "empty_documents", "degenerate_no_mask", "masked_positions_total", "candidate_positions_total",
+        "mask_selection_rate", "origin_small_tokens", "origin_large_tokens", "small_origin_fraction",
+        "distinct_negative_pairs", "rounds", "groups", "shard_combo_collisions",
+    }
+    assert set(VerificationReport(path="x").to_dict()) == {
+        "path", "instances", "mask_selection_rate", "mask_split", "nsp_positive_rate",
+        "small_origin_fraction", "structural_violations", "distinct_negative_pairs", "checks", "passed",
+    }
