@@ -13,13 +13,15 @@ Two modes share one per-document pairing routine:
 
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
 any round or group can be regenerated in isolation. Rounds and groups run
-serially in index order, and each instance is yielded as soon as it is
-assembled.
+serially in index order. Within one, segment pairs are masked a batch at a
+time (one `kernels.mask_sequence` call per batch and dupe pass), and each
+instance is yielded in order as soon as its batch is masked.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,6 +36,11 @@ from .vocab import Vocabulary
 # rng stream tags: shard sampling and document pairing must not share draws
 _STREAM_SHARDS = 1
 _STREAM_DOCS = 2
+
+# Pairs are masked a batch at a time, padded to one width: a batch holds at
+# most this many cells of rows x max_seq_length, so its arrays stay under
+# 1 MB at any sequence length. Larger batches were no faster on 2 vCPUs.
+_BATCH_CELLS = 1 << 14
 
 
 @dataclass
@@ -102,32 +109,33 @@ def structural_errors(inst: PretrainInstance, vocab: Vocabulary, max_seq_length:
     errs = []
     ids = inst.token_ids
     n = len(ids)
+    segs = np.asarray(inst.segment_ids).tolist()
+    positions = np.asarray(inst.masked_positions).tolist()
     if n > max_seq_length:
         errs.append(f"length {n} exceeds max_seq_length {max_seq_length}")
-    if len(inst.segment_ids) != n:
+    if len(segs) != n:
         errs.append("segment_ids length differs from token_ids")
     if n == 0 or ids[0] != vocab.cls_id:
         errs.append("first token is not [CLS]")
     sep_positions = np.flatnonzero(ids == vocab.sep_id).tolist()
     if len(sep_positions) != 2:
         errs.append(f"expected exactly 2 [SEP], found {len(sep_positions)}")
-    segs = np.asarray(inst.segment_ids)
-    if segs.size and (np.any(np.diff(segs) < 0) or segs[0] != 0 or segs.max() > 1):
+    if segs and (segs[0] != 0 or segs[-1] > 1 or segs != sorted(segs)):
         errs.append("segment_ids are not a non-decreasing 0/1 sequence")
-    if len(inst.masked_positions) != len(inst.masked_labels):
+    if len(positions) != len(inst.masked_labels):
         errs.append("masked_positions and masked_labels differ in length")
-    special = {0} | set(sep_positions)
-    for p in inst.masked_positions:
+    special = {0, *sep_positions}
+    for p in positions:
         if not 0 <= p < n:
             errs.append(f"masked position {p} out of range")
-        elif int(p) in special:
+        elif p in special:
             errs.append(f"masked position {p} points at [CLS]/[SEP]")
     n_candidates = n - 3
-    if len(inst.masked_positions) == 0 and n_candidates > 0:
+    if not positions and n_candidates > 0:
         errs.append("no masked positions despite available candidates")
     if inst.origin_small_tokens + inst.origin_large_tokens != n_candidates:
         errs.append("origin token counts do not sum to non-special token count")
-    if np.any(ids < 0) or np.any(ids >= vocab.size):
+    if n and (ids.min() < 0 or ids.max() >= vocab.size):
         errs.append("token id out of vocabulary range")
     return errs
 
@@ -222,8 +230,7 @@ def mask_tokens(
     """
     ids = np.ascontiguousarray(token_ids, np.int32)
     special = np.zeros(len(ids), np.uint8)
-    for p in special_positions:
-        special[p] = 1
+    special[np.fromiter(special_positions, np.int64)] = 1
     seed = rng.next_u64() if isinstance(rng, SplitRng) else int(rng)
     return kernels.mask_sequence(
         ids,
@@ -331,37 +338,56 @@ def _build_pairs_for_document(
 
 
 def _assemble(
-    pair: _SegmentPair,
+    pairs: list[_SegmentPair],
     vocab: Vocabulary,
     config: InstanceConfig,
     dupe_index: int,
-) -> PretrainInstance:
-    len_a, len_b = len(pair.tokens_a), len(pair.tokens_b)
-    ids = np.empty(len_a + len_b + 3, np.int32)
-    ids[0] = vocab.cls_id
-    ids[1 : 1 + len_a] = pair.tokens_a
-    ids[1 + len_a] = vocab.sep_id
-    ids[2 + len_a : 2 + len_a + len_b] = pair.tokens_b
-    ids[-1] = vocab.sep_id
-    segment_ids = np.zeros(ids.size, np.int8)
-    segment_ids[2 + len_a :] = 1
-    masked, positions, labels = mask_tokens(
-        ids, (0, 1 + len_a, ids.size - 1), vocab, config, fold(pair.mask_seed_base, dupe_index)
+    report: GenerationReport,
+) -> Iterator[PretrainInstance]:
+    """Mask a batch of pairs in one kernel call, then record and yield its
+    instances in order."""
+    len_a = np.array([len(pair.tokens_a) for pair in pairs])
+    len_b = np.array([len(pair.tokens_b) for pair in pairs])
+    lengths = len_a + len_b + 3
+    cls, sep = (vocab.cls_id,), (vocab.sep_id,)
+    pieces = chain.from_iterable((cls, pair.tokens_a, sep, pair.tokens_b, sep) for pair in pairs)
+    cols = np.arange(lengths.max())
+    special = cols >= lengths[:, None]  # the padding of shorter rows
+    ids = np.zeros(special.shape, np.int32)
+    ids[~special] = np.fromiter(chain.from_iterable(pieces), np.int32, int(lengths.sum()))
+    rows = np.arange(len(pairs))
+    special[:, 0] = True
+    special[rows, len_a + 1] = True
+    special[rows, lengths - 1] = True
+    segment_ids = (cols >= len_a[:, None] + 2).astype(np.int8)
+    seeds = np.array([fold(pair.mask_seed_base, dupe_index) for pair in pairs], np.uint64)
+    masked, positions, labels = kernels.mask_sequence(
+        ids,
+        special,
+        seeds,
+        config.masked_lm_prob,
+        config.max_predictions_per_seq,
+        vocab.mask_id,
+        vocab.n_special,
+        vocab.size,
     )
-    small = (len_a if pair.origin_a is Origin.SMALL else 0) + (
-        len_b if pair.origin_b is Origin.SMALL else 0
-    )
-    return PretrainInstance(
-        token_ids=masked,
-        segment_ids=segment_ids,
-        masked_positions=positions,
-        masked_labels=labels,
-        is_next=pair.is_next,
-        origin_small_tokens=small,
-        origin_large_tokens=len_a + len_b - small,
-        doc_id_a=pair.doc_id_a,
-        doc_id_b=pair.doc_id_b,
-    )
+    n_masked = np.count_nonzero(positions >= 0, axis=1).tolist()
+    for i, (pair, a, b, m) in enumerate(zip(pairs, len_a.tolist(), len_b.tolist(), n_masked)):
+        small = (a if pair.origin_a is Origin.SMALL else 0) + (b if pair.origin_b is Origin.SMALL else 0)
+        n = a + b + 3
+        inst = PretrainInstance(
+            token_ids=masked[i, :n],
+            segment_ids=segment_ids[i, :n],
+            masked_positions=positions[i, :m],
+            masked_labels=labels[i, :m],
+            is_next=pair.is_next,
+            origin_small_tokens=small,
+            origin_large_tokens=a + b - small,
+            doc_id_a=pair.doc_id_a,
+            doc_id_b=pair.doc_id_b,
+        )
+        report.record(inst)
+        yield inst
 
 
 def create_instances_from_documents(
@@ -395,7 +421,7 @@ def _instances(
     n_dupes: int,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    """Yield each instance as soon as it is assembled and recorded."""
+    """Yield each instance, recorded, as soon as its batch is masked."""
     usable_docs: list[Document] = []
     tokenized: list[list[list[int]]] = []
     for doc in docs:
@@ -407,20 +433,21 @@ def _instances(
         else:
             report.empty_documents += 1
     vocab = tokenizer.vocab
+    per_batch = max(1, _BATCH_CELLS // config.max_seq_length)
+    pairs = (
+        pair
+        for di in range(len(usable_docs))
+        for pair in _build_pairs_for_document(di, usable_docs, tokenized, config, rng.child(di), report)
+    )
     # later passes re-mask the first pass's pairs, so keep them only if needed
     kept: list[_SegmentPair] = []
-    for di in range(len(usable_docs)):
-        for pair in _build_pairs_for_document(di, usable_docs, tokenized, config, rng.child(di), report):
-            if n_dupes > 1:
-                kept.append(pair)
-            inst = _assemble(pair, vocab, config, 0)
-            report.record(inst)
-            yield inst
+    while batch := list(islice(pairs, per_batch)):
+        if n_dupes > 1:
+            kept += batch
+        yield from _assemble(batch, vocab, config, 0, report)
     for dupe in range(1, n_dupes):
-        for pair in kept:
-            inst = _assemble(pair, vocab, config, dupe)
-            report.record(inst)
-            yield inst
+        for start in range(0, len(kept), per_batch):
+            yield from _assemble(kept[start : start + per_batch], vocab, config, dupe, report)
 
 
 def _sample_shards(shards: list[Shard], k: int, rng: SplitRng) -> list[Shard]:

@@ -1,9 +1,14 @@
 """The pipeline's numeric inner loops, written with numpy.
 
 Adjacent-pair counting and merge application run during vocabulary training,
-per-sequence mask selection during instance generation. Masking consumes
-draws from the splitmix64 stream of rng.py in a fixed order, so its output
-depends only on its arguments.
+mask selection during instance generation. Masking consumes draws from the
+splitmix64 stream of rng.py in a fixed order, so its output depends only on
+its arguments.
+
+`mask_sequence` takes one sequence or a batch: a batch is 2-D ids and
+special flags, every row padded to one width, with one uint64 seed per row.
+Padding must be flagged special, so it is never chosen and comes back as
+given; each row is masked exactly as it would be on its own.
 
 Callers reach these as module attributes (``kernels.count_pairs`` and so on),
 so a profiler can swap in a timed wrapper.
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import _GAMMA, _MASK64, mix64
+from .rng import _GAMMA, _MASK64
 
 BACKEND = "numpy"  # reported by tools that record the machine set-up
 
@@ -85,37 +90,93 @@ def apply_merge(flat, offsets, left, right, new_id):
 # non-special positions, then per position replace with mask_id (80%), a
 # uniform non-special vocab id (10%), or leave unchanged (10%).
 #
-# Draw i of the stream is mix64(seed + i*GAMMA); draws are consumed in this
-# order: selection swaps first, then one float per chosen
-# position plus one extra integer draw on the random-replacement branch.
+# Draw i of a row's stream is mix64(seed + i*GAMMA); draws are consumed in
+# this order: selection swaps first, then one float per chosen position in
+# ascending position order plus one extra integer draw on the
+# random-replacement branch. A batch takes each step for all rows at once,
+# in uint64 array arithmetic, so a row comes out as it would on its own.
 # ---------------------------------------------------------------------------
+
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z):
+    """rng.mix64 of each element of a uint64 array, in place (array
+    arithmetic wraps without warning)."""
+    z += _GAMMA_U64
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _draws(seeds, done, count):
+    """Draws done+1 .. done+count of each row's stream, shape (rows, count)."""
+    z = (done[:, None] + np.arange(1, count + 1)).astype(np.uint64)
+    z *= _GAMMA_U64
+    z += seeds[:, None]
+    return _mix64(z)
 
 
 def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
+    """Mask one sequence, or every row of a padded batch in one call.
+
+    One sequence: 1-D `ids` and `special` (nonzero = never masked) and an
+    integer seed; returns (masked ids, ascending positions, label ids).
+    A batch: 2-D `ids` and `special` whose rows are padded to one width,
+    with the padding flagged special, and one uint64 seed per row; returns
+    the masked ids and (rows, k) positions and labels, k the most positions
+    any row masked, each row's own entries first and -1 after them.
+    """
+    single = ids.ndim == 1
+    if single:
+        ids, special = ids[None], special[None]
+        seed = np.array([int(seed) & _MASK64], np.uint64)
+    rows, width = ids.shape
     out = ids.copy()
-    cand = [i for i in range(len(ids)) if not special[i]]
-    n = len(cand)
-    if n == 0:
-        return out, _EMPTY_I64.copy(), _EMPTY_I32.copy()
-    num = min(cap, max(1, int(prob * n + 0.5)))
-    state = int(seed) & _MASK64  # plain int: numpy scalars overflow in mix64
-    ctr = 0
-    for i in range(num):
-        ctr += 1
-        r = mix64((state + ctr * _GAMMA) & _MASK64)
-        j = i + r % (n - i)
-        cand[i], cand[j] = cand[j], cand[i]
-    sel = sorted(cand[:num])
-    positions = np.asarray(sel, np.int64)
-    labels = out[positions].copy()
+    free = special == 0
+    n = np.count_nonzero(free, axis=1)
+    num = np.where(n > 0, np.minimum(cap, np.maximum(1, (prob * n + 0.5).astype(np.int64))), 0)
+    k = int(num.max(initial=0))
+    chosen = np.arange(k) < num[:, None]
+    r = np.arange(rows)
+
+    # partial Fisher-Yates over each row's candidates (ascending, specials
+    # after them); past a row's own count a swap only moves later columns
+    cand = np.argsort(~free, axis=1, kind="stable")
+    span = np.maximum(n[:, None] - np.arange(k), 1).astype(np.uint64)
+    swap_with = np.arange(k) + (_draws(seed, np.zeros(rows, np.int64), k) % span).astype(np.int64)
+    for i in range(k):
+        j = swap_with[:, i]
+        held = cand[:, i].copy()
+        cand[:, i] = cand[r, j]
+        cand[r, j] = held
+    cols = np.sort(np.where(chosen, cand[:, :k], width), axis=1)
+    cols[~chosen] = 0
+    positions = np.where(chosen, cols, -1)
+    labels = np.where(chosen, ids[r[:, None], cols], -1).astype(ids.dtype)
+
+    # replacement: at[r] is the next unread draw of row r
     n_random = vocab_size - n_special
-    for p in sel:
-        ctr += 1
-        u = (mix64((state + ctr * _GAMMA) & _MASK64) >> 11) * 2.0**-53
-        if u < 0.8:
-            out[p] = mask_id
-        elif u < 0.9 and n_random > 0:
-            ctr += 1
-            r2 = mix64((state + ctr * _GAMMA) & _MASK64)
-            out[p] = n_special + r2 % n_random
+    draws = _draws(seed, num, 2 * k)
+    at = np.zeros(rows, np.int64)
+    for i in range(k):
+        ui = (draws[r, at] >> np.uint64(11)) * 2.0**-53
+        to_mask = chosen[:, i] & (ui < 0.8)
+        out[r[to_mask], cols[to_mask, i]] = mask_id
+        if n_random > 0:
+            to_random = chosen[:, i] & (ui >= 0.8) & (ui < 0.9)
+            hit = r[to_random]
+            drawn = n_special + draws[hit, at[to_random] + 1] % n_random
+            out[hit, cols[to_random, i]] = drawn.astype(out.dtype)
+            at += to_random
+        at += 1
+
+    if single:
+        m = int(num[0])
+        return out[0], positions[0, :m], labels[0, :m]
     return out, positions, labels

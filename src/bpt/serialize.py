@@ -181,8 +181,10 @@ def write_instances(
     effective configuration there).
 
     With max_file_bytes set, output rotates to numbered files
-    ("<path>.00000", "<path>.00001", ...) once a file's body exceeds the
-    limit; otherwise everything goes to exactly `path`.
+    ("<path>.00000", "<path>.00001", ...): a record that arrives when the
+    current file's body has reached the limit starts the next file, so a
+    file is empty only when the stream is. Otherwise everything goes to
+    exactly `path`.
     """
     path = Path(path)
     vhash = vocab_hash(vocab)
@@ -200,11 +202,11 @@ def write_instances(
             errs = structural_errors(inst, vocab, config.max_seq_length)
             if errs:
                 raise SerializeError(f"instance {index} violates invariants: {errs[0]}")
-            writer.add(_record_bytes(inst))
-            total += 1
-            if rotating and writer.body_bytes >= max_file_bytes:
+            if rotating and writer.count and writer.body_bytes >= max_file_bytes:
                 files.append(writer.close())
                 writer = new_writer()
+            writer.add(_record_bytes(inst))
+            total += 1
     except Exception:
         writer._f.close()
         raise

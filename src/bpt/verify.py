@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .instances import InstanceTally, structural_errors
 from .serialize import InstanceSet, open_instance_set, read_instances
 from .vocab import Vocabulary
@@ -118,14 +120,13 @@ def verify_file(
         if structural_errors(inst, vocab, instance_set.max_seq_length):
             violations += 1
             continue  # its masked positions may point outside the sequence
-        for p, label in zip(inst.masked_positions, inst.masked_labels):
-            token = int(inst.token_ids[p])
-            if token == mask_id:
-                n_mask += 1
-            elif token == int(label):
-                n_unchanged += 1
-            else:
-                n_random += 1
+        tokens = inst.token_ids[inst.masked_positions]
+        is_mask = tokens == mask_id
+        masked = int(np.count_nonzero(is_mask))
+        unchanged = int(np.count_nonzero((tokens == inst.masked_labels) & ~is_mask))
+        n_mask += masked
+        n_unchanged += unchanged
+        n_random += tokens.size - masked - unchanged
 
     masked_total = tally.masked_positions_total
     report.instances = tally.instances

@@ -2,13 +2,17 @@
 
 These deliberately avoid the package's kernels and array encodings: the BPE
 oracle works on string symbol lists with dict counting, the word-count oracle
-normalizes whole sentences, and the tree-number oracle compares dot-separated
-components directly.
+normalizes whole sentences, the masking oracle runs one sequence's draws one
+at a time, the structural oracle checks one instance with plain numpy
+reductions, and the tree-number oracle compares dot-separated components
+directly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+import numpy as np
 
 
 def _merged(left: str, right: str) -> str:
@@ -103,3 +107,73 @@ def greedy_longest_prefix_oracle(word: str, vocab_tokens: set[str], initial: boo
         if piece in vocab_tokens:
             best = piece
     return best
+
+
+def mask_sequence_oracle(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
+    """One sequence masked draw by draw: a partial Fisher-Yates over the
+    non-special positions, then the 80/10/10 replacement in ascending
+    position order, each draw mix64(seed + i*GAMMA) of the row's stream."""
+    from bpt.rng import _GAMMA, _MASK64, mix64
+
+    out = ids.copy()
+    cand = [i for i in range(len(ids)) if not special[i]]
+    n = len(cand)
+    if n == 0:
+        return out, np.empty(0, np.int64), np.empty(0, np.int32)
+    num = min(cap, max(1, int(prob * n + 0.5)))
+    state = int(seed) & _MASK64  # plain int: numpy scalars overflow in mix64
+    ctr = 0
+    for i in range(num):
+        ctr += 1
+        r = mix64((state + ctr * _GAMMA) & _MASK64)
+        j = i + r % (n - i)
+        cand[i], cand[j] = cand[j], cand[i]
+    sel = sorted(cand[:num])
+    positions = np.asarray(sel, np.int64)
+    labels = out[positions].copy()
+    n_random = vocab_size - n_special
+    for p in sel:
+        ctr += 1
+        u = (mix64((state + ctr * _GAMMA) & _MASK64) >> 11) * 2.0**-53
+        if u < 0.8:
+            out[p] = mask_id
+        elif u < 0.9 and n_random > 0:
+            ctr += 1
+            r2 = mix64((state + ctr * _GAMMA) & _MASK64)
+            out[p] = n_special + r2 % n_random
+    return out, positions, labels
+
+
+def structural_errors_oracle(inst, vocab, max_seq_length: int) -> list[str]:
+    """Instance invariants checked one rule at a time with numpy reductions."""
+    errs = []
+    ids = inst.token_ids
+    n = len(ids)
+    if n > max_seq_length:
+        errs.append(f"length {n} exceeds max_seq_length {max_seq_length}")
+    if len(inst.segment_ids) != n:
+        errs.append("segment_ids length differs from token_ids")
+    if n == 0 or ids[0] != vocab.cls_id:
+        errs.append("first token is not [CLS]")
+    sep_positions = np.flatnonzero(ids == vocab.sep_id).tolist()
+    if len(sep_positions) != 2:
+        errs.append(f"expected exactly 2 [SEP], found {len(sep_positions)}")
+    segs = np.asarray(inst.segment_ids)
+    if segs.size and (np.any(np.diff(segs) < 0) or segs[0] != 0 or segs.max() > 1):
+        errs.append("segment_ids are not a non-decreasing 0/1 sequence")
+    if len(inst.masked_positions) != len(inst.masked_labels):
+        errs.append("masked_positions and masked_labels differ in length")
+    special = {0} | set(sep_positions)
+    for p in inst.masked_positions:
+        if not 0 <= p < n:
+            errs.append(f"masked position {p} out of range")
+        elif int(p) in special:
+            errs.append(f"masked position {p} points at [CLS]/[SEP]")
+    n_candidates = n - 3
+    if len(inst.masked_positions) == 0 and n_candidates > 0:
+        errs.append("no masked positions despite available candidates")
+    if inst.origin_small_tokens + inst.origin_large_tokens != n_candidates:
+        errs.append("origin token counts do not sum to non-special token count")
+    if np.any(ids < 0) or np.any(ids >= vocab.size):
+        errs.append("token id out of vocabulary range")
+    return errs

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bpt import instances, kernels
 from bpt.corpus import Document, Origin, Shard
 from bpt.errors import InstanceError
 from bpt.instances import (
@@ -16,8 +19,11 @@ from bpt.instances import (
     structural_errors,
 )
 from bpt.rng import SplitRng
+from bpt.serialize import write_instances
 from bpt.tokenizer import WordPieceTokenizer
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
+
+from .oracles import structural_errors_oracle
 
 # word-level vocabulary: every word is a whole token, so sentence token count
 # equals word count and lengths are easy to reason about
@@ -259,6 +265,82 @@ def test_structural_errors_all_at_once_in_order():
     ]
 
 
+MUTATIONS = ("first_token", "sep_count", "seg_decrease", "seg_two", "seg_count", "mask_special",
+             "mask_out_of_range", "label_count", "origin_sum", "id_below_zero", "id_at_vocab_size",
+             "no_mask", "empty", "too_long")
+
+
+def mutated_instance(len_a, len_b, seed, mutations):
+    """A well-formed [CLS] a [SEP] b [SEP] instance with `mutations`, a list
+    of (name, k) pairs, applied in order; k picks the index or variant.
+    Returns the instance and the max_seq_length to check it against."""
+    gen = np.random.default_rng(seed)
+    ids = np.concatenate([[VOCAB.cls_id], gen.integers(VOCAB.n_special, VOCAB.size, len_a), [VOCAB.sep_id],
+                          gen.integers(VOCAB.n_special, VOCAB.size, len_b), [VOCAB.sep_id]]).astype(np.int32)
+    segs = (np.arange(ids.size) >= len_a + 2).astype(np.int8)
+    words = [p for p in range(1, ids.size - 1) if p != len_a + 1]
+    positions = np.sort(gen.choice(words, gen.integers(1, len(words) + 1), replace=False)).astype(np.int64)
+    small = int(gen.integers(0, len_a + len_b + 1))
+    inst = PretrainInstance(ids, segs, positions, ids[positions], True, small, len_a + len_b - small)
+    max_seq_length = 64
+    for name, k in mutations:
+        n = len(inst.token_ids)
+        seps = np.flatnonzero(inst.token_ids == VOCAB.sep_id)
+        if name == "first_token" and n:
+            inst.token_ids[0] = VOCAB.n_special + k % len(WORDS)
+        elif name == "sep_count" and n:
+            if k % 3 == 2:  # a third [SEP]
+                inst.token_ids[k % n] = VOCAB.sep_id
+            else:  # none, or one of the two
+                inst.token_ids[seps[k % 3 :]] = VOCAB.n_special
+        elif name == "seg_decrease" and n >= 2:
+            i = 1 + k % (n - 1)
+            inst.segment_ids[i - 1 : i + 1] = (1, 0)
+        elif name == "seg_two" and n:
+            inst.segment_ids[k % n] = 2
+        elif name == "seg_count":
+            inst.segment_ids = inst.segment_ids[:-1] if k % 2 else np.append(inst.segment_ids, 1).astype(np.int8)
+        elif name == "mask_special":
+            at = [0, *seps.tolist()][k % (1 + len(seps))]
+            inst.masked_positions = np.append(inst.masked_positions, at)
+            inst.masked_labels = np.append(inst.masked_labels, 5).astype(np.int32)
+        elif name == "mask_out_of_range":
+            at = -1 - k % 3 if k % 2 else n + k % 3
+            inst.masked_positions = np.append(inst.masked_positions, at)
+            inst.masked_labels = np.append(inst.masked_labels, 5).astype(np.int32)
+        elif name == "label_count":
+            labels = inst.masked_labels
+            inst.masked_labels = labels[:-1] if k % 2 and labels.size else np.append(labels, 5).astype(np.int32)
+        elif name == "origin_sum":
+            inst.origin_small_tokens += 1 + k % 2
+        elif name == "id_below_zero" and n:
+            inst.token_ids[k % n] = -1 - k % 5
+        elif name == "id_at_vocab_size" and n:
+            inst.token_ids[k % n] = VOCAB.size + k % 5
+        elif name == "no_mask":
+            inst.masked_positions = np.empty(0, np.int64)
+            inst.masked_labels = np.empty(0, np.int32)
+        elif name == "empty":
+            inst = PretrainInstance(np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0, np.int64),
+                                    np.empty(0, np.int32), False, 0, 0)
+        elif name == "too_long":
+            max_seq_length = max(0, n - 1 - k % 3)
+    return inst, max_seq_length
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 1000)), max_size=4))
+@example(3, 2, 0, [])
+@example(1, 1, 1, [("empty", 0)])
+@example(4, 4, 2, [("sep_count", 0), ("seg_two", 3), ("mask_out_of_range", 1), ("id_below_zero", 0)])
+def test_structural_errors_equal_per_rule_oracle(len_a, len_b, seed, mutations):
+    inst, max_seq_length = mutated_instance(len_a, len_b, seed, mutations)
+    assert structural_errors(inst, VOCAB, max_seq_length) == structural_errors_oracle(inst, VOCAB, max_seq_length)
+    if not mutations:
+        assert structural_errors(inst, VOCAB, max_seq_length) == []
+
+
 # --- generate_simpt ---------------------------------------------------------
 
 
@@ -455,6 +537,41 @@ def test_simpt_beats_conventional_diversity_on_toy_corpora():
     conv_cfg = config(dupe_factor=max(1, len(simpt) // 40), n_splits=4, master_seed=1)
     conv = list(generate_conventional(small_docs + large_docs, TOKENIZER, conv_cfg)[0])
     assert pair_diversity(simpt) > pair_diversity(conv)
+
+
+def _written_outputs(directory):
+    """Bytes of a simpt run, a conventional run with dupe_factor 3 and a
+    rotated conventional run, each instance file and manifest by name."""
+    directory.mkdir()
+    simpt_cfg = config(n_rounds=5, shards_per_corpus=3, master_seed=5)
+    conv_cfg = config(dupe_factor=3, n_splits=2, master_seed=5)
+    small, large = make_shards("s", Origin.SMALL, 4), make_shards("l", Origin.LARGE, 6, word_offset=60)
+    runs = [
+        ("simpt", generate_simpt(small, large, TOKENIZER, simpt_cfg), simpt_cfg, None),
+        ("conventional", generate_conventional(corpus_docs(), TOKENIZER, conv_cfg), conv_cfg, None),
+        ("rotated", generate_conventional(corpus_docs(), TOKENIZER, conv_cfg), conv_cfg, 1500),
+    ]
+    for name, (stream, report), cfg, limit in runs:
+        write_instances(stream, directory / f"{name}.bin", VOCAB, cfg, statistics=report.to_dict,
+                        max_file_bytes=limit)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_mask_batch_size_changes_no_bytes(tmp_path, monkeypatch, rows):
+    expected = _written_outputs(tmp_path / "default")
+    batches = []
+    original = kernels.mask_sequence
+
+    def counted(ids, *args):
+        batches.append(len(ids))
+        return original(ids, *args)
+
+    monkeypatch.setattr(kernels, "mask_sequence", counted)
+    monkeypatch.setattr(instances, "_BATCH_CELLS", rows * config().max_seq_length)
+    assert _written_outputs(tmp_path / "batched") == expected
+    assert max(batches) == rows and len(batches) > 3 * rows
+    assert "rotated.bin.00001" in expected
 
 
 # --- config validation -------------------------------------------------------

@@ -1,10 +1,13 @@
 """Edge cases of the numeric kernels. BPE training as a whole is pinned by
 the merge-for-merge oracle test (C07), masking by the golden-value test in
-test_instances.py."""
+test_instances.py and the batch kernel by the one-sequence oracle below."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpt import kernels
+from .oracles import mask_sequence_oracle
 
 
 def test_count_pairs_empty_and_single():
@@ -68,3 +71,39 @@ def test_mask_sequence_minimum_one_position():
     out, pos, lab = kernels.mask_sequence(ids, special, 7, 0.15, 20, 4, 5, 100)
     assert pos.tolist() == [1]
     assert lab.tolist() == [9]
+
+
+# a row: (length, share of its positions flagged special, seed)
+MASK_ROWS = st.lists(
+    st.tuples(st.integers(1, 200), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+              st.integers(0, 2**64 - 1) | st.integers(2**64 - 16, 2**64 - 1)),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MASK_ROWS, st.integers(1, 40), st.floats(0.001, 0.999), st.integers(1, 5),
+       st.sampled_from([0, 1, 7, 30000]), st.integers(0, 2**32 - 1))
+@example([(1, 0.0, 2**64 - 1)], 20, 0.15, 5, 100, 0)
+@example([(200, 0.0, 2**64 - 2), (3, 1.0, 5), (40, 0.1, 2**64 - 1)], 20, 0.15, 5, 0, 1)
+@example([(12, 0.5, 11), (7, 0.0, 2**63)], 40, 0.99, 3, 1, 2)
+def test_mask_batch_equals_one_sequence_oracle(rows, cap, prob, n_special, n_random, content_seed):
+    vocab_size = n_special + n_random
+    width = max(length for length, _, _ in rows)
+    gen = np.random.default_rng(content_seed)
+    ids = gen.integers(0, max(vocab_size, 1), (len(rows), width)).astype(np.int32)
+    special = np.ones((len(rows), width), np.uint8)  # padding counts as special
+    for r, (length, share, _) in enumerate(rows):
+        special[r, :length] = gen.random(length) < share
+    seeds = np.array([seed for _, _, seed in rows], np.uint64)
+    out, positions, labels = kernels.mask_sequence(ids, special, seeds, prob, cap, 4, n_special, vocab_size)
+    assert out.shape == ids.shape and positions.shape == labels.shape
+    for r, (length, _, seed) in enumerate(rows):
+        want_out, want_positions, want_labels = mask_sequence_oracle(
+            ids[r, :length], special[r, :length], seed, prob, cap, 4, n_special, vocab_size)
+        m = want_positions.size
+        assert out[r, :length].tolist() == want_out.tolist()
+        assert (out[r, length:] == ids[r, length:]).all()
+        assert positions[r, :m].tolist() == want_positions.tolist()
+        assert labels[r, :m].tolist() == want_labels.tolist()
+        assert (positions[r, m:] == -1).all() and (labels[r, m:] == -1).all()

@@ -18,6 +18,7 @@ from bpt.instances import InstanceConfig, PretrainInstance, create_instances_fro
 from bpt.rng import SplitRng
 from bpt.serialize import (
     Manifest,
+    _record_bytes,
     manifest_path,
     read_header,
     read_instances,
@@ -162,6 +163,24 @@ def test_rotation_by_size(tmp_path):
     assert [i.payload() for i in read_instances(path, expected_vocab=VOCAB)] == [
         i.payload() for i in insts
     ]
+
+
+@pytest.mark.parametrize("limit, parts", [("exact", [5]), (0, [1, 1, 1, 1, 1])])
+def test_rotation_opens_a_part_only_for_a_record(tmp_path, limit, parts):
+    insts = sample_instances()[:5]
+    if limit == "exact":  # the last record brings the only part to the limit
+        limit = sum(len(_record_bytes(inst)) for inst in insts)
+    manifest = write_instances(insts, tmp_path / "rot.bin", VOCAB, CONFIG, max_file_bytes=limit)
+    assert [entry["instances"] for entry in manifest.files] == parts
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [entry["name"] for entry in manifest.files] + ["rot.bin.manifest.json"])
+
+
+def test_rotation_of_an_empty_stream_is_one_empty_part(tmp_path):
+    manifest = write_instances([], tmp_path / "rot.bin", VOCAB, CONFIG, max_file_bytes=0)
+    assert manifest.files[0]["name"] == "rot.bin.00000"
+    assert [entry["instances"] for entry in manifest.files] == [0]
+    assert list(read_instances(tmp_path / "rot.bin", expected_vocab=VOCAB)) == []
 
 
 def test_manifest_round_trip(tmp_path):
