@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .corpus import Origin, load_corpus, split_corpus, write_document_text
+from .corpus import Origin, load_corpus, split_corpus, text_lines, write_document_text
 from .errors import (
     BptError,
     CorpusError,
@@ -168,7 +168,7 @@ def cmd_filter(args, cfg) -> int:
             first = True
             try:
                 for record in included:
-                    sentences = [line.strip() for line in record.text.splitlines() if line.strip()]
+                    sentences = [line.strip() for line in text_lines(record.text) if line.strip()]
                     if not sentences:
                         continue
                     if not first:

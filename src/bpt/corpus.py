@@ -95,10 +95,19 @@ def _decode(raw: bytes, path: Path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
-def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpus:
-    """Parse sentence-per-line text into a Corpus.
+def text_lines(text: str) -> list[str]:
+    r"""Lines of text split at "\n", "\r\n" and "\r" only, as text-mode reading
+    splits a file. `str.splitlines` would also split at \x0b, \x0c,
+    \x1c-\x1e, \x85, U+2028 and U+2029, which a sentence may hold: `bpt
+    tokenize` reads such a line as one sentence."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
-    Whitespace-only lines separate documents; consecutive separators collapse.
+
+def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpus:
+    r"""Parse sentence-per-line text into a Corpus.
+
+    Lines end at "\n", "\r\n" or "\r" (see `text_lines`). Whitespace-only
+    lines separate documents; consecutive separators collapse.
     doc_id is "<label>#<ordinal>" with ordinals counted across all input files.
     """
     origin = Origin.parse(origin)
@@ -118,7 +127,7 @@ def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpu
             pending.clear()
 
     for f, raw in raw_texts:
-        for line in _decode(raw, f).splitlines():
+        for line in text_lines(_decode(raw, f)):
             line = line.strip()
             if line:
                 pending.append(line)

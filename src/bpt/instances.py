@@ -104,40 +104,80 @@ class PretrainInstance:
         )
 
 
-def structural_errors(inst: PretrainInstance, vocab: Vocabulary, max_seq_length: int) -> list[str]:
-    """Violations of the instance invariants; empty list means well-formed."""
-    errs = []
-    ids = inst.token_ids
-    n = len(ids)
-    segs = np.asarray(inst.segment_ids).tolist()
-    positions = np.asarray(inst.masked_positions).tolist()
-    if n > max_seq_length:
-        errs.append(f"length {n} exceeds max_seq_length {max_seq_length}")
-    if len(segs) != n:
-        errs.append("segment_ids length differs from token_ids")
-    if n == 0 or ids[0] != vocab.cls_id:
-        errs.append("first token is not [CLS]")
-    sep_positions = np.flatnonzero(ids == vocab.sep_id).tolist()
-    if len(sep_positions) != 2:
-        errs.append(f"expected exactly 2 [SEP], found {len(sep_positions)}")
-    if segs and (segs[0] != 0 or segs[-1] > 1 or segs != sorted(segs)):
-        errs.append("segment_ids are not a non-decreasing 0/1 sequence")
-    if len(positions) != len(inst.masked_labels):
-        errs.append("masked_positions and masked_labels differ in length")
-    special = {0, *sep_positions}
-    for p in positions:
-        if not 0 <= p < n:
-            errs.append(f"masked position {p} out of range")
-        elif p in special:
-            errs.append(f"masked position {p} points at [CLS]/[SEP]")
-    n_candidates = n - 3
-    if not positions and n_candidates > 0:
-        errs.append("no masked positions despite available candidates")
-    if inst.origin_small_tokens + inst.origin_large_tokens != n_candidates:
-        errs.append("origin token counts do not sum to non-special token count")
-    if n and (ids.min() < 0 or ids.max() >= vocab.size):
-        errs.append("token id out of vocabulary range")
-    return errs
+def structural_errors(records, vocab: Vocabulary, max_seq_length: int) -> list:
+    """Violations of the instance invariants, in rule order and, for masked
+    positions, in position order; an empty list means well-formed.
+
+    `records` is one `PretrainInstance`, which gives its list of messages, or
+    a batch of them, which gives one list per record. The batch is checked
+    as columns: each field is concatenated once and every rule is an array
+    mask. Token ids, segment ids and masked positions each map back to their
+    record on their own, because a malformed record's lengths may disagree.
+    """
+    one = isinstance(records, PretrainInstance)
+    batch = [records] if one else list(records)
+    if not batch:
+        return []
+    sizes = np.array([(len(r.token_ids), len(r.segment_ids), len(r.masked_positions), len(r.masked_labels),
+                       r.origin_small_tokens + r.origin_large_tokens) for r in batch], np.int64)
+    n, n_segs, n_pos, n_labels, origin_sum = sizes.T
+    tok, seg, msk = run_offsets(n), run_offsets(n_segs), run_offsets(n_pos)
+    pos_owner = np.repeat(np.arange(len(batch)), n_pos)
+    ids = np.concatenate([r.token_ids for r in batch])
+    segs = np.concatenate([r.segment_ids for r in batch])
+    positions = np.concatenate([r.masked_positions for r in batch])
+
+    def per_record(at, offsets):
+        """How many of the indices `at` fall in each record's run."""
+        return np.bincount(np.searchsorted(offsets, at, "right") - 1, minlength=len(batch))
+
+    is_sep = ids == vocab.sep_id
+    seps = per_record(np.flatnonzero(is_sep), tok)
+    not_cls = n == 0
+    not_cls[n > 0] = ids[tok[:-1][n > 0]] != vocab.cls_id
+    filled = n_segs > 0
+    drops = np.flatnonzero(segs[1:] < segs[:-1]) + 1  # a segment id below the one before it,
+    drops = drops[seg[np.searchsorted(seg, drops, "right") - 1] != drops]  # unless it starts a record
+    bad_segs = per_record(drops, seg) > 0
+    bad_segs[filled] |= (segs[seg[:-1][filled]] != 0) | (segs[seg[1:][filled] - 1] > 1)
+    outside = (positions < 0) | (positions >= n[pos_owner])
+    bad_positions = outside.copy()
+    bad_positions[~outside] = (positions[~outside] == 0) | is_sep[tok[pos_owner[~outside]] + positions[~outside]]
+    rules = (  # message None: one message per bad masked position
+        (n > max_seq_length, "length {n} exceeds max_seq_length {limit}"),
+        (n_segs != n, "segment_ids length differs from token_ids"),
+        (not_cls, "first token is not [CLS]"),
+        (seps != 2, "expected exactly 2 [SEP], found {seps}"),
+        (bad_segs, "segment_ids are not a non-decreasing 0/1 sequence"),
+        (n_pos != n_labels, "masked_positions and masked_labels differ in length"),
+        (per_record(np.flatnonzero(bad_positions), msk) > 0, None),
+        ((n_pos == 0) & (n > 3), "no masked positions despite available candidates"),
+        (origin_sum != n - 3, "origin token counts do not sum to non-special token count"),
+        (per_record(np.flatnonzero((ids < 0) | (ids >= vocab.size)), tok) > 0, "token id out of vocabulary range"),
+    )
+    out = [[] for _ in batch]
+    for i in np.flatnonzero(np.logical_or.reduce([hit for hit, _ in rules])).tolist():
+        for hit, message in rules:
+            if hit[i] and message:
+                out[i].append(message.format(n=n[i], seps=seps[i], limit=max_seq_length))
+            elif hit[i]:
+                at = pos_owner == i
+                out[i] += [f"masked position {p} " + ("out of range" if far else "points at [CLS]/[SEP]")
+                           for p, far, bad in zip(positions[at].tolist(), outside[at].tolist(),
+                                                  bad_positions[at].tolist()) if bad]
+    return out[0] if one else out
+
+
+def run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """Start of each run of `lengths` in their concatenation, then the total."""
+    out = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def batch_rows(max_seq_length: int) -> int:
+    """Pairs masked, or records checked, encoded or verified, per batch."""
+    return max(1, _BATCH_CELLS // max_seq_length)
 
 
 @dataclass
@@ -433,7 +473,7 @@ def _instances(
         else:
             report.empty_documents += 1
     vocab = tokenizer.vocab
-    per_batch = max(1, _BATCH_CELLS // config.max_seq_length)
+    per_batch = batch_rows(config.max_seq_length)
     pairs = (
         pair
         for di in range(len(usable_docs))

@@ -26,6 +26,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -40,7 +41,7 @@ from .errors import (
     TruncatedFileError,
     VocabHashMismatchError,
 )
-from .instances import InstanceConfig, PretrainInstance, structural_errors
+from .instances import InstanceConfig, PretrainInstance, batch_rows, run_offsets, structural_errors
 from .vocab import Vocabulary
 
 MAGIC = b"BPTI"
@@ -123,24 +124,37 @@ def manifest_path(path: "str | Path") -> Path:
     return Path(str(path) + _SIDECAR_SUFFIX)
 
 
-def _record_bytes(inst: PretrainInstance) -> bytes:
-    n = len(inst.token_ids)
-    m = len(inst.masked_positions)
-    parts = [
-        struct.pack("<H", n),
-        np.ascontiguousarray(inst.token_ids, "<u4").tobytes(),
-        np.ascontiguousarray(inst.segment_ids, "<u1").tobytes(),
-        struct.pack("<H", m),
-    ]
-    if m:
-        arr = np.empty(m, _MASKED_DTYPE)
-        arr["pos"] = inst.masked_positions
-        arr["label"] = inst.masked_labels
-        parts.append(arr.tobytes())
-    parts.append(
-        _TAIL.pack(1 if inst.is_next else 0, inst.origin_small_tokens, inst.origin_large_tokens)
+def encode_records(batch: list) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of records in the file layout, as one byte buffer, and the
+    offset of each record in it followed by the buffer's size. A record of
+    n tokens and m masked positions takes 13 + 5n + 6m bytes."""
+    n = np.array([len(r.token_ids) for r in batch], np.int64)
+    m = np.array([len(r.masked_positions) for r in batch], np.int64)
+    one = np.ones(len(batch), np.int64)
+    masked = np.empty(int(m.sum()), _MASKED_DTYPE)
+    masked["pos"] = np.concatenate([r.masked_positions for r in batch])
+    masked["label"] = np.concatenate([r.masked_labels for r in batch])
+    offsets = run_offsets(13 + 5 * n + 6 * m)
+    start = offsets[:-1]
+    fields = (  # (values, where each record's run of them starts, run length in values)
+        (n.astype("<u2"), start, one),
+        (np.concatenate([r.token_ids for r in batch], dtype="<u4", casting="unsafe"), start + 2, n),
+        (np.concatenate([r.segment_ids for r in batch], dtype="<u1", casting="unsafe"), start + 2 + 4 * n, n),
+        (m.astype("<u2"), start + 2 + 5 * n, one),
+        (masked, start + 4 + 5 * n, m),
+        (np.frombuffer(b"".join([_TAIL.pack(1 if r.is_next else 0, r.origin_small_tokens, r.origin_large_tokens)
+                                 for r in batch]), f"V{_TAIL.size}"), offsets[1:] - _TAIL.size, one),
     )
-    return b"".join(parts)
+    out = np.empty(offsets[-1], np.uint8)
+    # int32 indices, one per value rather than one per byte, keep a batch's temporaries small
+    for values, at, count in fields:
+        width = values.dtype.itemsize
+        first = np.repeat((at - width * run_offsets(count)[:-1]).astype(np.int32), count)
+        first += np.arange(0, width * len(values), width, dtype=np.int32)
+        for lane in values.view(np.uint8).reshape(len(values), width).T:  # each byte of a value in turn
+            out[first] = lane
+            first += 1
+    return out, offsets
 
 
 class _FileWriter:
@@ -151,10 +165,10 @@ class _FileWriter:
         self._f = open(path, "wb")
         self._f.write(_HEADER.pack(MAGIC, VERSION, max_seq_length, vhash, 0))
 
-    def add(self, record: bytes) -> None:
-        self._f.write(record)
-        self.body_bytes += len(record)
-        self.count += 1
+    def add(self, records: np.ndarray, count: int) -> None:
+        self._f.write(records)
+        self.body_bytes += len(records)
+        self.count += count
 
     def close(self) -> dict:
         self._f.seek(16)  # instance_count is the final u64 of the header
@@ -180,6 +194,11 @@ def write_instances(
     overrides the config echo in the manifest (the CLI passes its full
     effective configuration there).
 
+    The stream is taken `batch_rows(max_seq_length)` records at a time.
+    Each batch is checked with one `structural_errors` call before any of it
+    is written (a bad record raises SerializeError naming its stream index)
+    and encoded into one buffer.
+
     With max_file_bytes set, output rotates to numbered files
     ("<path>.00000", "<path>.00001", ...): a record that arrives when the
     current file's body has reached the limit starts the next file, so a
@@ -197,16 +216,28 @@ def write_instances(
 
     writer = new_writer()
     total = 0
+    records = iter(stream)
+    rows = batch_rows(config.max_seq_length)
     try:
-        for index, inst in enumerate(stream):
-            errs = structural_errors(inst, vocab, config.max_seq_length)
-            if errs:
-                raise SerializeError(f"instance {index} violates invariants: {errs[0]}")
-            if rotating and writer.count and writer.body_bytes >= max_file_bytes:
-                files.append(writer.close())
-                writer = new_writer()
-            writer.add(_record_bytes(inst))
-            total += 1
+        while batch := list(islice(records, rows)):
+            for index, errs in enumerate(structural_errors(batch, vocab, config.max_seq_length), total):
+                if errs:
+                    raise SerializeError(f"instance {index} violates invariants: {errs[0]}")
+            buffer, offsets = encode_records(batch)
+            first = 0
+            while first < len(batch):  # records [first, last) go to the current part
+                last = len(batch)
+                if rotating:  # up to the first record that arrives once its body reaches the limit
+                    reached = np.searchsorted(offsets, max_file_bytes - writer.body_bytes + offsets[first])
+                    last = min(max(int(reached), first + (writer.count == 0)), last)
+                if last > first:
+                    writer.add(buffer[offsets[first] : offsets[last]], last - first)
+                if last < len(batch):
+                    files.append(writer.close())
+                    writer = new_writer()
+                first = last
+            total += len(batch)
+            del batch, buffer  # free this batch, and the arrays its records view, before the next is made
     except Exception:
         writer._f.close()
         raise

@@ -11,11 +11,12 @@ runs the same scan without a vocabulary. The counts and rates come from
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .instances import InstanceTally, structural_errors
+from .instances import InstanceTally, batch_rows, run_offsets, structural_errors
 from .serialize import InstanceSet, open_instance_set, read_instances
 from .vocab import Vocabulary
 
@@ -108,27 +109,25 @@ def verify_file(
     instance_set = path if isinstance(path, InstanceSet) else open_instance_set(path)
     report = VerificationReport(path=str(instance_set.path))
 
-    mask_id = vocab.mask_id if vocab is not None else None
     tally = InstanceTally()
-    n_mask = n_random = n_unchanged = 0
+    split = np.zeros(4, np.int64)  # [MASK], random, unchanged, all masked positions of well-formed records
     violations = 0
 
-    for inst in read_instances(instance_set, expected_vocab=vocab):
-        tally.record(inst)
+    max_seq_length = instance_set.max_seq_length
+    per_batch = batch_rows(max_seq_length)
+    records = read_instances(instance_set, expected_vocab=vocab)
+    while batch := list(islice(records, per_batch)):
+        for inst in batch:
+            tally.record(inst)
         if vocab is None:
             continue
-        if structural_errors(inst, vocab, instance_set.max_seq_length):
-            violations += 1
-            continue  # its masked positions may point outside the sequence
-        tokens = inst.token_ids[inst.masked_positions]
-        is_mask = tokens == mask_id
-        masked = int(np.count_nonzero(is_mask))
-        unchanged = int(np.count_nonzero((tokens == inst.masked_labels) & ~is_mask))
-        n_mask += masked
-        n_unchanged += unchanged
-        n_random += tokens.size - masked - unchanged
+        # a malformed record's masked positions may point outside its sequence
+        good = [inst for inst, errs in zip(batch, structural_errors(batch, vocab, max_seq_length)) if not errs]
+        violations += len(batch) - len(good)
+        if good:
+            split += _mask_split(good, vocab.mask_id)
 
-    masked_total = tally.masked_positions_total
+    masked_total = int(split[3])
     report.instances = tally.instances
     report.structural_violations = violations
     report.mask_selection_rate = tally.mask_selection_rate
@@ -143,7 +142,7 @@ def verify_file(
                  tol.mask_selection_tol, tally.candidate_positions_total, tol.min_candidates))
     if vocab is not None:
         if masked_total:
-            report.mask_split = (n_mask / masked_total, n_random / masked_total, n_unchanged / masked_total)
+            report.mask_split = tuple(int(count) / masked_total for count in split[:3])
         names = ("mask_replaced_fraction", "mask_random_fraction", "mask_unchanged_fraction")
         for name, value, expected in zip(names, report.mask_split or (0.0, 0.0, 0.0), (0.80, 0.10, 0.10)):
             rows.append((name, value, expected, tol.mask_split_tol, masked_total, tol.min_masked))
@@ -160,3 +159,17 @@ def verify_file(
         stats = instance_set.manifest.statistics or {}
         report.distinct_negative_pairs = stats.get("distinct_negative_pairs")
     return report
+
+
+def _mask_split(records: list, mask_id: int) -> np.ndarray:
+    """Masked positions of well-formed records replaced by [MASK], by a
+    random id and left unchanged, and all of them."""
+    ids = np.concatenate([r.token_ids for r in records])
+    starts = run_offsets([len(r.token_ids) for r in records])[:-1]
+    n_masked = [len(r.masked_positions) for r in records]
+    positions = np.concatenate([r.masked_positions for r in records]) + np.repeat(starts, n_masked)
+    tokens = ids[positions]
+    is_mask = tokens == mask_id
+    replaced = np.count_nonzero(is_mask)
+    unchanged = np.count_nonzero((tokens == np.concatenate([r.masked_labels for r in records])) & ~is_mask)
+    return np.array([replaced, tokens.size - replaced - unchanged, unchanged, tokens.size])

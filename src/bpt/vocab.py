@@ -8,6 +8,8 @@ amplified stream is realized by multiplying the small corpus's word counts.
 
 from __future__ import annotations
 
+import functools
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -97,9 +99,31 @@ def chunk_words(chunk: str) -> tuple[list[str], int]:
     lowercasing looks across it. `str.split()` would not be exact: it also
     splits on control characters (such as U+001C) that `normalize` deletes,
     joining their neighbours into one word.
+
+    An ASCII chunk takes a shorter path with the same result: NFKD changes
+    no ASCII character, none is a combining mark or format character, the
+    only ASCII space separator is U+0020, and `_is_punctuation`'s four
+    ranges hold every ASCII punctuation character.
     """
+    if chunk.isascii():
+        controls, words = _ascii_rules()
+        text = " ".join(chunk.translate(controls).lower().split())
+        return words.findall(text), len(text)
     text = normalize(chunk)
     return pretokenize(text), len(text.encode("utf-8"))
+
+
+@functools.cache
+def _ascii_rules() -> tuple[dict, "re.Pattern"]:
+    """`normalize`'s rule for ASCII control characters (tab, newline and
+    carriage return become spaces, the others are deleted) as a translate
+    table, and `pretokenize`'s rule for ASCII text as one regex: a
+    punctuation character, or a run of other characters that are not
+    spaces. Built on first use, not at import."""
+    controls = {cp: None for cp in (*range(32), 127)}
+    controls.update({ord(ch): " " for ch in "\t\n\r"})
+    punctuation = r"!-/:-@\[-`{-~"
+    return controls, re.compile(f"[{punctuation}]|[^{punctuation} ]+")
 
 
 class Vocabulary:

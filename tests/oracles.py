@@ -4,12 +4,14 @@ These deliberately avoid the package's kernels and array encodings: the BPE
 oracle works on string symbol lists with dict counting, the word-count oracle
 normalizes whole sentences, the masking oracle runs one sequence's draws one
 at a time, the structural oracle checks one instance with plain numpy
-reductions, and the tree-number oracle compares dot-separated components
+reductions, the record oracle packs one instance field by field with
+`struct`, and the tree-number oracle compares dot-separated components
 directly.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 
 import numpy as np
@@ -177,3 +179,17 @@ def structural_errors_oracle(inst, vocab, max_seq_length: int) -> list[str]:
     if np.any(ids < 0) or np.any(ids >= vocab.size):
         errs.append("token id out of vocabulary range")
     return errs
+
+
+def record_bytes_oracle(inst) -> bytes:
+    """One instance in the instance-file record layout, packed field by field."""
+    n = len(inst.token_ids)
+    m = len(inst.masked_positions)
+    parts = [struct.pack("<H", n)]
+    parts += [struct.pack("<I", int(t)) for t in inst.token_ids]
+    parts += [struct.pack("<B", int(s)) for s in inst.segment_ids]
+    parts.append(struct.pack("<H", m))
+    parts += [struct.pack("<HI", int(p), int(label)) for p, label in zip(inst.masked_positions, inst.masked_labels)]
+    parts.append(struct.pack("<BII", 1 if inst.is_next else 0, int(inst.origin_small_tokens),
+                             int(inst.origin_large_tokens)))
+    return b"".join(parts)

@@ -72,6 +72,17 @@ def test_filter_end_to_end(tmp_path, capsys):
     assert report["no_match"] == 1
 
 
+def test_filter_splits_record_text_only_at_line_breaks(tmp_path, capsys):
+    text = "alpha beta\x1cgamma delta\nsecond line\n\nnext doc\x1c\x1cstill next doc"
+    records = tmp_path / "recs.jsonl"
+    records.write_text(json.dumps({"article_id": "a1", "tree_numbers": ["C04.557"], "year": 2015,
+                                   "text": text}) + "\n", encoding="utf-8")
+    out = tmp_path / "filtered.txt"
+    code, _ = run(capsys, "filter", "--ruleset", "fP", "--in", records, "--out", out)
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == "alpha beta\x1cgamma delta\nsecond line\nnext doc\x1c\x1cstill next doc\n"
+
+
 def test_filter_missing_ruleset_exits_2(tmp_path, capsys):
     records = write_records(tmp_path / "recs.jsonl")
     code, _ = run(capsys, "filter", "--ruleset", tmp_path / "nope.json",

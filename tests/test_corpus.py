@@ -36,6 +36,19 @@ def test_whitespace_only_lines_separate_and_collapse(tmp_path):
     assert [d.sentences for d in corpus.documents] == [["a"], ["b", "c"]]
 
 
+def test_lines_end_only_at_line_breaks(tmp_path):
+    # str.splitlines would also break at \x1c, so this would load as three documents
+    text = "alpha beta\x1cgamma delta\nsecond line\n\nnext doc\x1c\x1cstill next doc\n"
+    corpus = load_corpus(write(tmp_path, "c.txt", text), "c", "small")
+    assert [d.sentences for d in corpus.documents] == [
+        ["alpha beta\x1cgamma delta", "second line"], ["next doc\x1c\x1cstill next doc"]]
+    # "\r\n" and "\r" end lines as in text-mode reading; the others do not
+    p = tmp_path / "breaks.txt"
+    p.write_bytes("a\x0bb\r\nc\x85d\re\u2028f\x1dg\r\n\r\nh\u2029i\x0cj\x1ek\n".encode("utf-8"))
+    assert [d.sentences for d in load_corpus(p, "c", "small").documents] == [
+        ["a\x0bb", "c\x85d", "e\u2028f\x1dg"], ["h\u2029i\x0cj\x1ek"]]
+
+
 def test_missing_trailing_newline_ok(tmp_path):
     corpus = load_corpus(write(tmp_path, "c.txt", "a\n\nb"), "c", "small")
     assert len(corpus.documents) == 2

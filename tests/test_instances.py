@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bpt import instances, kernels
+from bpt import instances, kernels, serialize
 from bpt.corpus import Document, Origin, Shard
 from bpt.errors import InstanceError
 from bpt.instances import (
@@ -21,6 +21,7 @@ from bpt.instances import (
 from bpt.rng import SplitRng
 from bpt.serialize import write_instances
 from bpt.tokenizer import WordPieceTokenizer
+from bpt.verify import verify_file
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
 
 from .oracles import structural_errors_oracle
@@ -285,6 +286,7 @@ def mutated_instance(len_a, len_b, seed, mutations):
     max_seq_length = 64
     for name, k in mutations:
         n = len(inst.token_ids)
+        n_segs = len(inst.segment_ids)  # differs from n after "seg_count"
         seps = np.flatnonzero(inst.token_ids == VOCAB.sep_id)
         if name == "first_token" and n:
             inst.token_ids[0] = VOCAB.n_special + k % len(WORDS)
@@ -293,11 +295,11 @@ def mutated_instance(len_a, len_b, seed, mutations):
                 inst.token_ids[k % n] = VOCAB.sep_id
             else:  # none, or one of the two
                 inst.token_ids[seps[k % 3 :]] = VOCAB.n_special
-        elif name == "seg_decrease" and n >= 2:
-            i = 1 + k % (n - 1)
+        elif name == "seg_decrease" and n_segs >= 2:
+            i = 1 + k % (n_segs - 1)
             inst.segment_ids[i - 1 : i + 1] = (1, 0)
-        elif name == "seg_two" and n:
-            inst.segment_ids[k % n] = 2
+        elif name == "seg_two" and n_segs:
+            inst.segment_ids[k % n_segs] = 2
         elif name == "seg_count":
             inst.segment_ids = inst.segment_ids[:-1] if k % 2 else np.append(inst.segment_ids, 1).astype(np.int8)
         elif name == "mask_special":
@@ -334,11 +336,22 @@ def mutated_instance(len_a, len_b, seed, mutations):
 @example(3, 2, 0, [])
 @example(1, 1, 1, [("empty", 0)])
 @example(4, 4, 2, [("sep_count", 0), ("seg_two", 3), ("mask_out_of_range", 1), ("id_below_zero", 0)])
+@example(1, 4, 0, [("seg_count", 1), ("seg_decrease", 706)])
+@example(1, 1, 0, [("seg_count", 1), ("seg_two", 3)])
 def test_structural_errors_equal_per_rule_oracle(len_a, len_b, seed, mutations):
     inst, max_seq_length = mutated_instance(len_a, len_b, seed, mutations)
-    assert structural_errors(inst, VOCAB, max_seq_length) == structural_errors_oracle(inst, VOCAB, max_seq_length)
+    expected = structural_errors_oracle(inst, VOCAB, max_seq_length)
+    assert structural_errors(inst, VOCAB, max_seq_length) == expected
     if not mutations:
-        assert structural_errors(inst, VOCAB, max_seq_length) == []
+        assert expected == []
+    # in a batch, each record's messages come from its own fields only; the
+    # well-formed neighbours break no rule unless "too_long" shortened the limit
+    before, _ = mutated_instance(len_a + 1, len_b, seed + 1, [])
+    after, _ = mutated_instance(len_a, len_b + 1, seed + 2, [])
+    neighbours = [structural_errors_oracle(other, VOCAB, max_seq_length) for other in (before, after)]
+    if max_seq_length == 64:
+        assert neighbours == [[], []]
+    assert structural_errors([before, inst, after], VOCAB, max_seq_length) == [neighbours[0], expected, neighbours[1]]
 
 
 # --- generate_simpt ---------------------------------------------------------
@@ -541,7 +554,8 @@ def test_simpt_beats_conventional_diversity_on_toy_corpora():
 
 def _written_outputs(directory):
     """Bytes of a simpt run, a conventional run with dupe_factor 3 and a
-    rotated conventional run, each instance file and manifest by name."""
+    rotated conventional run, each instance file and manifest by name, and
+    the `verify_file` report of each run."""
     directory.mkdir()
     simpt_cfg = config(n_rounds=5, shards_per_corpus=3, master_seed=5)
     conv_cfg = config(dupe_factor=3, n_splits=2, master_seed=5)
@@ -551,27 +565,36 @@ def _written_outputs(directory):
         ("conventional", generate_conventional(corpus_docs(), TOKENIZER, conv_cfg), conv_cfg, None),
         ("rotated", generate_conventional(corpus_docs(), TOKENIZER, conv_cfg), conv_cfg, 1500),
     ]
+    verified = {}
     for name, (stream, report), cfg, limit in runs:
         write_instances(stream, directory / f"{name}.bin", VOCAB, cfg, statistics=report.to_dict,
                         max_file_bytes=limit)
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        verified[name] = verify_file(directory / f"{name}.bin", VOCAB).to_dict()
+        verified[name].pop("path")
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}, verified
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_mask_batch_size_changes_no_bytes(tmp_path, monkeypatch, rows):
     expected = _written_outputs(tmp_path / "default")
-    batches = []
-    original = kernels.mask_sequence
+    masked, checked = [], []
+    mask_sequence, check = kernels.mask_sequence, serialize.structural_errors
 
-    def counted(ids, *args):
-        batches.append(len(ids))
-        return original(ids, *args)
+    def counted_mask(ids, *args):
+        masked.append(len(ids))
+        return mask_sequence(ids, *args)
 
-    monkeypatch.setattr(kernels, "mask_sequence", counted)
+    def counted_check(batch, *args):
+        checked.append(len(batch))
+        return check(batch, *args)
+
+    monkeypatch.setattr(kernels, "mask_sequence", counted_mask)
+    monkeypatch.setattr(serialize, "structural_errors", counted_check)
     monkeypatch.setattr(instances, "_BATCH_CELLS", rows * config().max_seq_length)
     assert _written_outputs(tmp_path / "batched") == expected
-    assert max(batches) == rows and len(batches) > 3 * rows
-    assert "rotated.bin.00001" in expected
+    assert max(masked) == rows and len(masked) > 3 * rows
+    assert max(checked) == rows and len(checked) > 3 * rows  # the writer's batches
+    assert "rotated.bin.00001" in expected[0]
 
 
 # --- config validation -------------------------------------------------------

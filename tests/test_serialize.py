@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpt.corpus import Document, Origin
 from bpt.errors import (
@@ -18,7 +20,7 @@ from bpt.instances import InstanceConfig, PretrainInstance, create_instances_fro
 from bpt.rng import SplitRng
 from bpt.serialize import (
     Manifest,
-    _record_bytes,
+    encode_records,
     manifest_path,
     read_header,
     read_instances,
@@ -28,6 +30,8 @@ from bpt.serialize import (
 )
 from bpt.tokenizer import WordPieceTokenizer
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
+
+from .oracles import record_bytes_oracle
 
 WORDS = [f"w{i}" for i in range(80)]
 VOCAB = Vocabulary(SPECIAL_TOKENS + WORDS)
@@ -147,6 +151,45 @@ def test_invalid_instance_rejected_on_write(tmp_path):
         write_instances([bad], tmp_path / "bad.bin", VOCAB, CONFIG)
 
 
+def test_bad_record_is_named_by_its_stream_index(tmp_path):
+    config = InstanceConfig(max_seq_length=128, master_seed=13)  # batches of 128 records
+    good = sample_instances()[0]
+    bad = sample_instances()[0]
+    bad.origin_small_tokens += 1
+    with pytest.raises(SerializeError, match="instance 130 violates invariants: origin token counts"):
+        write_instances([good] * 130 + [bad, good], tmp_path / "bad.bin", VOCAB, config)
+
+
+U32 = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 4, 2**32 - 1))
+
+
+def record(ids, segs, positions, labels, is_next, small, large):
+    return PretrainInstance(np.array(ids, np.int64), np.array(segs, np.int8), np.array(positions, np.int64),
+                            np.array(labels, np.int64), is_next, small, large)
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(3, CONFIG.max_seq_length))
+    m = draw(st.integers(0, CONFIG.max_predictions_per_seq))
+    return record(draw(st.lists(U32, min_size=n, max_size=n)),
+                  draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                  draw(st.lists(st.integers(0, 2**16 - 1), min_size=m, max_size=m)),
+                  draw(st.lists(U32, min_size=m, max_size=m)), draw(st.booleans()), draw(U32), draw(U32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=5))
+@example([record([2, 5, 3], [0, 0, 1], [], [], False, 0, 0)])
+@example([record([2**32 - 1] * 32, [0] * 16 + [1] * 16, range(20), [2**32 - 1] * 20, True, 2**32 - 1, 2**32 - 1),
+          record([0] * 5, [0] * 5, [], [], True, 1, 2)])
+def test_batch_encoding_equals_per_record_oracle(batch):
+    buffer, offsets = encode_records(batch)
+    expected = [record_bytes_oracle(r) for r in batch]
+    assert buffer.tobytes() == b"".join(expected)
+    assert offsets.tolist() == list(itertools.accumulate(map(len, expected), initial=0))
+
+
 def test_rotation_by_size(tmp_path):
     insts = sample_instances(n_docs=8)
     path = tmp_path / "rot.bin"
@@ -169,7 +212,7 @@ def test_rotation_by_size(tmp_path):
 def test_rotation_opens_a_part_only_for_a_record(tmp_path, limit, parts):
     insts = sample_instances()[:5]
     if limit == "exact":  # the last record brings the only part to the limit
-        limit = sum(len(_record_bytes(inst)) for inst in insts)
+        limit = sum(len(record_bytes_oracle(inst)) for inst in insts)
     manifest = write_instances(insts, tmp_path / "rot.bin", VOCAB, CONFIG, max_file_bytes=limit)
     assert [entry["instances"] for entry in manifest.files] == parts
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(

@@ -137,6 +137,8 @@ def test_verify_out_of_range_masked_position_is_a_violation(tmp_path):
     report = verify_file(path, VOCAB, lenient())
     assert report.structural_violations == 1
     assert not report.passed
+    # the split is over the well-formed records' masked positions only
+    assert sum(report.mask_split) == pytest.approx(1.0)
 
 
 def test_verify_origin_check_skippable(tmp_path):

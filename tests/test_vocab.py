@@ -14,6 +14,7 @@ from bpt.vocab import (
     SPECIAL_TOKENS,
     AmplificationPlan,
     Vocabulary,
+    chunk_words,
     combined_word_counts,
     corpus_word_counts,
     corpus_word_counts_and_bytes,
@@ -184,6 +185,15 @@ def test_counting_normalizes_each_distinct_chunk_at_most_once(monkeypatch):
     assert corpus_word_counts_and_bytes(corpus) == expected
     assert len(calls) == len(set(calls))
     assert set(calls) <= {chunk for s in sentences for chunk in s.split(" ")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=16))
+@example("".join(map(chr, range(128))))
+@example("\tA-b\x1c.C\x7f(d)\r")
+def test_ascii_chunk_path_equals_normalize_then_pretokenize(chunk):
+    text = normalize(chunk)
+    assert chunk_words(chunk) == (pretokenize(text), len(text.encode("utf-8")))
 
 
 def test_combined_counts_keep_small_in_stream():
