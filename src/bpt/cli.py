@@ -305,6 +305,8 @@ def cmd_create_instances(args, cfg) -> int:
         raise UsageError(f"--format must be 'binary' or 'jsonl', got {fmt!r}")
     each = _positive_size(opts, "each_file_size", "10MB")
     max_file_bytes = _positive_size(opts, "max_file_bytes")
+    if fmt == "jsonl" and max_file_bytes is not None:
+        raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
 
     vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
@@ -342,7 +344,7 @@ def cmd_create_instances(args, cfg) -> int:
             run_config=run_config,
         )
     else:
-        count = write_instances_jsonl(stream, out_path, vocabulary)
+        count = write_instances_jsonl(stream, out_path, vocabulary, icfg)
         manifest = Manifest(
             files=[{"name": out_path.name, "instances": count, "sha256": sha256_file(out_path)}],
             max_seq_length=icfg.max_seq_length,

@@ -157,6 +157,23 @@ def encode_records(batch: list) -> tuple[np.ndarray, np.ndarray]:
     return out, offsets
 
 
+def checked_batches(stream: Iterable[PretrainInstance], vocab: Vocabulary,
+                    max_seq_length: int) -> Iterator[list]:
+    """The stream as lists of `batch_rows(max_seq_length)` records, each
+    checked by one `structural_errors` call before it is yielded: a bad
+    record raises SerializeError naming its stream index."""
+    records = iter(stream)
+    rows = batch_rows(max_seq_length)
+    total = 0
+    while batch := list(islice(records, rows)):
+        for index, errs in enumerate(structural_errors(batch, vocab, max_seq_length), total):
+            if errs:
+                raise SerializeError(f"instance {index} violates invariants: {errs[0]}")
+        total += len(batch)
+        yield batch
+        del batch
+
+
 class _FileWriter:
     def __init__(self, path: Path, max_seq_length: int, vhash: bytes):
         self.path = path
@@ -194,10 +211,8 @@ def write_instances(
     overrides the config echo in the manifest (the CLI passes its full
     effective configuration there).
 
-    The stream is taken `batch_rows(max_seq_length)` records at a time.
-    Each batch is checked with one `structural_errors` call before any of it
-    is written (a bad record raises SerializeError naming its stream index)
-    and encoded into one buffer.
+    The stream is taken and checked a batch at a time (see
+    `checked_batches`), and each batch is encoded into one buffer.
 
     With max_file_bytes set, output rotates to numbered files
     ("<path>.00000", "<path>.00001", ...): a record that arrives when the
@@ -216,13 +231,8 @@ def write_instances(
 
     writer = new_writer()
     total = 0
-    records = iter(stream)
-    rows = batch_rows(config.max_seq_length)
     try:
-        while batch := list(islice(records, rows)):
-            for index, errs in enumerate(structural_errors(batch, vocab, config.max_seq_length), total):
-                if errs:
-                    raise SerializeError(f"instance {index} violates invariants: {errs[0]}")
+        for batch in checked_batches(stream, vocab, config.max_seq_length):
             buffer, offsets = encode_records(batch)
             first = 0
             while first < len(batch):  # records [first, last) go to the current part
@@ -385,23 +395,27 @@ def write_instances_jsonl(
     stream: Iterable[PretrainInstance],
     path: "str | Path",
     vocab: Vocabulary,
+    config: InstanceConfig,
 ) -> int:
     """Human-readable debug format: one JSON object per instance with token
-    strings instead of ids. Returns the instance count."""
+    strings instead of ids. Records are checked a batch at a time, as by
+    `write_instances`. Returns the instance count."""
     count = 0
     with open(path, "w", encoding="utf-8") as f:
-        for inst in stream:
-            obj = {
-                "tokens": [vocab.tokens[i] for i in inst.token_ids],
-                "segment_ids": [int(s) for s in inst.segment_ids],
-                "masked_positions": [int(p) for p in inst.masked_positions],
-                "masked_labels": [vocab.tokens[i] for i in inst.masked_labels],
-                "is_next": bool(inst.is_next),
-                "origin_small_tokens": int(inst.origin_small_tokens),
-                "origin_large_tokens": int(inst.origin_large_tokens),
-                "doc_id_a": inst.doc_id_a,
-                "doc_id_b": inst.doc_id_b,
-            }
-            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
-            count += 1
+        for batch in checked_batches(stream, vocab, config.max_seq_length):
+            for inst in batch:
+                obj = {
+                    "tokens": [vocab.tokens[i] for i in inst.token_ids],
+                    "segment_ids": [int(s) for s in inst.segment_ids],
+                    "masked_positions": [int(p) for p in inst.masked_positions],
+                    "masked_labels": [vocab.tokens[i] for i in inst.masked_labels],
+                    "is_next": bool(inst.is_next),
+                    "origin_small_tokens": int(inst.origin_small_tokens),
+                    "origin_large_tokens": int(inst.origin_large_tokens),
+                    "doc_id_a": inst.doc_id_a,
+                    "doc_id_b": inst.doc_id_b,
+                }
+                f.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            count += len(batch)
+            del batch, inst  # free this batch before the next is made
     return count

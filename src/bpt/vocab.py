@@ -8,8 +8,6 @@ amplified stream is realized by multiplying the small corpus's word counts.
 
 from __future__ import annotations
 
-import functools
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -28,23 +26,37 @@ SPECIAL_TOKENS = [PAD, UNK, CLS, SEP, MASK]
 CONTINUATION_PREFIX = "##"
 DEFAULT_TARGET_SIZE = 32_000
 DEFAULT_MIN_FREQUENCY = 2
+TRANSLATE_TABLE_ENTRIES = 1 << 16
+
+
+class _CharTable(dict):
+    """A `str.translate` table that maps a code point by `rule` when first
+    looked up and stores the result. It is emptied whenever it holds
+    TRANSLATE_TABLE_ENTRIES code points, at most about 10 MB."""
+
+    def __init__(self, rule):
+        self._rule = rule
+
+    def __missing__(self, cp: int) -> "str | None":
+        if len(self) >= TRANSLATE_TABLE_ENTRIES:
+            self.clear()
+        value = self[cp] = self._rule(chr(cp))
+        return value
+
+
+def _strip_rule(ch: str) -> "str | None":
+    """Tab, newline, carriage return and space separators become a space;
+    nonspacing marks and other control and format characters are deleted."""
+    cat = unicodedata.category(ch)
+    if ch in "\t\n\r" or cat == "Zs":
+        return " "
+    return None if cat in ("Mn", "Cc", "Cf") else ch
 
 
 def normalize(text: str) -> str:
     """Uncased normalization: NFKD, strip combining marks and control
     characters, lowercase, collapse whitespace runs to single spaces."""
-    out = []
-    for ch in unicodedata.normalize("NFKD", text):
-        cat = unicodedata.category(ch)
-        if cat == "Mn":
-            continue
-        if ch in "\t\n\r" or cat == "Zs":
-            out.append(" ")
-        elif cat in ("Cc", "Cf"):
-            continue
-        else:
-            out.append(ch)
-    return " ".join("".join(out).lower().split())
+    return " ".join(unicodedata.normalize("NFKD", text).translate(_STRIP).lower().split())
 
 
 def _is_punctuation(ch: str) -> bool:
@@ -68,23 +80,16 @@ def _is_cjk(ch: str) -> bool:
     )
 
 
+_STRIP = _CharTable(_strip_rule)
+# Punctuation and CJK characters get a space on each side. None of them is
+# whitespace, so splitting afterwards makes each a word of its own.
+_ISOLATE = _CharTable(lambda ch: f" {ch} " if _is_punctuation(ch) or _is_cjk(ch) else ch)
+
+
 def pretokenize(text: str) -> list[str]:
     """Split normalized text into words; punctuation and CJK characters
     become single-character words."""
-    words = []
-    for chunk in text.split():
-        buf = []
-        for ch in chunk:
-            if _is_punctuation(ch) or _is_cjk(ch):
-                if buf:
-                    words.append("".join(buf))
-                    buf = []
-                words.append(ch)
-            else:
-                buf.append(ch)
-        if buf:
-            words.append("".join(buf))
-    return words
+    return text.translate(_ISOLATE).split()
 
 
 def chunk_words(chunk: str) -> tuple[list[str], int]:
@@ -99,31 +104,9 @@ def chunk_words(chunk: str) -> tuple[list[str], int]:
     lowercasing looks across it. `str.split()` would not be exact: it also
     splits on control characters (such as U+001C) that `normalize` deletes,
     joining their neighbours into one word.
-
-    An ASCII chunk takes a shorter path with the same result: NFKD changes
-    no ASCII character, none is a combining mark or format character, the
-    only ASCII space separator is U+0020, and `_is_punctuation`'s four
-    ranges hold every ASCII punctuation character.
     """
-    if chunk.isascii():
-        controls, words = _ascii_rules()
-        text = " ".join(chunk.translate(controls).lower().split())
-        return words.findall(text), len(text)
     text = normalize(chunk)
     return pretokenize(text), len(text.encode("utf-8"))
-
-
-@functools.cache
-def _ascii_rules() -> tuple[dict, "re.Pattern"]:
-    """`normalize`'s rule for ASCII control characters (tab, newline and
-    carriage return become spaces, the others are deleted) as a translate
-    table, and `pretokenize`'s rule for ASCII text as one regex: a
-    punctuation character, or a run of other characters that are not
-    spaces. Built on first use, not at import."""
-    controls = {cp: None for cp in (*range(32), 127)}
-    controls.update({ord(ch): " " for ch in "\t\n\r"})
-    punctuation = r"!-/:-@\[-`{-~"
-    return controls, re.compile(f"[{punctuation}]|[^{punctuation} ]+")
 
 
 class Vocabulary:

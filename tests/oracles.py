@@ -5,13 +5,15 @@ oracle works on string symbol lists with dict counting, the word-count oracle
 normalizes whole sentences, the masking oracle runs one sequence's draws one
 at a time, the structural oracle checks one instance with plain numpy
 reductions, the record oracle packs one instance field by field with
-`struct`, and the tree-number oracle compares dot-separated components
-directly.
+`struct`, the tree-number oracle compares dot-separated components
+directly, and the normalize and pretokenize oracles apply the per-character
+rules in a loop rather than through translate tables.
 """
 
 from __future__ import annotations
 
 import struct
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -74,6 +76,43 @@ def bpe_oracle(
                 else:
                     i += 1
     return tokens, merges
+
+
+def normalize_oracle(text: str) -> str:
+    """Reference for `normalize`: the per-character rule as a loop."""
+    out = []
+    for ch in unicodedata.normalize("NFKD", text):
+        cat = unicodedata.category(ch)
+        if cat == "Mn":
+            continue
+        if ch in "\t\n\r" or cat == "Zs":
+            out.append(" ")
+        elif cat in ("Cc", "Cf"):
+            continue
+        else:
+            out.append(ch)
+    return " ".join("".join(out).lower().split())
+
+
+def pretokenize_oracle(text: str) -> list[str]:
+    """Reference for `pretokenize`: each whitespace-split chunk scanned
+    character by character."""
+    from bpt.vocab import _is_cjk, _is_punctuation
+
+    words = []
+    for chunk in text.split():
+        buf = []
+        for ch in chunk:
+            if _is_punctuation(ch) or _is_cjk(ch):
+                if buf:
+                    words.append("".join(buf))
+                    buf = []
+                words.append(ch)
+            else:
+                buf.append(ch)
+        if buf:
+            words.append("".join(buf))
+    return words
 
 
 def word_counts_and_bytes_oracle(sentences) -> tuple[Counter, int]:

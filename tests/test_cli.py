@@ -205,6 +205,20 @@ def test_nonpositive_max_file_bytes_exits_2_naming_flag(tmp_path, capsys, caplog
     assert not list(tmp_path.glob("x.bin*"))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jsonl_with_max_file_bytes_exits_2_naming_flag(tmp_path, capsys, caplog, vocab_file, corpora, source):
+    if source == "flag":
+        extra = ("--format", "jsonl", "--max-file-bytes", "10")
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "jsonl", "max_file_bytes": 10}))
+        extra = ("--config", cfg)
+    code, _, _ = create(capsys, tmp_path, vocab_file, corpora, "x.jsonl", "--mode", "conventional", *extra)
+    assert code == 2
+    assert "--max-file-bytes" in caplog.text and "jsonl" in caplog.text
+    assert not list(tmp_path.glob("x.jsonl*"))
+
+
 # --- build-vocab ---------------------------------------------------------------
 
 

@@ -240,7 +240,7 @@ def test_manifest_round_trip(tmp_path):
 def test_jsonl_debug_format(tmp_path):
     insts = sample_instances()
     path = tmp_path / "inst.jsonl"
-    count = write_instances_jsonl(insts, path, VOCAB)
+    count = write_instances_jsonl(insts, path, VOCAB, CONFIG)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert count == len(insts) == len(lines)
     first = json.loads(lines[0])
@@ -248,6 +248,19 @@ def test_jsonl_debug_format(tmp_path):
     assert first["tokens"].count("[SEP]") >= 2
     assert isinstance(first["is_next"], bool)
     assert first["doc_id_a"].startswith("d#")
+
+
+def test_jsonl_writer_checks_each_batch_before_writing_it(tmp_path):
+    bad = PretrainInstance(np.array([9, 9, 9], np.int32), np.array([0, 0, 1], np.int8),
+                           np.array([1], np.int64), np.array([9], np.int32), True, 0, 0)
+    with pytest.raises(SerializeError, match="instance 0 violates invariants: first token is not"):
+        write_instances_jsonl([bad], tmp_path / "bad.jsonl", VOCAB, CONFIG)
+    config = InstanceConfig(max_seq_length=128, master_seed=13)  # batches of 128 records
+    good = sample_instances()[0]
+    path = tmp_path / "late.jsonl"
+    with pytest.raises(SerializeError, match="instance 130 violates invariants"):
+        write_instances_jsonl([good] * 130 + [bad, good], path, VOCAB, config)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 128
 
 
 def test_read_memory_does_not_grow_with_file_size(tmp_path):

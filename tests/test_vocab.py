@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ from bpt.vocab import (
 )
 
 from .conftest import make_lexicon
-from .oracles import bpe_oracle, word_counts_and_bytes_oracle
+from .oracles import bpe_oracle, normalize_oracle, pretokenize_oracle, word_counts_and_bytes_oracle
 
 
 # --- normalize -------------------------------------------------------------
@@ -58,6 +59,52 @@ def test_pretokenize_isolates_punctuation_and_cjk():
     assert pretokenize("can't stop") == ["can", "'", "t", "stop"]
     assert pretokenize("a,b") == ["a", ",", "b"]
     assert pretokenize("細胞x") == ["細", "胞", "x"]
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty translate tables for one test, so that none depends on which
+    code points earlier tests looked up."""
+    for name in ("_STRIP", "_ISOLATE"):
+        monkeypatch.setattr(vocab_module, name, vocab_module._CharTable(getattr(vocab_module, name)._rule))
+
+
+def test_tables_equal_per_character_loops_on_every_assigned_code_point(fresh_tables):
+    text = "".join(c for c in map(chr, range(0x110000)) if unicodedata.category(c) != "Cn")
+    assert normalize(text) == normalize_oracle(text)
+    assert pretokenize(text) == pretokenize_oracle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))
+@example("\u0391\u03a3'\u0391")
+@example("\u0391\u03a3.")
+@example("\u00a8\u03a3")
+@example("\u0301a")
+@example("a\u2028b")
+@example("a\u200bb")
+@example("a\u00adb")
+@example("\ufb01")
+@example("\u00bd")
+def test_tables_equal_per_character_loops(text):
+    assert normalize(text) == normalize_oracle(text)
+    assert pretokenize(text) == pretokenize_oracle(text)
+
+
+def test_translate_tables_stay_bounded_on_distinct_code_points(monkeypatch, fresh_tables):
+    # a smaller bound keeps the run short; memory scales with the constant
+    monkeypatch.setattr(vocab_module, "TRANSLATE_TABLE_ENTRIES", 256)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        for start in range(0x4E00, 0x4E00 + 4096, 64):  # CJK: each table stores a new string per code point
+            text = "".join(map(chr, range(start, start + 64)))
+            assert pretokenize(normalize(text)) == list(text)
+            assert len(vocab_module._STRIP) <= 256 and len(vocab_module._ISOLATE) <= 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150_000, peak
 
 
 # --- Vocabulary ------------------------------------------------------------
