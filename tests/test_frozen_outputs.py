@@ -1,0 +1,73 @@
+"""Frozen sha256 digests of instance files and manifests.
+
+The runs below cover simpt with with-replacement shard draws and a document
+that tokenizes to nothing, conventional with dupe_factor 3, a rotated binary
+set and the jsonl format, at max_seq_length 64 and short_seq_prob 0.5 so that
+truncation and short targets occur. A change that alters any digest alters
+output bytes for fixed seeds; such a change must be made on purpose and the
+digests updated with it.
+"""
+
+import hashlib
+
+from bpt.corpus import Document, Origin, Shard
+from bpt.instances import InstanceConfig, generate_conventional, generate_simpt
+from bpt.rng import SplitRng
+from bpt.serialize import write_instances, write_instances_jsonl
+
+from .conftest import make_document_sentences
+
+FROZEN = {
+    "conventional.bin": "a3b57ec8c0448fbd3fbf30dbd5180ff25d0f2089d37ca9e5e17c0c5e3def6ed2",
+    "conventional.bin.manifest.json": "a5b0a78c6ae6fda1731258fbc5aa6c0c09078d84354fc34b1553761d31bcb552",
+    "rotated.bin.00000": "d540e7ef3f6b4bc3ca03ab19e0c62dcfa474720bb80b9f12995d785655c22260",
+    "rotated.bin.00001": "91556f6a1fe62368b1d2fd6fd98f0de537537df1f3bc9f8e9eaeb4f023f7181f",
+    "rotated.bin.00002": "f4a7136d2d5391acf46ef19b4aff70eb5f905f732a895a227cd829888d25bf5a",
+    "rotated.bin.manifest.json": "3ecc75ba14d4d47b860c86bb29949949ae59e1134ee9eaba60ba22008790a8cd",
+    "simpt.bin": "cce96d6c42ebdb5986c8bb3eadad10ef9fac51015627355c8aed424e7966db7c",
+    "simpt.bin.manifest.json": "469fb9689f1b5c9b1b6600800192bf52e6ea5c2b8fdb8b1f37e9e0d844c33310",
+    "simpt.jsonl": "5d97e9935e65d850d6cafaf58ace62104d44a8fe7ad82fffbdd82e936eb02fe4",
+}
+
+
+def shards(lexicon, label, origin, n_shards, seed):
+    """`n_shards` shards of two documents, each of 1 to 12 sentences."""
+    rng = SplitRng(seed)
+    out = []
+    for s in range(n_shards):
+        docs = [Document(f"{label}#{2 * s + k}", origin, make_document_sentences(rng, lexicon, rng.randint(1, 12)))
+                for k in range(2)]
+        out.append(Shard(s, origin, docs, target_bytes=1))
+    return out
+
+
+def test_instance_files_and_manifests_are_frozen(tmp_path, lexicon, small_tokenizer):
+    small = shards(lexicon, "s", Origin.SMALL, 3, seed=41)
+    large = shards(lexicon, "l", Origin.LARGE, 6, seed=42)
+    small[1].documents.append(Document("s#empty", Origin.SMALL, ["\u200b"]))  # tokenizes to nothing
+    first = small[2].documents[0]  # gains a sentence that tokenizes to nothing after its first
+    small[2].documents[0] = Document(first.doc_id, first.origin, [first.sentences[0], "\u200b", *first.sentences[1:]])
+    docs = [d for shard in small + large for d in shard.documents]
+    vocab = small_tokenizer.vocab
+
+    def config(**kw):
+        return InstanceConfig(max_seq_length=64, short_seq_prob=0.5, **kw)
+
+    simpt = config(n_rounds=4, shards_per_corpus=4, master_seed=3)  # 3 small shards: drawn with replacement
+    stream, report = generate_simpt(small, large, small_tokenizer, simpt)
+    write_instances(stream, tmp_path / "simpt.bin", vocab, simpt, statistics=report.to_dict)
+    assert report.empty_documents > 0
+    stream, _ = generate_simpt(small, large, small_tokenizer, simpt)
+    write_instances_jsonl(stream, tmp_path / "simpt.jsonl", vocab, simpt)
+
+    conventional = config(dupe_factor=3, n_splits=2, master_seed=5)
+    stream, report = generate_conventional(docs, small_tokenizer, conventional)
+    write_instances(stream, tmp_path / "conventional.bin", vocab, conventional, statistics=report.to_dict)
+
+    rotated = config(n_splits=3, master_seed=7)
+    stream, report = generate_conventional(docs, small_tokenizer, rotated)
+    write_instances(stream, tmp_path / "rotated.bin", vocab, rotated, statistics=report.to_dict,
+                    max_file_bytes=8000)
+
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == FROZEN
