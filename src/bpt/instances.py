@@ -11,18 +11,24 @@ Two modes share one per-document pairing routine:
   passes and only the mask positions/replacements differ. Negative partners
   stay within the group.
 
+Each run tokenizes every sentence once into one flat id array
+(`tokenize_documents`); a round or group is a list of document indices, and
+a segment is one span of that array.
+
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
 any round or group can be regenerated in isolation. Rounds and groups run
-serially in index order. Within one, segment pairs are masked a batch at a
-time (one `kernels.mask_sequence` call per batch and dupe pass), and each
-instance is yielded in order as soon as its batch is masked.
+serially in index order. Within one, the segment pairs are built once, then
+masked a batch at a time (one `kernels.mask_sequence` call per batch and
+dupe pass); each instance is yielded in order as soon as its batch is masked.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,101 +290,114 @@ def mask_tokens(
     )
 
 
-@dataclass
-class _SegmentPair:
-    tokens_a: list[int]
-    tokens_b: list[int]
-    is_next: bool
-    origin_a: Origin
-    origin_b: Origin
-    doc_id_a: str
-    doc_id_b: str
-    mask_seed_base: int
+class TokenizedDocuments(NamedTuple):
+    """Documents tokenized once into one flat id array: sentence k is
+    `ids[sentences[k]:sentences[k + 1]]`, and document d holds sentences
+    `doc_sentences[d]` to `doc_sentences[d + 1]` (exclusive)."""
+
+    docs: list[Document]
+    ids: np.ndarray  # int32, the ids of every non-empty sentence in order
+    sentences: np.ndarray  # int64 run offsets of the sentences into ids, then len(ids)
+    doc_sentences: np.ndarray  # int64 run offsets of the documents into sentences, then their count
+
+    def sentence_offsets(self, d: int) -> list[int]:
+        """Where each of document d's sentences starts in `ids`, then where its last ends."""
+        return self.sentences[self.doc_sentences[d] : self.doc_sentences[d + 1] + 1].tolist()
 
 
-def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num: int) -> None:
-    """Drop tokens from the end of the longer segment until the pair fits;
-    each segment keeps at least one token."""
-    while len(tokens_a) + len(tokens_b) > max_num:
-        longer, other = (tokens_a, tokens_b) if len(tokens_a) > len(tokens_b) else (tokens_b, tokens_a)
-        if len(longer) <= 1:
-            longer = other
-        longer.pop()
+def tokenize_documents(docs: list[Document], tokenizer: WordPieceTokenizer) -> TokenizedDocuments:
+    """One `tokenize` call per sentence; sentences that tokenize to nothing
+    are left out, so a document of only such sentences has none."""
+    ids = array("i")  # grows without one Python int per token
+    sentences, doc_sentences = array("q", [0]), array("q", [0])
+    for doc in docs:
+        for sentence in doc.sentences:
+            ids.extend(tokenizer.tokenize(sentence).ids)
+            if len(ids) > sentences[-1]:
+                sentences.append(len(ids))
+        doc_sentences.append(len(sentences) - 1)
+    return TokenizedDocuments(docs, np.frombuffer(ids, np.int32), np.frombuffer(sentences, np.int64),
+                              np.frombuffer(doc_sentences, np.int64))
+
+
+def truncated_lengths(len_a: int, len_b: int, max_num: int) -> tuple[int, int]:
+    """Segment lengths once the pair fits in max_num tokens, in closed form:
+    the longer segment (B on a tie) is trimmed at its end to
+    max(shorter, max_num - shorter), and if the pair still does not fit,
+    A keeps max_num - max_num // 2 and B keeps max_num // 2. Dropping one
+    end token at a time from the longer segment gives the same lengths."""
+    if len_a + len_b <= max_num:
+        return len_a, len_b
+    shorter = min(len_a, len_b)
+    if 2 * shorter > max_num:
+        return max_num - max_num // 2, max_num // 2
+    return (max_num - shorter, len_b) if len_a > len_b else (len_a, max_num - shorter)
 
 
 def _build_pairs_for_document(
-    doc_index: int,
-    docs: list[Document],
-    tokenized: list[list[list[int]]],
+    di: int,
+    usable: list[int],
+    block: TokenizedDocuments,
     config: InstanceConfig,
     rng: SplitRng,
     report: GenerationReport,
-) -> list[_SegmentPair]:
-    sentences = tokenized[doc_index]
-    doc = docs[doc_index]
+) -> list[tuple]:
+    """Segment pairs of document `usable[di]`, each (A start, A length,
+    B start, B length, is_next, A document, B document, mask seed base):
+    a segment is one run of `block.ids`, and truncation only trims its end."""
+    doc = usable[di]
+    at = block.sentence_offsets(doc)  # sentence k is ids[at[k]:at[k + 1]]
+    n = len(at) - 1
     max_num = config.max_seq_length - 3
     target = max_num
     if rng.random() < config.short_seq_prob:
         target = rng.randint(2, max_num)
 
-    pairs: list[_SegmentPair] = []
-    chunk: list[list[int]] = []
-    chunk_len = 0
+    pairs: list[tuple] = []
+    first = 0  # the current chunk is sentences first..i
     i = 0
-    while i < len(sentences):
-        chunk.append(sentences[i])
-        chunk_len += len(sentences[i])
-        if i == len(sentences) - 1 or chunk_len >= target:
-            a_end = 1
-            if len(chunk) >= 2:
-                a_end = rng.randint(1, len(chunk) - 1)
-            tokens_a = [t for seg in chunk[:a_end] for t in seg]
+    while i < n:
+        if i == n - 1 or at[i + 1] - at[first] >= target:
+            a_end = first + 1  # segment A is sentences first..a_end - 1
+            if i > first:
+                a_end = first + rng.randint(1, i - first)
+            len_a = at[a_end] - at[first]
             # a positive pair needs following text: either the rest of the
             # chunk, or (for a single-segment chunk) later document sentences
-            rest_exists = a_end < len(chunk)
-            can_positive = rest_exists or i + 1 < len(sentences)
+            rest_exists = a_end <= i
+            can_positive = rest_exists or i + 1 < n
             make_negative = (not can_positive) or rng.random() < 0.5
-            if make_negative and len(docs) <= 1:
+            if make_negative and len(usable) <= 1:
                 report.skipped_negatives += 1
             else:
                 doc_b = doc
                 if make_negative:
-                    target_b = target - len(tokens_a)
-                    partner = rng.randrange(len(docs) - 1)
-                    if partner >= doc_index:
+                    partner = rng.randrange(len(usable) - 1)
+                    if partner >= di:
                         partner += 1
-                    doc_b = docs[partner]
-                    partner_sents = tokenized[partner]
-                    start = rng.randrange(len(partner_sents))
-                    tokens_b: list[int] = []
-                    for k in range(start, len(partner_sents)):
-                        tokens_b.extend(partner_sents[k])
-                        if len(tokens_b) >= target_b:
-                            break
-                    # unused chunk segments go back for the next chunk
-                    i -= len(chunk) - a_end
-                elif rest_exists:
-                    tokens_b = [t for seg in chunk[a_end:] for t in seg]
+                    doc_b = usable[partner]
+                    b_at = block.sentence_offsets(doc_b)
+                    start = rng.randrange(len(b_at) - 1)
+                    # whole sentences from `start` until B reaches its target
+                    b_end = bisect_left(b_at, b_at[start] + target - len_a, start + 1, len(b_at) - 1)
+                    b_start, len_b = b_at[start], b_at[b_end] - b_at[start]
+                    # unused chunk sentences go back for the next chunk
+                    i = a_end - 1
                 else:
-                    # single-segment chunk: segment B continues the document
-                    target_b = max(1, target - len(tokens_a))
-                    tokens_b = []
-                    while i + 1 < len(sentences):
-                        i += 1
-                        tokens_b.extend(sentences[i])
-                        if len(tokens_b) >= target_b:
-                            break
-                _truncate_pair(tokens_a, tokens_b, max_num)
-                pairs.append(_SegmentPair(tokens_a, tokens_b, not make_negative, doc.origin, doc_b.origin,
-                                          doc.doc_id, doc_b.doc_id, rng.next_u64()))
-            chunk = []
-            chunk_len = 0
+                    if not rest_exists:
+                        # single-segment chunk: segment B continues the document
+                        i = bisect_left(at, at[a_end] + max(1, target - len_a), a_end + 1, n) - 1
+                    b_start, len_b = at[a_end], at[i + 1] - at[a_end]
+                len_a, len_b = truncated_lengths(len_a, len_b, max_num)
+                pairs.append((at[first], len_a, b_start, len_b, not make_negative, doc, doc_b, rng.next_u64()))
+            first = i + 1
         i += 1
     return pairs
 
 
 def _assemble(
-    pairs: list[_SegmentPair],
+    block: TokenizedDocuments,
+    pairs: list[tuple],
     vocab: Vocabulary,
     config: InstanceConfig,
     dupe_index: int,
@@ -386,24 +405,20 @@ def _assemble(
 ) -> Iterator[PretrainInstance]:
     """Mask a batch of pairs in one kernel call, then record and yield its
     instances in order."""
-    len_a = np.array([len(pair.tokens_a) for pair in pairs])
-    len_b = np.array([len(pair.tokens_b) for pair in pairs])
+    a_start, len_a, b_start, len_b = np.array([pair[:4] for pair in pairs]).T[:, :, None]
     lengths = len_a + len_b + 3
-    cls, sep = (vocab.cls_id,), (vocab.sep_id,)
-    pieces = chain.from_iterable((cls, pair.tokens_a, sep, pair.tokens_b, sep) for pair in pairs)
     cols = np.arange(lengths.max())
-    special = cols >= lengths[:, None]  # the padding of shorter rows
-    ids = np.zeros(special.shape, np.int32)
-    ids[~special] = np.fromiter(chain.from_iterable(pieces), np.int32, int(lengths.sum()))
-    rows = np.arange(len(pairs))
-    special[:, 0] = True
-    special[rows, len_a + 1] = True
-    special[rows, lengths - 1] = True
-    segment_ids = (cols >= len_a[:, None] + 2).astype(np.int8)
-    seeds = np.array([fold(pair.mask_seed_base, dupe_index) for pair in pairs], np.uint64)
+    in_a = (cols >= 1) & (cols <= len_a)
+    in_b = (cols >= len_a + 2) & (cols < lengths - 1)
+    ids = np.zeros(in_a.shape, np.int32)  # [CLS] a... [SEP] b... [SEP], then padding
+    ids[in_a] = block.ids[(a_start - 1 + cols)[in_a]]
+    ids[in_b] = block.ids[(b_start - len_a - 2 + cols)[in_b]]
+    ids[:, 0] = vocab.cls_id
+    ids[(cols == len_a + 1) | (cols == lengths - 1)] = vocab.sep_id
+    seeds = np.array([fold(pair[7], dupe_index) for pair in pairs], np.uint64)
     masked, positions, labels = kernels.mask_sequence(
         ids,
-        special,
+        ~(in_a | in_b),  # [CLS], [SEP] and the padding of shorter rows
         seeds,
         config.masked_lm_prob,
         config.max_predictions_per_seq,
@@ -411,20 +426,22 @@ def _assemble(
         vocab.n_special,
         vocab.size,
     )
+    segment_ids = (cols >= len_a + 2).astype(np.int8)
     n_masked = np.count_nonzero(positions >= 0, axis=1).tolist()
-    for i, (pair, a, b, m) in enumerate(zip(pairs, len_a.tolist(), len_b.tolist(), n_masked)):
-        small = (a if pair.origin_a is Origin.SMALL else 0) + (b if pair.origin_b is Origin.SMALL else 0)
+    for i, ((_, a, _, b, is_next, doc_a, doc_b, _), m) in enumerate(zip(pairs, n_masked)):
+        doc_a, doc_b = block.docs[doc_a], block.docs[doc_b]
+        small = (a if doc_a.origin is Origin.SMALL else 0) + (b if doc_b.origin is Origin.SMALL else 0)
         n = a + b + 3
         inst = PretrainInstance(
             token_ids=masked[i, :n],
             segment_ids=segment_ids[i, :n],
             masked_positions=positions[i, :m],
             masked_labels=labels[i, :m],
-            is_next=pair.is_next,
+            is_next=is_next,
             origin_small_tokens=small,
             origin_large_tokens=a + b - small,
-            doc_id_a=pair.doc_id_a,
-            doc_id_b=pair.doc_id_b,
+            doc_id_a=doc_a.doc_id,
+            doc_id_b=doc_b.doc_id,
         )
         report.record(inst)
         yield inst
@@ -450,51 +467,42 @@ def create_instances_from_documents(
         raise InstanceError("docs must be non-empty")
     if report is None:
         report = GenerationReport()
-    return list(_instances(docs, tokenizer, config, rng, n_dupes, report))
+    block = tokenize_documents(docs, tokenizer)
+    return list(_instances(block, range(len(docs)), tokenizer.vocab, config, rng, n_dupes, report))
 
 
 def _instances(
-    docs: list[Document],
-    tokenizer: WordPieceTokenizer,
+    block: TokenizedDocuments,
+    doc_indices: Iterable[int],
+    vocab: Vocabulary,
     config: InstanceConfig,
     rng: SplitRng,
     n_dupes: int,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    """Yield each instance, recorded, as soon as its batch is masked."""
-    usable_docs: list[Document] = []
-    tokenized: list[list[list[int]]] = []
-    for doc in docs:
-        sents = [tokenizer.tokenize(s).ids for s in doc.sentences]
-        sents = [s for s in sents if s]
-        if sents:
-            usable_docs.append(doc)
-            tokenized.append(sents)
-        else:
-            report.empty_documents += 1
-    vocab = tokenizer.vocab
-    per_batch = batch_rows(config.max_seq_length)
-    pairs = (
+    """Yield each instance of the unit `doc_indices` (indices into
+    `block.docs`), recorded, as soon as its batch is masked. The unit's
+    segment pairs are built once, and every dupe pass masks that list."""
+    doc_indices = np.asarray(doc_indices, np.int64)
+    empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
+    report.empty_documents += int(np.count_nonzero(empty))
+    usable = doc_indices[~empty].tolist()
+    pairs = [
         pair
-        for di in range(len(usable_docs))
-        for pair in _build_pairs_for_document(di, usable_docs, tokenized, config, rng.child(di), report)
-    )
-    # later passes re-mask the first pass's pairs, so keep them only if needed
-    kept: list[_SegmentPair] = []
-    while batch := list(islice(pairs, per_batch)):
-        if n_dupes > 1:
-            kept += batch
-        yield from _assemble(batch, vocab, config, 0, report)
-    for dupe in range(1, n_dupes):
-        for start in range(0, len(kept), per_batch):
-            yield from _assemble(kept[start : start + per_batch], vocab, config, dupe, report)
+        for di in range(len(usable))
+        for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)
+    ]
+    per_batch = batch_rows(config.max_seq_length)
+    for dupe in range(n_dupes):
+        for start in range(0, len(pairs), per_batch):
+            yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
 
 
-def _sample_shards(shards: list[Shard], k: int, rng: SplitRng) -> list[Shard]:
-    if len(shards) >= k:
-        return rng.sample(shards, k)
+def _sample_shards(units: list, k: int, rng: SplitRng) -> list:
+    if len(units) >= k:
+        return rng.sample(units, k)
     # fall back to with-replacement to preserve the byte balance
-    return rng.choices(shards, k)
+    return rng.choices(units, k)
 
 
 def generate_simpt(
@@ -507,9 +515,10 @@ def generate_simpt(
     """Balanced generation: per round, equal shard counts from each corpus.
 
     Returns a lazy instance stream and a report that is complete once the
-    stream is exhausted. Rounds run one after another; the stream order is
-    ascending (round, within-round index). `threads` is accepted for
-    compatibility and has no effect.
+    stream is exhausted. The stream tokenizes every shard once, then each
+    round draws (shard id, document range) units; rounds run one after
+    another, in ascending (round, within-round index) order. `threads` is
+    accepted for compatibility and has no effect.
     """
     config.validate()
     if not small_shards or not large_shards:
@@ -517,23 +526,26 @@ def generate_simpt(
     report = GenerationReport(mode="simpt")
 
     def stream():
+        shards = small_shards + large_shards
+        block = tokenize_documents([d for s in shards for d in s.documents], tokenizer)
+        ends = list(accumulate((len(s.documents) for s in shards), initial=0))
+        units = [(s.shard_id, range(ends[k], ends[k + 1])) for k, s in enumerate(shards)]
         seen: set = set()
         for r in range(config.n_rounds):
             rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
-            small_sel = _sample_shards(small_shards, config.shards_per_corpus, rng_shards)
-            large_sel = _sample_shards(large_shards, config.shards_per_corpus, rng_shards)
+            small_sel = _sample_shards(units[: len(small_shards)], config.shards_per_corpus, rng_shards)
+            large_sel = _sample_shards(units[len(small_shards) :], config.shards_per_corpus, rng_shards)
             combo = (
-                tuple(sorted(s.shard_id for s in small_sel)),
-                tuple(sorted(s.shard_id for s in large_sel)),
+                tuple(sorted(shard_id for shard_id, _ in small_sel)),
+                tuple(sorted(shard_id for shard_id, _ in large_sel)),
             )
-            docs = [d for s in small_sel for d in s.documents]
-            docs += [d for s in large_sel for d in s.documents]
             report.rounds += 1
             if combo in seen:
                 report.shard_combo_collisions += 1
             seen.add(combo)
             rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
-            yield from _instances(docs, tokenizer, config, rng_docs, 1, report)
+            doc_indices = [d for _, docs in small_sel + large_sel for d in docs]
+            yield from _instances(block, doc_indices, tokenizer.vocab, config, rng_docs, 1, report)
 
     return stream(), report
 
@@ -546,27 +558,29 @@ def generate_conventional(
 ) -> tuple[Iterator[PretrainInstance], GenerationReport]:
     """Duplicate-factor generation over contiguous document groups.
 
-    Negative partners are confined to each group; dupe_factor re-masks the
-    same segment pairs with fresh mask randomness. Groups run one after
-    another; `threads` is accepted for compatibility and has no effect.
+    The stream first tokenizes every document once. Negative partners are
+    confined to each group; dupe_factor re-masks the group's one list of
+    segment pairs with fresh mask randomness. Groups run one after another;
+    `threads` is accepted for compatibility and has no effect.
     """
     config.validate()
     if not all_documents:
         raise InstanceError("documents must be non-empty")
-    groups = split_documents(all_documents, config.n_splits)
+    groups = split_documents(range(len(all_documents)), config.n_splits)
     report = GenerationReport(mode="conventional")
 
     def stream():
+        block = tokenize_documents(all_documents, tokenizer)
         for g, group in enumerate(groups):
             report.groups += 1
             rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, g)
-            yield from _instances(group, tokenizer, config, rng_docs, config.dupe_factor, report)
+            yield from _instances(block, group, tokenizer.vocab, config, rng_docs, config.dupe_factor, report)
 
     return stream(), report
 
 
-def split_documents(docs: list[Document], n_splits: int) -> list[list[Document]]:
-    """Contiguous groups of near-equal document counts (first groups one larger)."""
+def split_documents(docs: Sequence, n_splits: int) -> list[Sequence]:
+    """Contiguous slices of near-equal document counts (first slices one larger)."""
     n = min(n_splits, len(docs))
     base, extra = divmod(len(docs), n)
     groups = []

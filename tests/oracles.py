@@ -6,8 +6,9 @@ normalizes whole sentences, the masking oracle runs one sequence's draws one
 at a time, the structural oracle checks one instance with plain numpy
 reductions, the record oracle packs one instance field by field with
 `struct`, the tree-number oracle compares dot-separated components
-directly, and the normalize and pretokenize oracles apply the per-character
-rules in a loop rather than through translate tables.
+directly, the normalize and pretokenize oracles apply the per-character
+rules in a loop rather than through translate tables, and the truncation
+oracle pops one token at a time rather than computing the lengths.
 """
 
 from __future__ import annotations
@@ -148,6 +149,16 @@ def greedy_longest_prefix_oracle(word: str, vocab_tokens: set[str], initial: boo
         if piece in vocab_tokens:
             best = piece
     return best
+
+
+def truncate_pair_oracle(tokens_a: list[int], tokens_b: list[int], max_num: int) -> None:
+    """Drop tokens from the end of the longer segment until the pair fits;
+    each segment keeps at least one token."""
+    while len(tokens_a) + len(tokens_b) > max_num:
+        longer, other = (tokens_a, tokens_b) if len(tokens_a) > len(tokens_b) else (tokens_b, tokens_a)
+        if len(longer) <= 1:
+            longer = other
+        longer.pop()
 
 
 def mask_sequence_oracle(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +17,11 @@ from bpt.instances import (
     generate_simpt,
     mask_tokens,
     pair_diversity,
+    run_offsets,
     split_documents,
     structural_errors,
+    tokenize_documents,
+    truncated_lengths,
 )
 from bpt.rng import SplitRng
 from bpt.serialize import write_instances
@@ -24,7 +29,8 @@ from bpt.tokenizer import WordPieceTokenizer
 from bpt.verify import verify_file
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
 
-from .oracles import structural_errors_oracle
+from .conftest import make_document_sentences
+from .oracles import structural_errors_oracle, truncate_pair_oracle
 
 # word-level vocabulary: every word is a whole token, so sentence token count
 # equals word count and lengths are easy to reason about
@@ -202,6 +208,72 @@ def test_determinism_same_seed_same_instances():
 def test_empty_docs_arg_is_fatal():
     with pytest.raises(InstanceError):
         create_instances_from_documents([], TOKENIZER, config(), SplitRng(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70_000), st.integers(1, 70_000), st.integers(5, 0xFFFF - 3))
+@example(10, 10, 15)  # a tie over an odd limit
+@example(10, 10, 14)  # a tie over an even limit
+@example(9, 12, 15)
+@example(12, 9, 14)
+@example(7, 7, 14)  # a tie that fits exactly
+@example(3, 40, 20)  # the shorter segment is kept whole
+@example(40, 3, 21)
+@example(65_532, 65_532, 65_532)
+def test_truncated_lengths_equal_pop_loop_oracle(len_a, len_b, max_num):
+    tokens_a, tokens_b = list(range(len_a)), list(range(len_b))
+    truncate_pair_oracle(tokens_a, tokens_b, max_num)
+    assert truncated_lengths(len_a, len_b, max_num) == (len(tokens_a), len(tokens_b))
+
+
+def test_tokenize_documents_equals_per_sentence_ids(tiny_corpus, small_tokenizer):
+    docs = list(tiny_corpus.documents)
+    first = docs[0]  # gains a sentence that tokenizes to nothing after its first
+    docs[0] = Document(first.doc_id, first.origin, [first.sentences[0], "\u200b", *first.sentences[1:]])
+    docs.insert(2, Document("tiny#empty", Origin.SMALL, ["\u200b"]))  # tokenizes to nothing
+    block = tokenize_documents(docs, small_tokenizer)
+    per_doc = [[ids for ids in (small_tokenizer.tokenize(s).ids for s in d.sentences) if ids] for d in docs]
+    sentences = [ids for doc_ids in per_doc for ids in doc_ids]
+    assert len(per_doc[0]) == len(docs[0].sentences) - 1 and per_doc[2] == []
+    assert block.docs is docs and block.ids.dtype == np.int32
+    assert block.ids.tolist() == [t for ids in sentences for t in ids]
+    assert block.sentences.tolist() == run_offsets([len(ids) for ids in sentences]).tolist()
+    assert block.doc_sentences.tolist() == run_offsets([len(d) for d in per_doc]).tolist()
+    for d, doc_ids in enumerate(per_doc):
+        at = block.sentence_offsets(d)
+        assert [block.ids[start:end].tolist() for start, end in zip(at, at[1:])] == doc_ids
+
+
+class CountingTokenizer(WordPieceTokenizer):
+    def __init__(self, vocab):
+        super().__init__(vocab)
+        self.calls = Counter()
+
+    def tokenize(self, text):
+        self.calls[text] += 1
+        return super().tokenize(text)
+
+
+def lexicon_shards(lexicon, label, origin, n_shards, seed):
+    """`n_shards` shards of two documents, each of 1 to 6 sentences."""
+    rng = SplitRng(seed)
+    return [Shard(s, origin, [Document(f"{label}#{s}.{k}", origin, make_document_sentences(rng, lexicon, rng.randint(1, 6)))
+                              for k in range(2)], target_bytes=1)
+            for s in range(n_shards)]
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+def test_each_sentence_is_tokenized_once(mode, lexicon, small_vocab):
+    tokenizer = CountingTokenizer(small_vocab)
+    small = lexicon_shards(lexicon, "s", Origin.SMALL, 2, seed=1)
+    large = lexicon_shards(lexicon, "l", Origin.LARGE, 3, seed=2)
+    docs = [d for shard in small + large for d in shard.documents]
+    if mode == "simpt":  # every round draws both small shards
+        stream, report = generate_simpt(small, large, tokenizer, config(n_rounds=4, shards_per_corpus=2))
+    else:
+        stream, report = generate_conventional(docs, tokenizer, config(dupe_factor=3, n_splits=2))
+    assert sum(1 for _ in stream) == report.instances > 0
+    assert tokenizer.calls == Counter(s for d in docs for s in d.sentences)
 
 
 def well_formed():
