@@ -428,8 +428,8 @@ def _assemble(
     )
     segment_ids = (cols >= len_a + 2).astype(np.int8)
     n_masked = np.count_nonzero(positions >= 0, axis=1).tolist()
-    for i, ((_, a, _, b, is_next, doc_a, doc_b, _), m) in enumerate(zip(pairs, n_masked)):
-        doc_a, doc_b = block.docs[doc_a], block.docs[doc_b]
+    for i, ((_, a, _, b, is_next, a_index, b_index, _), m) in enumerate(zip(pairs, n_masked)):
+        doc_a, doc_b = block.docs[a_index], block.docs[b_index]
         small = (a if doc_a.origin is Origin.SMALL else 0) + (b if doc_b.origin is Origin.SMALL else 0)
         n = a + b + 3
         inst = PretrainInstance(
@@ -473,7 +473,7 @@ def create_instances_from_documents(
 
 def _instances(
     block: TokenizedDocuments,
-    doc_indices: Iterable[int],
+    doc_indices: Sequence[int],
     vocab: Vocabulary,
     config: InstanceConfig,
     rng: SplitRng,

@@ -257,9 +257,12 @@ class CountingTokenizer(WordPieceTokenizer):
 def lexicon_shards(lexicon, label, origin, n_shards, seed):
     """`n_shards` shards of two documents, each of 1 to 6 sentences."""
     rng = SplitRng(seed)
-    return [Shard(s, origin, [Document(f"{label}#{s}.{k}", origin, make_document_sentences(rng, lexicon, rng.randint(1, 6)))
-                              for k in range(2)], target_bytes=1)
-            for s in range(n_shards)]
+    shards = []
+    for s in range(n_shards):
+        docs = [Document(f"{label}#{s}.{k}", origin, make_document_sentences(rng, lexicon, rng.randint(1, 6)))
+                for k in range(2)]
+        shards.append(Shard(s, origin, docs, target_bytes=1))
+    return shards
 
 
 @pytest.mark.parametrize("mode", ["simpt", "conventional"])
