@@ -4,8 +4,9 @@ create-instances, verify, compare.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O error. Every subcommand accepts --config FILE (JSON, flat keys named
 like the long flags with dashes as underscores); explicit flags override
-config-file values, which are cast like the flag of the same name. Logs go
-to stderr; data and reports go to stdout or the requested output file.
+config-file values, which are cast like the flag of the same name; an on/off
+flag's value must be JSON true, false or null. Logs go to stderr; data and
+reports go to stdout or the requested output file.
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def cmd_shard(args, cfg) -> int:
     in_path = _check_input(opts.require("infile", "--in"), "input corpus")
     out_dir = Path(opts.require("out_dir", "--out-dir"))
     label = opts.get("label", "corpus")
-    origin = Origin.parse(opts.get("origin", "small"))
+    try:
+        origin = Origin.parse(opts.get("origin", "small"))
+    except CorpusError as exc:  # a config value skips the flag's choices
+        raise UsageError(f"--origin: {exc}") from exc
     each = _positive_size(opts, "each_file_size", "10MB")
 
     corpus = load_corpus(in_path, label, origin)
@@ -566,8 +570,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         types = {action.dest: action.type for action in p._actions if action.type}
+        types.update((action.dest, bool) for action in p._actions if action.const is True)
         p.set_defaults(config_types={**_CONFIG_ONLY_TYPES, **types})
     return parser
+
+
+def _config_value(cast, value):
+    """A config value cast as its flag's type casts the flag's text; an on/off
+    flag (cast `bool`) takes only a JSON true or false."""
+    if cast is not bool:
+        return cast(str(value))
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
 
 
 def main(argv=None) -> int:
@@ -595,7 +610,7 @@ def main(argv=None) -> int:
         cast = args.config_types.get(key)
         if cast is not None and value is not None:
             try:
-                cfg[key] = cast(str(value))
+                cfg[key] = _config_value(cast, value)
             except ValueError:
                 log.error("config file %s: key '%s' must be %s, got %r",
                           config_path, key, cast.__name__, value)

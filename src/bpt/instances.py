@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .corpus import Document, Origin, Shard
 from .errors import InstanceError
-from .rng import SplitRng, fold
+from .rng import _MASK64, SplitRng, fold
 from .tokenizer import WordPieceTokenizer
 from .vocab import Vocabulary
 
@@ -274,20 +274,22 @@ def mask_tokens(
     non-special vocabulary id (10%, original id not excluded), or left
     unchanged (10%). Returns (masked_ids, positions, original label ids).
     """
-    ids = np.ascontiguousarray(token_ids, np.int32)
-    special = np.zeros(len(ids), np.uint8)
-    special[np.fromiter(special_positions, np.int64)] = 1
+    ids = np.ascontiguousarray(token_ids, np.int32)[None]
+    special = np.zeros(ids.shape, np.uint8)
+    special[0, np.fromiter(special_positions, np.int64)] = 1
     seed = rng.next_u64() if isinstance(rng, SplitRng) else int(rng)
-    return kernels.mask_sequence(
+    masked, positions, labels = kernels.mask_sequence(
         ids,
         special,
-        seed,
+        np.array([seed & _MASK64], np.uint64),
         config.masked_lm_prob,
         config.max_predictions_per_seq,
         vocab.mask_id,
         vocab.n_special,
         vocab.size,
     )
+    m = int(np.count_nonzero(positions[0] >= 0))
+    return masked[0], positions[0, :m], labels[0, :m]
 
 
 class TokenizedDocuments(NamedTuple):

@@ -5,10 +5,10 @@ mask selection during instance generation. Masking consumes draws from the
 splitmix64 stream of rng.py in a fixed order, so its output depends only on
 its arguments.
 
-`mask_sequence` takes one sequence or a batch: a batch is 2-D ids and
-special flags, every row padded to one width, with one uint64 seed per row.
-Padding must be flagged special, so it is never chosen and comes back as
-given; each row is masked exactly as it would be on its own.
+`mask_sequence` takes a batch: 2-D ids and special flags, every row padded
+to one width, with one uint64 seed per row. Padding must be flagged special,
+so it is never chosen and comes back as given; each row is masked exactly as
+it would be on its own.
 
 Callers reach these as module attributes (``kernels.count_pairs`` and so on),
 so a profiler can swap in a timed wrapper.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import _GAMMA, _MASK64
+from .rng import _GAMMA
 
 BACKEND = "numpy"  # reported by tools that record the machine set-up
 
@@ -54,35 +54,32 @@ def count_pairs(flat, offsets, counts):
 
 
 # ---------------------------------------------------------------------------
-# BPE merge application: rewrite every word replacing non-overlapping
-# left-to-right occurrences of (left, right) with new_id.
+# BPE merge application: one pass over the whole symbol array replaces the
+# non-overlapping left-to-right occurrences of (left, right) in every word
+# with new_id. A merge shortens each word it touches by one symbol per
+# occurrence, so the words it changed are those whose length changed.
 # ---------------------------------------------------------------------------
 
 
 def apply_merge(flat, offsets, left, right, new_id):
-    lengths = np.diff(offsets)
-    n_words = lengths.size
-    if flat.size < 2:
-        return flat.copy(), offsets.copy()
-    word_of = np.repeat(np.arange(n_words, dtype=np.int64), lengths)
-    cand = np.where((flat[:-1] == left) & (flat[1:] == right) & (word_of[:-1] == word_of[1:]))[0]
-    if cand.size == 0:
-        return flat.copy(), offsets.copy()
+    cand = np.flatnonzero(flat[:-1] == left)
+    cand = cand[flat[cand + 1] == right]
+    # the word holding a candidate ends at offsets[end]; a pair whose right
+    # symbol is at or past that end crosses a word boundary
+    end = np.searchsorted(offsets, cand, "right")
+    inside = cand + 1 < offsets[end]
+    cand, end = cand[inside], end[inside]
     # Overlapping candidates (only possible when left == right) form runs of
     # consecutive positions; greedy left-to-right keeps even offsets in a run.
     new_run = np.ones(cand.size, bool)
     new_run[1:] = np.diff(cand) != 1
-    run_ids = np.cumsum(new_run) - 1
-    run_starts = cand[new_run][run_ids]
-    kept = cand[(cand - run_starts) % 2 == 0]
-    out = flat.copy()
-    out[kept] = new_id
-    keep_mask = np.ones(flat.size, bool)
-    keep_mask[kept + 1] = False
-    removed_per_word = np.bincount(word_of[kept], minlength=n_words)
-    new_offsets = np.zeros_like(offsets)
-    np.cumsum(lengths - removed_per_word, out=new_offsets[1:])
-    return out[keep_mask], new_offsets
+    run_starts = cand[new_run][np.cumsum(new_run) - 1]
+    first = (cand - run_starts) % 2 == 0
+    kept, end = cand[first], end[first]
+    out = np.delete(flat, kept + 1)
+    out[kept - np.arange(kept.size)] = new_id  # each left symbol moves down by the pairs before it
+    # offsets[j] moves down by the right symbols removed from the words before it
+    return out, offsets - np.cumsum(np.bincount(end, minlength=offsets.size))
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +119,15 @@ def _draws(seeds, done, count):
     return _mix64(z)
 
 
-def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):
-    """Mask one sequence, or every row of a padded batch in one call.
+def mask_sequence(ids, special, seeds, prob, cap, mask_id, n_special, vocab_size):
+    """Mask every row of a padded batch in one call.
 
-    One sequence: 1-D `ids` and `special` (nonzero = never masked) and an
-    integer seed; returns (masked ids, ascending positions, label ids).
-    A batch: 2-D `ids` and `special` whose rows are padded to one width,
-    with the padding flagged special, and one uint64 seed per row; returns
-    the masked ids and (rows, k) positions and labels, k the most positions
-    any row masked, each row's own entries first and -1 after them.
+    `ids` and `special` (nonzero = never masked) are 2-D, their rows padded
+    to one width with the padding flagged special, and `seeds` holds one
+    uint64 seed per row. Returns the masked ids and (rows, k) positions and
+    labels, k the most positions any row masked, each row's own entries
+    first (positions ascending) and -1 after them.
     """
-    single = ids.ndim == 1
-    if single:
-        ids, special = ids[None], special[None]
-        seed = np.array([int(seed) & _MASK64], np.uint64)
     rows, width = ids.shape
     out = ids.copy()
     free = special == 0
@@ -149,7 +141,7 @@ def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size)
     # after them); past a row's own count a swap only moves later columns
     cand = np.argsort(~free, axis=1, kind="stable")
     span = np.maximum(n[:, None] - np.arange(k), 1).astype(np.uint64)
-    swap_with = np.arange(k) + (_draws(seed, np.zeros(rows, np.int64), k) % span).astype(np.int64)
+    swap_with = np.arange(k) + (_draws(seeds, np.zeros(rows, np.int64), k) % span).astype(np.int64)
     for i in range(k):
         j = swap_with[:, i]
         held = cand[:, i].copy()
@@ -162,7 +154,7 @@ def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size)
 
     # replacement: at[r] is the next unread draw of row r
     n_random = vocab_size - n_special
-    draws = _draws(seed, num, 2 * k)
+    draws = _draws(seeds, num, 2 * k)
     at = np.zeros(rows, np.int64)
     for i in range(k):
         ui = (draws[r, at] >> np.uint64(11)) * 2.0**-53
@@ -176,7 +168,4 @@ def mask_sequence(ids, special, seed, prob, cap, mask_id, n_special, vocab_size)
             at += to_random
         at += 1
 
-    if single:
-        m = int(num[0])
-        return out[0], positions[0, :m], labels[0, :m]
     return out, positions, labels

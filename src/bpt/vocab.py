@@ -292,15 +292,6 @@ def merged_token(left: str, right: str) -> str:
     return left + right
 
 
-def _words_with_pair(flat, offsets, left_id: int, right_id: int):
-    """Sorted indices of the words that hold left_id directly followed by right_id."""
-    starts = np.flatnonzero(flat[:-1] == left_id)
-    starts = starts[flat[starts + 1] == right_id]
-    word_of = np.searchsorted(offsets, starts, side="right") - 1
-    # drop matches whose right symbol starts the next word
-    return np.unique(word_of[starts + 1 < offsets[word_of + 1]])
-
-
 def _gather(flat, offsets, words):
     """The symbols of the given words as their own (flat, offsets) pair."""
     starts = offsets[words]
@@ -308,21 +299,6 @@ def _gather(flat, offsets, words):
     sub_offsets = np.zeros(words.size + 1, np.int64)
     np.cumsum(lengths, out=sub_offsets[1:])
     return flat[np.repeat(starts - sub_offsets[:-1], lengths) + np.arange(sub_offsets[-1])], sub_offsets
-
-
-def _splice(flat, offsets, words, after, after_offsets):
-    """Put the merged words back: a merge only shortens a word, so each one is
-    written at the start of its old range and the rest of that range deleted."""
-    starts = offsets[words]
-    new_lengths = np.diff(after_offsets)
-    flat[np.repeat(starts - after_offsets[:-1], new_lengths) + np.arange(after.size)] = after
-    removed = offsets[words + 1] - starts - new_lengths
-    removed_before = np.zeros(words.size + 1, np.int64)
-    np.cumsum(removed, out=removed_before[1:])
-    tail = np.repeat(starts + new_lengths - removed_before[:-1], removed) + np.arange(removed_before[-1])
-    shift = np.zeros(offsets.size, np.int64)
-    shift[words + 1] = removed
-    return np.delete(flat, tail), offsets - np.cumsum(shift)
 
 
 def _add_pair_counts(keys, totals, delta_keys, delta_totals):
@@ -352,10 +328,11 @@ def train_bpe(
     Stops at target_size, or earlier when no pair reaches min_frequency, in
     which case the report is marked truncated.
 
-    All pairs are counted once. After that a merge costs work in proportion
-    to the words it touches, plus one vectorized pass over the symbol array
-    that finds them and splices them back: their pairs are counted again
-    with weight -count before the merge and +count after it, and the
+    All pairs are counted once. After that each merge is one
+    `kernels.apply_merge` pass over the whole symbol array. Every occurrence
+    it merges shortens its word by one symbol, so the words whose length
+    changed are exactly the words it touched. Only their pairs are counted
+    again, with weight -count before the merge and +count after it, and the
     difference is added to the sorted pair counts.
     """
     specials = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
@@ -421,18 +398,19 @@ def train_bpe(
             index[merged] = new_id
         merges.append((left_tok, right_tok))
 
-        words = _words_with_pair(flat, offsets, left_id, right_id)
-        before, before_offsets = _gather(flat, offsets, words)
-        after, after_offsets = kernels.apply_merge(
-            before, before_offsets, np.int32(left_id), np.int32(right_id), np.int32(new_id)
+        merged_flat, merged_offsets = kernels.apply_merge(
+            flat, offsets, np.int32(left_id), np.int32(right_id), np.int32(new_id)
         )
+        words = np.flatnonzero(np.diff(merged_offsets) != np.diff(offsets))
+        before, before_offsets = _gather(flat, offsets, words)
+        after, after_offsets = _gather(merged_flat, merged_offsets, words)
         delta_keys, delta_totals = kernels.count_pairs(
             np.concatenate([before, after]),
             np.concatenate([before_offsets, after_offsets[1:] + before.size]),
             np.concatenate([-counts[words], counts[words]]),
         )
         keys, totals = _add_pair_counts(keys, totals, delta_keys, delta_totals)
-        flat, offsets = _splice(flat, offsets, words, after, after_offsets)
+        flat, offsets = merged_flat, merged_offsets
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)

@@ -7,8 +7,9 @@ at a time, the structural oracle checks one instance with plain numpy
 reductions, the record oracle packs one instance field by field with
 `struct`, the tree-number oracle compares dot-separated components
 directly, the normalize and pretokenize oracles apply the per-character
-rules in a loop rather than through translate tables, and the truncation
-oracle pops one token at a time rather than computing the lengths.
+rules in a loop rather than through translate tables, the truncation
+oracle pops one token at a time rather than computing the lengths, and the
+merge oracle rewrites one word's symbol list at a time.
 """
 
 from __future__ import annotations
@@ -159,6 +160,24 @@ def truncate_pair_oracle(tokens_a: list[int], tokens_b: list[int], max_num: int)
         if len(longer) <= 1:
             longer = other
         longer.pop()
+
+
+def apply_merge_oracle(words: list[list[int]], left: int, right: int, new_id: int) -> tuple[list[int], list[int]]:
+    """Each word with its (left, right) pairs replaced by new_id, scanning
+    left to right; returns the merged words as flat symbols and offsets."""
+    flat: list[int] = []
+    offsets = [0]
+    for word in words:
+        i = 0
+        while i < len(word):
+            if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+                flat.append(new_id)
+                i += 2
+            else:
+                flat.append(word[i])
+                i += 1
+        offsets.append(len(flat))
+    return flat, offsets
 
 
 def mask_sequence_oracle(ids, special, seed, prob, cap, mask_id, n_special, vocab_size):

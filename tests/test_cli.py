@@ -173,6 +173,16 @@ def test_shard_writes_files_and_report(tmp_path, capsys, corpora):
     assert sum(report["shard_bytes"]) == report["total_bytes"]
 
 
+def test_shard_bad_origin_in_config_exits_2_naming_flag(tmp_path, capsys, caplog, corpora):
+    small, _ = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"origin": "medium"}))
+    code, stdout = run(capsys, "shard", "--config", cfg, "--in", small, "--out-dir", tmp_path / "shards")
+    assert code == 2 and stdout == ""
+    assert "--origin" in caplog.text and "'medium'" in caplog.text
+    assert not (tmp_path / "shards").exists()
+
+
 @pytest.mark.parametrize("command", ["shard", "simpt", "conventional"])
 @pytest.mark.parametrize("size", ["0", "0.4"])
 def test_zero_each_file_size_exits_2_naming_flag(tmp_path, capsys, caplog, vocab_file, corpora,
@@ -662,6 +672,35 @@ def test_config_value_of_wrong_type_exits_2_naming_key(tmp_path, capsys, caplog,
                   "--vocab", vocab_file, "--out", tmp_path / "x.bin")
     assert code == 2
     assert "'rounds'" in caplog.text
+
+
+@pytest.mark.parametrize("command, key", [("build-vocab", "amplify"), ("verify", "no_origin_check"),
+                                          ("verify", "json")])
+@pytest.mark.parametrize("value", ["no", 0, "true"])
+def test_config_value_of_on_off_flag_must_be_json_bool(tmp_path, capsys, caplog, vocab_file, corpora,
+                                                       command, key, value):
+    small, large = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    if command == "build-vocab":
+        argv = ("--small", small, "--large", large, "--target-size", "600", "--out", tmp_path / "v.txt")
+    else:
+        code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "x.bin", "--mode", "conventional")
+        assert code == 0
+        argv = ("--in", out, "--vocab", vocab_file)
+    code, stdout = run(capsys, command, "--config", cfg, *argv)
+    assert code == 2 and stdout == ""
+    assert f"'{key}'" in caplog.text
+
+
+def test_config_false_for_on_off_flag_leaves_it_off(tmp_path, capsys, corpora):
+    small, large = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"amplify": False}))
+    code, stdout = run(capsys, "build-vocab", "--config", cfg, "--small", small, "--large", large,
+                       "--target-size", "600", "--min-frequency", "1", "--out", tmp_path / "v.txt")
+    assert code == 0
+    assert "repeat_factor" not in json.loads(stdout)
 
 
 def test_null_config_value_means_unset(tmp_path, capsys, vocab_file, corpora):

@@ -1,13 +1,14 @@
 """Edge cases of the numeric kernels. BPE training as a whole is pinned by
-the merge-for-merge oracle test (C07), masking by the golden-value test in
-test_instances.py and the batch kernel by the one-sequence oracle below."""
+the merge-for-merge oracle test (C07), merge application by the per-word
+oracle below, masking by the golden-value test in test_instances.py and
+the batch kernel by the one-sequence oracle below."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpt import kernels
-from .oracles import mask_sequence_oracle
+from .oracles import apply_merge_oracle, mask_sequence_oracle
 
 
 def test_count_pairs_empty_and_single():
@@ -45,11 +46,37 @@ def test_apply_merge_no_match_is_identity():
     np.testing.assert_array_equal(new_offsets, offsets)
 
 
+# words of 1-8 symbols over a 3-symbol alphabet: runs of left == right and
+# pairs across word boundaries are common
+MERGE_WORDS = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MERGE_WORDS, st.integers(0, 2), st.integers(0, 2))
+@example([[0], [1]], 0, 1)  # the only (0, 1) crosses the boundary
+@example([[1, 1], [1, 1, 1]], 1, 1)
+def test_apply_merge_whole_array_equals_per_word_oracle(words, left, right):
+    flat = np.array([s for word in words for s in word], np.int32)
+    offsets = np.zeros(len(words) + 1, np.int64)
+    np.cumsum([len(word) for word in words], out=offsets[1:])
+    out, new_offsets = kernels.apply_merge(flat, offsets, np.int32(left), np.int32(right), np.int32(9))
+    want_flat, want_offsets = apply_merge_oracle(words, left, right, 9)
+    assert out.tolist() == want_flat
+    assert new_offsets.tolist() == want_offsets
+    assert out.dtype == flat.dtype and new_offsets.dtype == offsets.dtype
+
+
+def mask_one_row(ids, special, seed, *args):
+    """mask_sequence on a batch of one row; the row's masked ids, positions and labels."""
+    out, pos, lab = kernels.mask_sequence(ids[None], special[None], np.array([seed], np.uint64), *args)
+    return out[0], pos[0], lab[0]
+
+
 def test_mask_sequence_respects_specials_and_cap():
     ids = np.arange(5, 105, dtype=np.int32)
     special = np.zeros(100, np.uint8)
     special[0] = special[50] = special[99] = 1
-    out, pos, lab = kernels.mask_sequence(ids, special, 123, 0.15, 10, 4, 5, 1000)
+    out, pos, lab = mask_one_row(ids, special, 123, 0.15, 10, 4, 5, 1000)
     assert len(pos) == 10  # round(0.15 * 97) = 15, capped at 10
     assert not {0, 50, 99} & set(int(p) for p in pos)
     assert np.array_equal(lab, ids[pos])
@@ -60,7 +87,7 @@ def test_mask_sequence_respects_specials_and_cap():
 def test_mask_sequence_zero_candidates():
     ids = np.array([2, 3, 3], np.int32)
     special = np.ones(3, np.uint8)
-    out, pos, lab = kernels.mask_sequence(ids, special, 1, 0.15, 20, 4, 5, 100)
+    out, pos, lab = mask_one_row(ids, special, 1, 0.15, 20, 4, 5, 100)
     assert pos.size == 0 and lab.size == 0
     assert np.array_equal(out, ids)
 
@@ -68,7 +95,7 @@ def test_mask_sequence_zero_candidates():
 def test_mask_sequence_minimum_one_position():
     ids = np.array([2, 9, 3], np.int32)
     special = np.array([1, 0, 1], np.uint8)
-    out, pos, lab = kernels.mask_sequence(ids, special, 7, 0.15, 20, 4, 5, 100)
+    out, pos, lab = mask_one_row(ids, special, 7, 0.15, 20, 4, 5, 100)
     assert pos.tolist() == [1]
     assert lab.tolist() == [9]
 
