@@ -2,16 +2,20 @@
 create-instances, verify, compare.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error. Every subcommand accepts --config FILE (JSON, flat keys named
-like the long flags with dashes as underscores); explicit flags override
-config-file values, which are cast like the flag of the same name; an on/off
-flag's value must be JSON true, false or null. Logs go to stderr; data and
-reports go to stdout or the requested output file.
+3 I/O error. Every subcommand accepts --config FILE: a JSON object whose keys
+are the subcommand's flags, named like the long flags with dashes as
+underscores (`--in` is `infile`). Each value is checked once, by the rules of
+the flag it sets, and becomes that flag's default, so explicit flags win:
+a key that names no flag exits 2; a null value means unset; an on/off flag
+takes only JSON true or false; any other value is read as the flag's text
+(a JSON bool, array or object exits 2) and must be in the flag's choices.
+Logs go to stderr; data and reports go to stdout or the requested output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import re
@@ -57,9 +61,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# config keys with no flag to take their type from
-_CONFIG_ONLY_TYPES = {"mask_selection_target": float}
-
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(kib|mib|gib|kb|mb|gb|b)?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {
     None: 1,
@@ -84,26 +85,11 @@ def parse_size(value) -> int:
     return int(float(number) * _SIZE_UNITS[unit.lower() if unit else None])
 
 
-class _Options:
-    """Flag values with config-file fallback: explicit flags win."""
-
-    def __init__(self, args: argparse.Namespace, cfg: dict):
-        self.args = args
-        self.cfg = cfg
-
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if self.cfg.get(key) is not None:  # a null config value is unset
-            return self.cfg[key]
-        return default
-
-    def require(self, key: str, flag: str):
-        value = self.get(key)
-        if value is None:
-            raise UsageError(f"{flag} is required (flag or config key '{key}')")
-        return value
+def _require(args: argparse.Namespace, key: str, flag: str):
+    value = getattr(args, key)
+    if value is None:
+        raise UsageError(f"{flag} is required (flag or config key '{key}')")
+    return value
 
 
 def _check_input(path, what: str) -> Path:
@@ -113,10 +99,10 @@ def _check_input(path, what: str) -> Path:
     return p
 
 
-def _positive_size(opts: _Options, key: str, default=None) -> "int | None":
-    """The byte size under `key` (None when unset and no default); a size
-    below 1 byte is a usage error naming the flag."""
-    value = opts.get(key, default)
+def _positive_size(args: argparse.Namespace, key: str) -> "int | None":
+    """The byte size under `key` (None when unset); a size below 1 byte is a
+    usage error naming the flag."""
+    value = getattr(args, key)
     if value is None:
         return None
     size = parse_size(value)
@@ -130,12 +116,12 @@ def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{name}: invalid UTF-8 ({exc.reason})")
 
 
-def _load_corpora(opts: _Options, small_path, large_path) -> tuple:
+def _load_corpora(args: argparse.Namespace) -> tuple:
     """The small and large corpora; None for one not given."""
     return tuple(
-        load_corpus(_check_input(path, f"{name} corpus"), opts.get(f"{name}_label", name), origin)
-        if path else None
-        for name, path, origin in (("small", small_path, Origin.SMALL), ("large", large_path, Origin.LARGE))
+        load_corpus(_check_input(path, f"{origin.value} corpus"), label, origin) if path else None
+        for path, label, origin in ((args.small, args.small_label, Origin.SMALL),
+                                    (args.large, args.large_label, Origin.LARGE))
     )
 
 
@@ -152,15 +138,14 @@ def _emit_report(payload: dict, report_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_filter(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    ruleset_arg = opts.require("ruleset", "--ruleset")
+def cmd_filter(args) -> int:
+    ruleset_arg = _require(args, "ruleset", "--ruleset")
     try:
         ruleset = load_ruleset(ruleset_arg)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    in_path = _check_input(opts.require("infile", "--in"), "input file")
-    out_path = Path(opts.require("out", "--out"))
+    in_path = _check_input(_require(args, "infile", "--in"), "input file")
+    out_path = Path(_require(args, "out", "--out"))
 
     with open(in_path, encoding="utf-8") as f:
         records = parse_records_jsonl(f)
@@ -179,23 +164,17 @@ def cmd_filter(args, cfg) -> int:
             except UnicodeDecodeError as exc:
                 raise _not_utf8(in_path, exc) from exc
     payload = {"ruleset": ruleset.name, **report.to_dict()}
-    _emit_report(payload, opts.get("report"))
+    _emit_report(payload, args.report)
     log.info("filter: %d/%d records included -> %s", report.included, report.total, out_path)
     return EXIT_OK
 
 
-def cmd_shard(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    in_path = _check_input(opts.require("infile", "--in"), "input corpus")
-    out_dir = Path(opts.require("out_dir", "--out-dir"))
-    label = opts.get("label", "corpus")
-    try:
-        origin = Origin.parse(opts.get("origin", "small"))
-    except CorpusError as exc:  # a config value skips the flag's choices
-        raise UsageError(f"--origin: {exc}") from exc
-    each = _positive_size(opts, "each_file_size", "10MB")
+def cmd_shard(args) -> int:
+    in_path = _check_input(_require(args, "infile", "--in"), "input corpus")
+    out_dir = Path(_require(args, "out_dir", "--out-dir"))
+    each = _positive_size(args, "each_file_size")
 
-    corpus = load_corpus(in_path, label, origin)
+    corpus = load_corpus(in_path, args.label, args.origin)
     shards = split_corpus(corpus, each)
     out_dir.mkdir(parents=True, exist_ok=True)
     for shard in shards:
@@ -203,118 +182,96 @@ def cmd_shard(args, cfg) -> int:
             write_document_text(shard.documents), encoding="utf-8"
         )
     payload = {
-        "label": label,
+        "label": args.label,
         "documents": len(corpus.documents),
         "total_bytes": corpus.total_bytes,
         "each_file_size": each,
         "shards": len(shards),
         "shard_bytes": [s.byte_size for s in shards],
     }
-    _emit_report(payload, opts.get("report"))
+    _emit_report(payload, args.report)
     return EXIT_OK
 
 
-def cmd_build_vocab(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    small_path = opts.get("small")
-    large_path = opts.get("large")
-    amplify = bool(opts.get("amplify", False))
-    if small_path is None and large_path is None:
+def cmd_build_vocab(args) -> int:
+    if args.small is None and args.large is None:
         raise UsageError("at least one corpus (--small/--large) is required")
-    if amplify and (small_path is None or large_path is None):
+    if args.amplify and (args.small is None or args.large is None):
         raise UsageError("--amplify requires both --small and --large corpora")
-    out_path = Path(opts.require("out", "--out"))
-    target_size = opts.get("target_size", DEFAULT_TARGET_SIZE)
-    min_frequency = opts.get("min_frequency", DEFAULT_MIN_FREQUENCY)
+    out_path = Path(_require(args, "out", "--out"))
 
     # One counting pass per corpus gives both its word counts and its byte
     # size; the corpora and their own counts are let go before training.
-    small, large = _load_corpora(opts, small_path, large_path)
+    small, large = _load_corpora(args)
     small_counts, small_bytes = corpus_word_counts_and_bytes(small) if small else ({}, 0)
     large_counts, large_bytes = corpus_word_counts_and_bytes(large) if large else ({}, 0)
     del small, large
     repeat_factor = None
-    if amplify:
+    if args.amplify:
         repeat_factor = AmplificationPlan.from_sizes(small_bytes, large_bytes).repeat_factor
     counts = combined_word_counts(small_counts, large_counts, repeat_factor or 1)
     del small_counts, large_counts
 
-    vocabulary, train_report = train_bpe(counts, target_size, min_frequency=min_frequency)
+    vocabulary, train_report = train_bpe(counts, args.target_size, min_frequency=args.min_frequency)
     train_report.repeat_factor = repeat_factor
-    merges_out = opts.get("merges_out")
-    vocabulary.save(out_path, merges_out)
+    vocabulary.save(out_path, args.merges_out)
     for warning in train_report.warnings:
         log.warning("build-vocab: %s", warning)
-    _emit_report(train_report.to_dict(), opts.get("report"))
+    _emit_report(train_report.to_dict(), args.report)
     return EXIT_OK
 
 
-def cmd_tokenize(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
+def cmd_tokenize(args) -> int:
+    vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
-    infile = opts.get("infile")
-    outfile = opts.get("out")
-    fin = open(_check_input(infile, "input file"), encoding="utf-8") if infile else sys.stdin
-    fout = open(outfile, "w", encoding="utf-8") if outfile else sys.stdout
-    try:
-        for line in fin:
-            line = line.rstrip("\n")
-            if not line.strip():
-                fout.write("\n")
-                continue
-            fout.write(" ".join(tokenizer.tokenize(line).tokens) + "\n")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(infile or "<stdin>", exc) from exc
-    finally:
-        if infile:
-            fin.close()
-        if outfile:
-            fout.close()
+    with contextlib.ExitStack() as files:  # closes what it opened; stdin and stdout stay open
+        fin = (files.enter_context(open(_check_input(args.infile, "input file"), encoding="utf-8"))
+               if args.infile else sys.stdin)
+        fout = files.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        try:
+            for line in fin:
+                line = line.rstrip("\n")
+                if not line.strip():
+                    fout.write("\n")
+                    continue
+                fout.write(" ".join(tokenizer.tokenize(line).tokens) + "\n")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(args.infile or "<stdin>", exc) from exc
     return EXIT_OK
 
 
-def _build_instance_config(opts: _Options, mode: str) -> InstanceConfig:
-    rounds = opts.get("rounds")
-    if mode == "simpt" and rounds is None:
+def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
+    if args.mode == "simpt" and args.rounds is None:
         raise UsageError("--rounds is required in simpt mode")
     return InstanceConfig(
-        max_seq_length=opts.get("max_seq_length", 128),
-        masked_lm_prob=opts.get("masked_lm_prob", 0.15),
-        max_predictions_per_seq=opts.get("max_predictions_per_seq", 20),
-        short_seq_prob=opts.get("short_seq_prob", 0.10),
-        dupe_factor=opts.get("dupe_factor", 1),
-        n_rounds=rounds if rounds is not None else 0,
-        n_splits=opts.get("n_splits", 1),
-        shards_per_corpus=opts.get("shards_per_corpus", 10),
-        master_seed=opts.get("seed", 0),
+        max_seq_length=args.max_seq_length,
+        masked_lm_prob=args.masked_lm_prob,
+        max_predictions_per_seq=args.max_predictions_per_seq,
+        short_seq_prob=args.short_seq_prob,
+        dupe_factor=args.dupe_factor,
+        n_rounds=args.rounds if args.rounds is not None else 0,
+        n_splits=args.n_splits,
+        shards_per_corpus=args.shards_per_corpus,
+        master_seed=args.seed,
     )
 
 
-def cmd_create_instances(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    mode = str(opts.require("mode", "--mode")).lower()
-    if mode not in ("simpt", "conventional"):
-        raise UsageError(f"--mode must be 'simpt' or 'conventional', got {mode!r}")
-    small_path = opts.get("small")
-    large_path = opts.get("large")
-    if mode == "simpt" and not (small_path and large_path):
+def cmd_create_instances(args) -> int:
+    mode = _require(args, "mode", "--mode")
+    if mode == "simpt" and not (args.small and args.large):
         raise UsageError("simpt requires two corpora (--small and --large)")
-    if not small_path and not large_path:
+    if not args.small and not args.large:
         raise UsageError("at least one corpus (--small/--large) is required")
-    icfg = _build_instance_config(opts, mode)
-    out_path = Path(opts.require("out", "--out"))
-    fmt = str(opts.get("format", "binary")).lower()
-    if fmt not in ("binary", "jsonl"):
-        raise UsageError(f"--format must be 'binary' or 'jsonl', got {fmt!r}")
-    each = _positive_size(opts, "each_file_size", "10MB")
-    max_file_bytes = _positive_size(opts, "max_file_bytes")
-    if fmt == "jsonl" and max_file_bytes is not None:
+    icfg = _build_instance_config(args)
+    out_path = Path(_require(args, "out", "--out"))
+    each = _positive_size(args, "each_file_size")
+    max_file_bytes = _positive_size(args, "max_file_bytes")
+    if args.format == "jsonl" and max_file_bytes is not None:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
 
-    vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
+    vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
-    small, large = _load_corpora(opts, small_path, large_path)
+    small, large = _load_corpora(args)
 
     if mode == "simpt":
         small_shards = split_corpus(small, each)
@@ -326,18 +283,18 @@ def cmd_create_instances(args, cfg) -> int:
 
     run_config = {
         "mode": mode,
-        "small_corpus": str(small_path) if small_path else None,
-        "large_corpus": str(large_path) if large_path else None,
-        "small_label": opts.get("small_label", "small"),
-        "large_label": opts.get("large_label", "large"),
-        "vocab": str(opts.get("vocab")),
+        "small_corpus": args.small or None,
+        "large_corpus": args.large or None,
+        "small_label": args.small_label,
+        "large_label": args.large_label,
+        "vocab": args.vocab,
         "out": str(out_path),
-        "format": fmt,
+        "format": args.format,
         "each_file_size": each,
         **icfg.to_dict(),
     }
 
-    if fmt == "binary":
+    if args.format == "binary":
         manifest = write_instances(
             stream,
             out_path,
@@ -359,12 +316,12 @@ def cmd_create_instances(args, cfg) -> int:
             format="jsonl",
         )
         manifest.write(manifest_path(out_path))
-    _emit_report(report.to_dict(), opts.get("report"))
+    _emit_report(report.to_dict(), args.report)
     log.info("create-instances: wrote %d instances to %s", report.instances, out_path)
     return EXIT_OK
 
 
-# verify flags and config keys that override the Tolerances default of the same name
+# verify flags that set the Tolerances field of the same name
 _TOLERANCE_KEYS = (
     "mask_selection_target",
     "mask_selection_tol",
@@ -377,23 +334,18 @@ _TOLERANCE_KEYS = (
 )
 
 
-def cmd_verify(args, cfg) -> int:
-    opts = _Options(args, cfg)
-    infile = opts.require("infile", "--in")
-    vocabulary = Vocabulary.load(_check_input(opts.require("vocab", "--vocab"), "vocabulary"))
+def cmd_verify(args) -> int:
+    infile = _require(args, "infile", "--in")
+    vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
 
-    tol = Tolerances()
-    for key in _TOLERANCE_KEYS:
-        value = opts.get(key)
-        if value is not None:
-            setattr(tol, key, value)
-    origin_target = opts.get("expected_origin_fraction")
+    tol = Tolerances(**{key: getattr(args, key) for key in _TOLERANCE_KEYS})
+    origin_target = args.expected_origin_fraction
     if origin_target is not None and not 0.0 <= origin_target <= 1.0:
         raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
 
     try:
         instance_set = open_instance_set(infile)
-        if bool(opts.get("no_origin_check", False)):
+        if args.no_origin_check:
             tol.origin_target = None
         elif origin_target is not None:
             tol.origin_target = origin_target
@@ -405,22 +357,20 @@ def cmd_verify(args, cfg) -> int:
     except InstanceFileError as exc:
         log.error("verify: %s", exc)
         return EXIT_VERIFY
-    if bool(opts.get("json", False)):
+    if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.render_table())
-    if opts.get("report"):
-        _emit_report(report.to_dict(), opts.get("report"))
+    if args.report:
+        _emit_report(report.to_dict(), args.report)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_compare(args, cfg) -> int:
-    opts = _Options(args, cfg)
+def cmd_compare(args) -> int:
     paths = [Path(p) for p in (args.files or [])]
     if len(paths) != 2:
         raise UsageError("compare requires exactly two instance files")
-    labels = opts.get("labels")
-    names = labels.split(",") if labels else [p.name for p in paths]
+    names = args.labels.split(",") if args.labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
     rows = []
@@ -455,12 +405,12 @@ def cmd_compare(args, cfg) -> int:
     for metric in metrics:
         table.append((metric, fmt(rows[0][metric]), fmt(rows[1][metric])))
     print(render_table(table))
-    if opts.get("report"):
-        _emit_report({"a": rows[0], "b": rows[1]}, opts.get("report"))
+    if args.report:
+        _emit_report({"a": rows[0], "b": rows[1]}, args.report)
     return EXIT_OK
 
 
-def cmd_dump_ruleset(args, cfg) -> int:
+def cmd_dump_ruleset(args) -> int:
     try:
         ruleset = load_ruleset(args.name)
     except FileNotFoundError as exc:
@@ -492,21 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shard", parents=[common], help="split a corpus into fixed-size shards")
     p.add_argument("--in", dest="infile", help="corpus text file or directory")
-    p.add_argument("--label", help="corpus label for doc ids")
-    p.add_argument("--origin", choices=["small", "large"], help="origin tag")
-    p.add_argument("--each-file-size", dest="each_file_size", help="shard target size (e.g. 10MB)")
+    p.add_argument("--label", default="corpus", help="corpus label for doc ids")
+    p.add_argument("--origin", choices=["small", "large"], default="small", help="origin tag")
+    p.add_argument("--each-file-size", dest="each_file_size", default="10MB",
+                   help="shard target size (e.g. 10MB)")
     p.add_argument("--out-dir", dest="out_dir", help="directory for shard files")
     p.set_defaults(func=cmd_shard)
 
     p = sub.add_parser("build-vocab", parents=[common], help="train a BPE vocabulary")
     p.add_argument("--small", help="small corpus path")
     p.add_argument("--large", help="large corpus path")
-    p.add_argument("--small-label", dest="small_label")
-    p.add_argument("--large-label", dest="large_label")
-    p.add_argument("--amplify", action="store_const", const=True, default=None,
+    p.add_argument("--small-label", dest="small_label", default="small")
+    p.add_argument("--large-label", dest="large_label", default="large")
+    p.add_argument("--amplify", action="store_true",
                    help="repeat the small corpus to match the large corpus size")
-    p.add_argument("--target-size", dest="target_size", type=int)
-    p.add_argument("--min-frequency", dest="min_frequency", type=int)
+    p.add_argument("--target-size", dest="target_size", type=int, default=DEFAULT_TARGET_SIZE)
+    p.add_argument("--min-frequency", dest="min_frequency", type=int, default=DEFAULT_MIN_FREQUENCY)
     p.add_argument("--out", help="vocabulary file (one token per line)")
     p.add_argument("--merges-out", dest="merges_out", help="optional merges sidecar file")
     p.set_defaults(func=cmd_build_vocab)
@@ -521,21 +472,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["simpt", "conventional"])
     p.add_argument("--small", help="small corpus path")
     p.add_argument("--large", help="large corpus path")
-    p.add_argument("--small-label", dest="small_label")
-    p.add_argument("--large-label", dest="large_label")
+    p.add_argument("--small-label", dest="small_label", default="small")
+    p.add_argument("--large-label", dest="large_label", default="large")
     p.add_argument("--vocab", help="vocabulary file")
     p.add_argument("--out", help="output instance file")
-    p.add_argument("--format", choices=["binary", "jsonl"])
+    p.add_argument("--format", choices=["binary", "jsonl"], default="binary")
     p.add_argument("--rounds", type=int, help="simpt sampling rounds")
-    p.add_argument("--dupe-factor", dest="dupe_factor", type=int)
-    p.add_argument("--n-splits", dest="n_splits", type=int, help="conventional group count")
-    p.add_argument("--shards-per-corpus", dest="shards_per_corpus", type=int)
-    p.add_argument("--each-file-size", dest="each_file_size", help="shard target size (e.g. 10MB)")
-    p.add_argument("--max-seq-length", dest="max_seq_length", type=int)
-    p.add_argument("--masked-lm-prob", dest="masked_lm_prob", type=float)
-    p.add_argument("--max-predictions-per-seq", dest="max_predictions_per_seq", type=int)
-    p.add_argument("--short-seq-prob", dest="short_seq_prob", type=float)
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--dupe-factor", dest="dupe_factor", type=int, default=InstanceConfig.dupe_factor)
+    p.add_argument("--n-splits", dest="n_splits", type=int, default=InstanceConfig.n_splits,
+                   help="conventional group count")
+    p.add_argument("--shards-per-corpus", dest="shards_per_corpus", type=int,
+                   default=InstanceConfig.shards_per_corpus)
+    p.add_argument("--each-file-size", dest="each_file_size", default="10MB",
+                   help="shard target size (e.g. 10MB)")
+    p.add_argument("--max-seq-length", dest="max_seq_length", type=int,
+                   default=InstanceConfig.max_seq_length)
+    p.add_argument("--masked-lm-prob", dest="masked_lm_prob", type=float,
+                   default=InstanceConfig.masked_lm_prob)
+    p.add_argument("--max-predictions-per-seq", dest="max_predictions_per_seq", type=int,
+                   default=InstanceConfig.max_predictions_per_seq)
+    p.add_argument("--short-seq-prob", dest="short_seq_prob", type=float,
+                   default=InstanceConfig.short_seq_prob)
+    p.add_argument("--seed", type=int, default=InstanceConfig.master_seed, help="master seed")
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--max-file-bytes", dest="max_file_bytes",
                    help="rotate output files above this body size")
@@ -545,17 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="instance file")
     p.add_argument("--vocab", help="vocabulary file")
     p.add_argument("--expected-origin-fraction", dest="expected_origin_fraction", type=float)
-    p.add_argument("--no-origin-check", dest="no_origin_check", action="store_const", const=True,
-                   default=None)
-    p.add_argument("--mask-selection-tol", dest="mask_selection_tol", type=float)
-    p.add_argument("--mask-split-tol", dest="mask_split_tol", type=float)
-    p.add_argument("--nsp-tol", dest="nsp_tol", type=float)
-    p.add_argument("--origin-tol", dest="origin_tol", type=float)
-    p.add_argument("--min-instances", dest="min_instances", type=int)
-    p.add_argument("--min-masked", dest="min_masked", type=int)
-    p.add_argument("--min-candidates", dest="min_candidates", type=int)
-    p.add_argument("--json", action="store_const", const=True, default=None,
-                   help="print the JSON report instead of the table")
+    p.add_argument("--no-origin-check", dest="no_origin_check", action="store_true")
+    for key in _TOLERANCE_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=getattr(Tolerances, key),
+                       type=type(getattr(Tolerances, key)))
+    p.add_argument("--json", action="store_true", help="print the JSON report instead of the table")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", parents=[common],
@@ -567,22 +519,46 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-ruleset", parents=[common], help="print a bundled MeSH ruleset")
     p.add_argument("name", help="sP or fP, or a path")
     p.set_defaults(func=cmd_dump_ruleset)
-
-    for p in sub.choices.values():
-        types = {action.dest: action.type for action in p._actions if action.type}
-        types.update((action.dest, bool) for action in p._actions if action.const is True)
-        p.set_defaults(config_types={**_CONFIG_ONLY_TYPES, **types})
     return parser
 
 
-def _config_value(cast, value):
-    """A config value cast as its flag's type casts the flag's text; an on/off
-    flag (cast `bool`) takes only a JSON true or false."""
-    if cast is not bool:
-        return cast(str(value))
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
+def _config_defaults(path, command: argparse.ArgumentParser) -> dict:
+    """The values of config file `path`, each checked by the rules of the flag
+    of `command` that it sets, keyed by the flag's dest; a value that breaks
+    them is a usage error naming its key."""
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {path}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in cfg.items():
+        action = flags.get(key)
+        if action is None:
+            raise UsageError(f"config file {path}: key '{key}' names no flag of {command.prog}")
+        if value is None:  # null means unset
+            continue
+        if action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                raise UsageError(f"config file {path}: key '{key}' must be true or false, got {value!r}")
+        else:
+            cast = action.type or str
+            try:
+                if isinstance(value, (bool, list, dict)):  # never the text of a flag
+                    raise ValueError(value)
+                value = cast(str(value))
+            except ValueError:
+                raise UsageError(f"config file {path}: key '{key}' must be {cast.__name__}, "
+                                 f"got {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"config file {path}: key '{key}' ({action.option_strings[0]}) must be "
+                                 f"one of {', '.join(action.choices)}, got {value!r}")
+        defaults[key] = value
+    return defaults
 
 
 def main(argv=None) -> int:
@@ -592,31 +568,13 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    cfg: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            log.error("config file not found: %s", config_path)
-            return EXIT_USAGE
-        except ValueError as exc:  # not UTF-8 or not JSON
-            log.error("config file %s is not valid JSON: %s", config_path, exc)
-            return EXIT_USAGE
-        if not isinstance(cfg, dict):
-            log.error("config file %s must hold a JSON object", config_path)
-            return EXIT_USAGE
-    for key, value in cfg.items():
-        cast = args.config_types.get(key)
-        if cast is not None and value is not None:
-            try:
-                cfg[key] = _config_value(cast, value)
-            except ValueError:
-                log.error("config file %s: key '%s' must be %s, got %r",
-                          config_path, key, cast.__name__, value)
-                return EXIT_USAGE
     try:
-        return args.func(args, cfg)
+        if args.config:
+            subparsers = next(a for a in parser._actions if a.dest == "command")
+            command = subparsers.choices[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)  # again, so explicit flags win over the config
+        return args.func(args)
     except (UsageError, RulesetError, VocabError, InstanceError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE

@@ -112,12 +112,6 @@ def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpu
     """
     origin = Origin.parse(origin)
     path = Path(path)
-    try:
-        files = _input_files(path)
-        raw_texts = [(f, f.read_bytes()) for f in files]
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus at {path}: {exc}") from exc
-
     documents: list[Document] = []
     pending: list[str] = []
 
@@ -126,14 +120,17 @@ def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpu
             documents.append(Document(f"{label}#{len(documents)}", origin, list(pending)))
             pending.clear()
 
-    for f, raw in raw_texts:
-        for line in text_lines(_decode(raw, f)):
-            line = line.strip()
-            if line:
-                pending.append(line)
-            else:
-                flush()
-        flush()  # document boundaries do not span files
+    try:
+        for f in _input_files(path):  # one file's bytes in memory at a time
+            for line in text_lines(_decode(f.read_bytes(), f)):
+                line = line.strip()
+                if line:
+                    pending.append(line)
+                else:
+                    flush()
+            flush()  # document boundaries do not span files
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus at {path}: {exc}") from exc
     if not documents:
         raise CorpusError(f"empty corpus: {path}")
     return Corpus(label=label, origin=origin, documents=documents)

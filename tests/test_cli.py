@@ -305,6 +305,22 @@ def test_tokenize_non_utf8_input_exits_3_naming_it(tmp_path, vocab_file, source)
     assert "Traceback" not in stderr
 
 
+def test_tokenize_unwritable_out_closes_input(tmp_path, vocab_file, corpora):
+    import os
+    import subprocess
+    import sys
+
+    small, _ = corpora
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "bpt.cli", "tokenize", "--vocab", str(vocab_file),
+         "--in", str(small), "--out", str(tmp_path / "missing" / "x.txt")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2, result.stderr
+    assert "ResourceWarning" not in result.stderr
+
+
 # --- create-instances / verify / compare ----------------------------------------
 
 
@@ -728,3 +744,28 @@ def test_verify_rotated_set_closes_every_file(tmp_path, capsys, vocab_file, corp
     )
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("build-vocab", "amplfy", True, "'amplfy'"),
+    ("create-instances", "max_file_bytes", True, "'max_file_bytes'"),
+    ("create-instances", "small_label", ["a"], "'small_label'"),
+    ("create-instances", "small", 5, "small corpus not found: 5"),
+    ("create-instances", "mode", "medium", "--mode"),
+])
+def test_config_value_is_held_to_its_flags_rules(tmp_path, capsys, caplog, vocab_file, corpora,
+                                                 command, key, value, message):
+    small, large = corpora
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    argv = ["--large", large, "--out", tmp_path / "x.bin"]
+    if key != "small":
+        argv += ["--small", small]
+    if command == "build-vocab":
+        argv += ["--target-size", "600"]
+    else:
+        argv += ["--vocab", vocab_file] + (["--mode", "conventional"] if key != "mode" else [])
+    code, stdout = run(capsys, command, "--config", cfg, *argv)
+    assert code == 2 and stdout == ""
+    assert message in caplog.text and "Traceback" not in caplog.text
+    assert not list(tmp_path.glob("x.bin*"))
