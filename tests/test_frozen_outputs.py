@@ -1,21 +1,25 @@
-"""Frozen sha256 digests of instance files and manifests.
+"""Frozen sha256 digests of instance files, manifests and vocabularies.
 
-The runs below cover simpt with with-replacement shard draws and a document
+The instance runs below cover simpt with with-replacement shard draws and a document
 that tokenizes to nothing, conventional with dupe_factor 3, a rotated binary
 set and the jsonl format, at max_seq_length 64 and short_seq_prob 0.5 so that
-truncation and short targets occur. A change that alters any digest alters
-output bytes for fixed seeds; such a change must be made on purpose and the
-digests updated with it.
+truncation and short targets occur. The build-vocab runs cover an amplified
+training stream that reaches its target and one that stops early at
+--min-frequency, so that its report holds the warning. A change that alters
+any digest alters output bytes for fixed seeds; such a change must be made on
+purpose and the digests updated with it.
 """
 
 import hashlib
+import json
 
+from bpt.cli import main
 from bpt.corpus import Document, Origin, Shard
 from bpt.instances import InstanceConfig, generate_conventional, generate_simpt
 from bpt.rng import SplitRng
 from bpt.serialize import write_instances, write_instances_jsonl
 
-from .conftest import make_document_sentences
+from .conftest import make_corpus_text, make_document_sentences, write_corpus_file
 
 FROZEN = {
     "conventional.bin": "a3b57ec8c0448fbd3fbf30dbd5180ff25d0f2089d37ca9e5e17c0c5e3def6ed2",
@@ -71,3 +75,37 @@ def test_instance_files_and_manifests_are_frozen(tmp_path, lexicon, small_tokeni
 
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert digests == FROZEN
+
+
+VOCAB_FROZEN = {
+    "amplified/merges.txt": "e65c6ddc0cb6b462abfb60ef3e81db0d2ec0000176cc5334f32e5d4d562abee1",
+    "amplified/report.json": "dd2b184f6aea2c58f6393b21d8720b1085f7976c13e404fc6770e164d535f60c",
+    "amplified/vocab.txt": "a01ad2d1893cb10fefa0340405a94e300508c5000ee956f2751c6f2b54ab246d",
+    "stopped/merges.txt": "5ab08b3966d35821ba818d204a75f6ad2c461fb9ec449b3fdc5b20b78d9cd897",
+    "stopped/report.json": "aace55e36977a55d2d4ffe74334c73dba60cad03cf3d814238a3be6d4f9820c8",
+    "stopped/vocab.txt": "2abd9fa36ee54179d98d95b4be4c2dc0720e6461a9e36806bd93e29ea0d9c57f",
+}
+
+
+def build_vocab(tmp_path, name, *flags):
+    """sha256 of vocab.txt, --merges-out and the --report JSON of one
+    build-vocab run, keyed by run name and file name."""
+    out = tmp_path / name
+    out.mkdir()
+    code = main(["build-vocab", *map(str, flags), "--out", str(out / "vocab.txt"),
+                 "--merges-out", str(out / "merges.txt"), "--report", str(out / "report.json")])
+    assert code == 0
+    return {f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_build_vocab_outputs_are_frozen(tmp_path, lexicon):
+    small = write_corpus_file(tmp_path / "small.txt", make_corpus_text(SplitRng(61), lexicon[:150], n_docs=4))
+    large = write_corpus_file(tmp_path / "large.txt", make_corpus_text(SplitRng(62), lexicon[100:], n_docs=16))
+    digests = build_vocab(tmp_path, "amplified", "--small", small, "--large", large, "--amplify",
+                          "--target-size", 700)
+    digests |= build_vocab(tmp_path, "stopped", "--large", large, "--target-size", 5000, "--min-frequency", 40)
+    amplified = json.loads((tmp_path / "amplified" / "report.json").read_text())
+    assert amplified["repeat_factor"] > 1 and not amplified["truncated"]
+    stopped = json.loads((tmp_path / "stopped" / "report.json").read_text())
+    assert stopped["truncated"] and "below min_frequency 40" in stopped["warnings"][0]
+    assert digests == VOCAB_FROZEN
