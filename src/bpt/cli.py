@@ -2,7 +2,9 @@
 create-instances, verify, compare.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error. Every subcommand accepts --config FILE: a JSON object whose keys
+3 I/O error. Every subcommand accepts --config FILE, and every one that
+writes a JSON report accepts --report FILE (tokenize and dump-ruleset write
+none, so they take no --report). A config file is a JSON object whose keys
 are the subcommand's flags, named like the long flags with dashes as
 underscores (`--in` is `infile`). Each value is checked once, by the rules of
 the flag it sets, and becomes that flag's default, so explicit flags win:
@@ -20,6 +22,7 @@ import json
 import logging
 import re
 import sys
+import time
 from pathlib import Path
 
 from .corpus import Origin, load_corpus, split_corpus, text_lines, write_document_text
@@ -212,7 +215,11 @@ def cmd_build_vocab(args) -> int:
     counts = combined_word_counts(small_counts, large_counts, repeat_factor or 1)
     del small_counts, large_counts
 
+    start = time.perf_counter()
     vocabulary, train_report = train_bpe(counts, args.target_size, min_frequency=args.min_frequency)
+    seconds = time.perf_counter() - start
+    log.info("build-vocab: %d merges in %.2f s (%.0f merges/s)", train_report.merges_performed, seconds,
+             train_report.merges_performed / seconds if seconds > 0 else 0.0)
     train_report.repeat_factor = repeat_factor
     vocabulary.save(out_path, args.merges_out)
     for warning in train_report.warnings:
@@ -427,20 +434,21 @@ def cmd_dump_ruleset(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--report", help="write the JSON report here instead of stdout")
+    reports = argparse.ArgumentParser(add_help=False, parents=[common])  # for commands that write a report
+    reports.add_argument("--report", help="write the JSON report here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="bpt", description="Balanced pre-training data toolkit"
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("filter", parents=[common], help="select articles by MeSH tree-number rules")
+    p = sub.add_parser("filter", parents=[reports], help="select articles by MeSH tree-number rules")
     p.add_argument("--ruleset", help="ruleset JSON path or bundled name (sP, fP)")
     p.add_argument("--in", dest="infile", help="JSON Lines article records")
     p.add_argument("--out", help="output corpus text file")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("shard", parents=[common], help="split a corpus into fixed-size shards")
+    p = sub.add_parser("shard", parents=[reports], help="split a corpus into fixed-size shards")
     p.add_argument("--in", dest="infile", help="corpus text file or directory")
     p.add_argument("--label", default="corpus", help="corpus label for doc ids")
     p.add_argument("--origin", choices=["small", "large"], default="small", help="origin tag")
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir", help="directory for shard files")
     p.set_defaults(func=cmd_shard)
 
-    p = sub.add_parser("build-vocab", parents=[common], help="train a BPE vocabulary")
+    p = sub.add_parser("build-vocab", parents=[reports], help="train a BPE vocabulary")
     p.add_argument("--small", help="small corpus path")
     p.add_argument("--large", help="large corpus path")
     p.add_argument("--small-label", dest="small_label", default="small")
@@ -468,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_tokenize)
 
-    p = sub.add_parser("create-instances", parents=[common], help="generate MLM/NSP instances")
+    p = sub.add_parser("create-instances", parents=[reports], help="generate MLM/NSP instances")
     p.add_argument("--mode", choices=["simpt", "conventional"])
     p.add_argument("--small", help="small corpus path")
     p.add_argument("--large", help="large corpus path")
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotate output files above this body size")
     p.set_defaults(func=cmd_create_instances)
 
-    p = sub.add_parser("verify", parents=[common], help="check an instance file's statistics")
+    p = sub.add_parser("verify", parents=[reports], help="check an instance file's statistics")
     p.add_argument("--in", dest="infile", help="instance file")
     p.add_argument("--vocab", help="vocabulary file")
     p.add_argument("--expected-origin-fraction", dest="expected_origin_fraction", type=float)
@@ -510,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="print the JSON report instead of the table")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[reports],
                        help="side-by-side statistics of two instance files")
     p.add_argument("files", nargs="*", help="two instance files")
     p.add_argument("--labels", help="two comma-separated column names")

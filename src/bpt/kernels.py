@@ -1,9 +1,12 @@
 """The pipeline's numeric inner loops, written with numpy.
 
 Adjacent-pair counting and merge application run during vocabulary training,
-mask selection during instance generation. Masking consumes draws from the
-splitmix64 stream of rng.py in a fixed order, so its output depends only on
-its arguments.
+mask selection during instance generation. Pairs are counted once, on words
+stored as a flat symbol array plus offsets; merges then run on a linked
+layout of the same array, so that one merge costs one compare over the array
+plus work in the occurrences it merges, not a copy of every word. Masking
+consumes draws from the splitmix64 stream of rng.py in a fixed order, so its
+output depends only on its arguments.
 
 `mask_sequence` takes a batch: 2-D ids and special flags, every row padded
 to one width, with one uint64 seed per row. Padding must be flagged special,
@@ -23,7 +26,6 @@ from .rng import _GAMMA
 BACKEND = "numpy"  # reported by tools that record the machine set-up
 
 _EMPTY_I64 = np.empty(0, np.int64)
-_EMPTY_I32 = np.empty(0, np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +38,16 @@ _EMPTY_I32 = np.empty(0, np.int32)
 
 
 def count_pairs(flat, offsets, counts):
-    lengths = np.diff(offsets)
     if flat.size < 2:
         return _EMPTY_I64, _EMPTY_I64
-    word_of = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    word_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
     valid = word_of[:-1] == word_of[1:]
     if not valid.any():
         return _EMPTY_I64, _EMPTY_I64
-    left = flat[:-1][valid].astype(np.int64)
-    right = flat[1:][valid].astype(np.int64)
-    keys = (left << 32) | right
     weights = counts[word_of[:-1][valid]]
+    del word_of  # this call sets the trainer's memory peak, so word_of goes before keys are made
+    keys = flat[:-1][valid].astype(np.int64) << 32
+    keys |= flat[1:][valid]
     uniq, inverse = np.unique(keys, return_inverse=True)
     totals = np.zeros(uniq.size, np.int64)
     np.add.at(totals, inverse, weights)
@@ -54,32 +55,38 @@ def count_pairs(flat, offsets, counts):
 
 
 # ---------------------------------------------------------------------------
-# BPE merge application: one pass over the whole symbol array replaces the
-# non-overlapping left-to-right occurrences of (left, right) in every word
-# with new_id. A merge shortens each word it touches by one symbol per
-# occurrence, so the words it changed are those whose length changed.
+# BPE merge application on the linked layout: `flat` keeps one slot per
+# symbol of the starting words for the whole run, and nxt[i] and prv[i] link
+# slot i to its neighbours in its word (-1 at either end). One compare over
+# flat finds the left symbols; each is checked against its linked right
+# neighbour. The non-overlapping left-to-right occurrences get new_id in
+# their left slot, and their right slot is unlinked and set to -1. A dead
+# slot's own links are left as they were and never read again.
 # ---------------------------------------------------------------------------
 
 
-def apply_merge(flat, offsets, left, right, new_id):
-    cand = np.flatnonzero(flat[:-1] == left)
-    cand = cand[flat[cand + 1] == right]
-    # the word holding a candidate ends at offsets[end]; a pair whose right
-    # symbol is at or past that end crosses a word boundary
-    end = np.searchsorted(offsets, cand, "right")
-    inside = cand + 1 < offsets[end]
-    cand, end = cand[inside], end[inside]
-    # Overlapping candidates (only possible when left == right) form runs of
-    # consecutive positions; greedy left-to-right keeps even offsets in a run.
-    new_run = np.ones(cand.size, bool)
-    new_run[1:] = np.diff(cand) != 1
-    run_starts = cand[new_run][np.cumsum(new_run) - 1]
-    first = (cand - run_starts) % 2 == 0
-    kept, end = cand[first], end[first]
-    out = np.delete(flat, kept + 1)
-    out[kept - np.arange(kept.size)] = new_id  # each left symbol moves down by the pairs before it
-    # offsets[j] moves down by the right symbols removed from the words before it
-    return out, offsets - np.cumsum(np.bincount(end, minlength=offsets.size))
+def apply_merge(flat, nxt, prv, left, right, new_id):
+    """Merge (left, right) in place; returns the merged (left) slots in
+    ascending order."""
+    merged = np.flatnonzero(flat == left)
+    gone = nxt[merged]
+    hit = (flat[gone] == right) & (gone >= 0)
+    merged, gone = merged[hit], gone[hit]
+    if left == right and merged.size > 1:
+        # Overlapping occurrences chain: one's right slot is the next one's
+        # left slot. Left to right, every other occurrence of a chain is kept.
+        starts = np.ones(merged.size, bool)
+        starts[1:] = merged[1:] != gone[:-1]
+        chain_start = np.flatnonzero(starts)[np.cumsum(starts) - 1]
+        first = (np.arange(merged.size) - chain_start) % 2 == 0
+        merged, gone = merged[first], gone[first]
+    after = nxt[gone]
+    flat[merged] = new_id
+    flat[gone] = -1
+    nxt[merged] = after
+    linked = after >= 0
+    prv[after[linked]] = merged[linked]
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -292,27 +292,104 @@ def merged_token(left: str, right: str) -> str:
     return left + right
 
 
-def _gather(flat, offsets, words):
-    """The symbols of the given words as their own (flat, offsets) pair."""
-    starts = offsets[words]
-    lengths = offsets[words + 1] - starts
-    sub_offsets = np.zeros(words.size + 1, np.int64)
-    np.cumsum(lengths, out=sub_offsets[1:])
-    return flat[np.repeat(starts - sub_offsets[:-1], lengths) + np.arange(sub_offsets[-1])], sub_offsets
+def _pair_keys(left, right):
+    """Sort keys of (left, right) symbol pairs: the larger id, then the
+    smaller, then whether the larger is on the left. Every pair that holds
+    the newest token thus sorts after every pair that does not."""
+    high = np.maximum(left, right).astype(np.int64)
+    low = np.minimum(left, right).astype(np.int64)
+    return high << 32 | low << 1 | (left > right)
 
 
-def _add_pair_counts(keys, totals, delta_keys, delta_totals):
-    """Add sorted pair-count deltas into sorted (keys, totals): new keys are
-    inserted in order and keys whose total reaches 0 are dropped."""
-    pos = np.searchsorted(keys, delta_keys)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == delta_keys[found]
-    totals[pos[found]] += delta_totals[found]
-    fresh = ~found
-    keys = np.insert(keys, pos[fresh], delta_keys[fresh])
-    totals = np.insert(totals, pos[fresh], delta_totals[fresh])
-    kept = totals != 0
-    return keys[kept], totals[kept]
+def _key_pair(key: int) -> tuple[int, int]:
+    high, low = key >> 32, (key >> 1) & 0x7FFFFFFF
+    return (high, low) if key & 1 else (low, high)
+
+
+class _PairTotals:
+    """Summed word counts of adjacent symbol pairs, in arrays sorted by
+    `_pair_keys` with room to grow at the end. A total that falls to 0 stays
+    until the arrays are full; then such totals are dropped before the
+    arrays grow."""
+
+    def __init__(self, keys, totals):
+        order = np.argsort(keys)
+        self.keys, self.totals, self.size = keys[order], totals[order], keys.size
+
+    def best(self):
+        """The largest total and the keys that have it."""
+        totals = self.totals[: self.size]
+        best = int(totals.max(initial=0))
+        return best, self.keys[: self.size][totals == best]
+
+    def add(self, keys, weights) -> None:
+        held = self.keys[: self.size]
+        at = np.searchsorted(held, keys)
+        found = at < held.size
+        found[found] = held[at[found]] == keys[found]
+        if not found.all():
+            fresh = np.sort(keys[~found])
+            first = np.ones(fresh.size, bool)
+            first[1:] = fresh[1:] != fresh[:-1]
+            fresh = fresh[first]
+            if held.size and fresh[0] < held[-1]:  # the merge made a token that already existed
+                into = np.searchsorted(held, fresh)
+                self.keys = np.insert(held, into, fresh)
+                self.totals = np.insert(self.totals[: self.size], into, 0)
+                self.size = self.keys.size
+            else:
+                if self.size + fresh.size > self.keys.size:
+                    self._make_room(fresh.size)
+                end = self.size + fresh.size
+                self.keys[self.size : end] = fresh
+                self.totals[self.size : end] = 0
+                self.size = end
+            at = np.searchsorted(self.keys[: self.size], keys)
+        np.add.at(self.totals, at, weights)
+
+    def _make_room(self, extra: int) -> None:
+        live = self.totals[: self.size] != 0
+        keys, totals = self.keys[: self.size][live], self.totals[: self.size][live]
+        capacity = 2 * (keys.size + extra)
+        self.keys = np.empty(capacity, np.int64)
+        self.totals = np.empty(capacity, np.int64)
+        self.size = keys.size
+        self.keys[: self.size] = keys
+        self.totals[: self.size] = totals
+
+
+def _merge_deltas(flat, nxt, prv, at, weight, left, right, new):
+    """Pair keys and weights that sum to the change one merge made to the
+    pair totals, read from the merged slots `at` (ascending) after the
+    merge; `weight` holds their words' counts.
+
+    Before the merge an occurrence held the pairs (previous, left),
+    (left, right) and (right, next); after it, (previous, new) and
+    (new, next). Only dead slots lie between linked slots, so a merged
+    slot's next slot is merged too exactly when it is the next entry of
+    `at`. Such a next slot held `left` before the merge, and the pair
+    between the two is counted once, as the next pair of the first.
+    """
+    prev, nexts = prv[at], nxt[at]
+    next_merged = np.zeros(at.size, bool)
+    next_merged[:-1] = at[1:] == nexts[:-1]
+    has_prev = prev >= 0
+    has_prev[1:] &= ~next_merged[:-1]
+    has_next = nexts >= 0
+    p, wp = flat[prev[has_prev]], weight[has_prev]
+    n, wn = flat[nexts[has_next]], weight[has_next]
+    k, j = p.size, n.size
+    # rows: (previous, left), (previous, new), (right, next), (new, next), (left, right)
+    lefts = np.empty(2 * k + 2 * j + 1, np.int64)
+    rights = np.empty_like(lefts)
+    lefts[:k] = lefts[k : 2 * k] = p
+    rights[:k], rights[k : 2 * k] = left, new
+    lefts[2 * k : 2 * k + j], lefts[2 * k + j : -1] = right, new
+    rights[2 * k : 2 * k + j] = np.where(next_merged[has_next], left, n)
+    rights[2 * k + j : -1] = n
+    lefts[-1], rights[-1] = left, right
+    weights = np.concatenate([-wp, wp, -wn, wn, [-weight.sum()]])
+    return _pair_keys(lefts, rights), weights
 
 
 def train_bpe(
@@ -328,12 +405,14 @@ def train_bpe(
     Stops at target_size, or earlier when no pair reaches min_frequency, in
     which case the report is marked truncated.
 
-    All pairs are counted once. After that each merge is one
-    `kernels.apply_merge` pass over the whole symbol array. Every occurrence
-    it merges shortens its word by one symbol, so the words whose length
-    changed are exactly the words it touched. Only their pairs are counted
-    again, with weight -count before the merge and +count after it, and the
-    difference is added to the sorted pair counts.
+    All pairs are counted once with `kernels.count_pairs`. The symbols then
+    stay in one array of fixed length with links to each slot's neighbours
+    in its word, and each merge is one `kernels.apply_merge` call: one
+    compare over the array, then work in the occurrences it merges. Only
+    the pairs that start at a merged occurrence's previous, left and right
+    slot change. They are counted before the merge (weight -count) and after
+    it (+count), from the merged slots and their links, and the difference
+    is added into the pair totals.
     """
     specials = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
     if isinstance(word_counts, Mapping):
@@ -368,12 +447,19 @@ def train_bpe(
     counts = np.asarray([c for _, c in items], np.int64)
 
     keys, totals = kernels.count_pairs(flat, offsets, counts)
+    pairs = _PairTotals(_pair_keys(keys >> 32, keys & 0xFFFFFFFF), totals)
+    del keys, totals
+    nxt = np.arange(1, flat.size + 1, dtype=np.int32)
+    nxt[offsets[1:] - 1] = -1
+    prv = np.arange(-1, flat.size - 1, dtype=np.int32)
+    prv[offsets[:-1]] = -1
+    word_of = np.repeat(np.arange(len(items), dtype=np.int32), lengths)
     merges: list[tuple[str, str]] = []
     while len(tokens) < target_size:
-        if keys.size == 0:
+        best_total, best_keys = pairs.best()
+        if best_total == 0:
             report.warnings.append("stopped early: no adjacent pairs remain")
             break
-        best_total = int(totals.max())
         if best_total < min_frequency:
             report.warnings.append(
                 f"stopped early: best pair count {best_total} is below min_frequency {min_frequency}"
@@ -381,9 +467,8 @@ def train_bpe(
             break
         best_key = None
         chosen = None
-        for key in keys[totals == best_total]:
-            left_id = int(key) >> 32
-            right_id = int(key) & 0xFFFFFFFF
+        for key in best_keys.tolist():
+            left_id, right_id = _key_pair(key)
             left_tok, right_tok = tokens[left_id], tokens[right_id]
             merged = merged_token(left_tok, right_tok)
             order_key = (merged, left_tok, right_tok)
@@ -398,19 +483,8 @@ def train_bpe(
             index[merged] = new_id
         merges.append((left_tok, right_tok))
 
-        merged_flat, merged_offsets = kernels.apply_merge(
-            flat, offsets, np.int32(left_id), np.int32(right_id), np.int32(new_id)
-        )
-        words = np.flatnonzero(np.diff(merged_offsets) != np.diff(offsets))
-        before, before_offsets = _gather(flat, offsets, words)
-        after, after_offsets = _gather(merged_flat, merged_offsets, words)
-        delta_keys, delta_totals = kernels.count_pairs(
-            np.concatenate([before, after]),
-            np.concatenate([before_offsets, after_offsets[1:] + before.size]),
-            np.concatenate([-counts[words], counts[words]]),
-        )
-        keys, totals = _add_pair_counts(keys, totals, delta_keys, delta_totals)
-        flat, offsets = merged_flat, merged_offsets
+        at = kernels.apply_merge(flat, nxt, prv, np.int32(left_id), np.int32(right_id), np.int32(new_id))
+        pairs.add(*_merge_deltas(flat, nxt, prv, at, counts[word_of[at]], left_id, right_id, new_id))
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)

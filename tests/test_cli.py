@@ -769,3 +769,31 @@ def test_config_value_is_held_to_its_flags_rules(tmp_path, capsys, caplog, vocab
     assert code == 2 and stdout == ""
     assert message in caplog.text and "Traceback" not in caplog.text
     assert not list(tmp_path.glob("x.bin*"))
+
+
+@pytest.mark.parametrize("argv", [["tokenize", "--vocab", "v.txt"], ["dump-ruleset", "sP"]],
+                         ids=["tokenize", "dump-ruleset"])
+def test_report_is_refused_where_no_report_is_written(tmp_path, capsys, caplog, argv):
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--report", str(report)])
+    assert exit_info.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"report": str(report)}))
+    code, stdout = run(capsys, *argv, "--config", cfg)
+    assert code == 2 and stdout == ""
+    assert "key 'report'" in caplog.text
+    assert not report.exists()
+
+
+def test_build_vocab_logs_training_rate_only(tmp_path, capsys, caplog, corpora):
+    small, large = corpora
+    argv = ["build-vocab", "--small", small, "--large", large, "--target-size", "600", "--min-frequency", "1"]
+    with caplog.at_level("INFO", logger="bpt"):
+        code, stdout = run(capsys, *argv, "--out", tmp_path / "v.txt")
+    assert code == 0
+    report = json.loads(stdout)
+    lines = [r.getMessage() for r in caplog.records if "merges/s" in r.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith(f"build-vocab: {report['merges_performed']} merges in ")
+    assert "merges/s" not in stdout and "seconds" not in report

@@ -1,6 +1,6 @@
 """Edge cases of the numeric kernels. BPE training as a whole is pinned by
-the merge-for-merge oracle test (C07), merge application by the per-word
-oracle below, masking by the golden-value test in test_instances.py and
+the merge-for-merge oracle test (C07), merge application on the linked
+layout by the per-word oracle below, once and twice in a row, masking by the golden-value test in test_instances.py and
 the batch kernel by the one-sequence oracle below."""
 
 import numpy as np
@@ -29,21 +29,73 @@ def test_count_pairs_weighted_totals():
     assert got == {(0, 1): 3, (1, 1): 5}
 
 
+def linked(words):
+    """The linked layout of a list of words: (flat, nxt, prv, first slot of
+    each word)."""
+    flat = np.array([s for word in words for s in word], np.int32)
+    lengths = np.array([len(word) for word in words], np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    nxt = np.arange(1, flat.size + 1, dtype=np.int32)
+    nxt[ends - 1] = -1
+    prv = np.arange(-1, flat.size - 1, dtype=np.int32)
+    prv[starts] = -1
+    return flat, nxt, prv, starts
+
+
+def read_words(flat, nxt, prv, starts):
+    """The words of a linked layout, read by walking nxt from each word's
+    first slot; checks that prv links each slot back to the one before it."""
+    words = []
+    for slot in starts:
+        word, before = [], -1
+        while slot >= 0:
+            assert prv[slot] == before and flat[slot] >= 0
+            word.append(int(flat[slot]))
+            before, slot = slot, nxt[slot]
+        words.append(word)
+    return words
+
+
+def merge(layout, left, right, new_id):
+    flat, nxt, prv, _ = layout
+    return kernels.apply_merge(flat, nxt, prv, np.int32(left), np.int32(right), np.int32(new_id))
+
+
+def oracle_words(words, left, right, new_id):
+    flat, offsets = apply_merge_oracle(words, left, right, new_id)
+    return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
 def test_apply_merge_overlapping_run_is_left_to_right():
     # "aaaa" with merge (a,a) -> (aa)(aa); "aaa" -> (aa)a
-    flat = np.array([7, 7, 7, 7, 7, 7, 7], np.int32)
-    offsets = np.array([0, 4, 7], np.int64)
-    out, new_offsets = kernels.apply_merge(flat, offsets, np.int32(7), np.int32(7), np.int32(9))
-    np.testing.assert_array_equal(out, [9, 9, 9, 7])
-    np.testing.assert_array_equal(new_offsets, [0, 2, 4])
+    layout = linked([[7, 7, 7, 7], [7, 7, 7]])
+    merged = merge(layout, 7, 7, 9)
+    assert merged.tolist() == [0, 2, 4]
+    assert read_words(*layout) == [[9, 9], [9, 7]]
+    assert layout[0].tolist() == [9, -1, 9, -1, 9, -1, 7]
 
 
 def test_apply_merge_no_match_is_identity():
-    flat = np.array([1, 2, 3], np.int32)
-    offsets = np.array([0, 3], np.int64)
-    out, new_offsets = kernels.apply_merge(flat, offsets, np.int32(5), np.int32(6), np.int32(9))
-    np.testing.assert_array_equal(out, flat)
-    np.testing.assert_array_equal(new_offsets, offsets)
+    layout = linked([[1, 2, 3], [1, 3]])  # (3, 1) only across the word boundary
+    before = [a.copy() for a in layout]
+    assert merge(layout, 3, 1, 9).size == 0
+    for got, want in zip(layout, before):
+        np.testing.assert_array_equal(got, want)
+
+
+def check_merge(layout, words, left, right, new_id):
+    """Merge on the layout and in `words` with the oracle; the results must
+    agree, and the merged slots must be those that hold new_id, one right
+    slot set to -1 for each."""
+    dead = int(np.count_nonzero(layout[0] == -1))
+    merged = merge(layout, left, right, new_id)
+    words = oracle_words(words, left, right, new_id)
+    assert read_words(*layout) == words
+    assert merged.dtype == np.int64
+    assert merged.tolist() == np.flatnonzero(layout[0] == new_id).tolist()
+    assert np.count_nonzero(layout[0] == -1) == dead + merged.size
+    return words
 
 
 # words of 1-8 symbols over a 3-symbol alphabet: runs of left == right and
@@ -56,14 +108,30 @@ MERGE_WORDS = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8), max_
 @example([[0], [1]], 0, 1)  # the only (0, 1) crosses the boundary
 @example([[1, 1], [1, 1, 1]], 1, 1)
 def test_apply_merge_whole_array_equals_per_word_oracle(words, left, right):
-    flat = np.array([s for word in words for s in word], np.int32)
-    offsets = np.zeros(len(words) + 1, np.int64)
-    np.cumsum([len(word) for word in words], out=offsets[1:])
-    out, new_offsets = kernels.apply_merge(flat, offsets, np.int32(left), np.int32(right), np.int32(9))
-    want_flat, want_offsets = apply_merge_oracle(words, left, right, 9)
-    assert out.tolist() == want_flat
-    assert new_offsets.tolist() == want_offsets
-    assert out.dtype == flat.dtype and new_offsets.dtype == offsets.dtype
+    check_merge(linked(words), words, left, right, 9)
+
+
+# words of 1-12 symbols over "a" (a = 0) or "aab" (b = 1), then two merges:
+# the second may take the first's new symbol 2, so its runs and links cross
+# slots the first merge unlinked
+TWICE = st.sampled_from(["a", "aab"]).flatmap(lambda alphabet: st.tuples(
+    st.lists(st.lists(st.sampled_from([0 if ch == "a" else 1 for ch in alphabet]), min_size=1, max_size=12),
+             max_size=10),
+    st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet)).map(lambda p: ["ab".index(c) for c in p]),
+    st.tuples(*[st.sampled_from([2] + ["ab".index(c) for c in alphabet])] * 2),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TWICE)
+@example(([[0] * 9, [0] * 4], [0, 0], (2, 2)))
+@example(([[0] * 7], [0, 0], (2, 0)))
+@example(([[0, 0, 1, 0, 0, 1, 0, 0]], [0, 0], (2, 1)))
+def test_apply_merge_twice_equals_oracle_applied_twice(case):
+    words, first, second = case
+    layout = linked(words)
+    words = check_merge(layout, words, *first, 2)
+    check_merge(layout, words, *second, 3)
 
 
 def mask_one_row(ids, special, seed, *args):

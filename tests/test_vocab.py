@@ -394,6 +394,14 @@ def test_train_bpe_matches_oracle_on_seeded_stress_corpora():
         assert_matches_oracle(words, floor_size(words) + r.randint(1, 40), r.randint(1, 3))
 
 
+@pytest.mark.parametrize("words", [{"#####": 2}, {"#####": 7, "aabba": 5}])
+def test_train_bpe_merge_that_makes_an_existing_token_matches_oracle(words):
+    # "#" + "####" is "###", already the alphabet symbol of a non-initial "#":
+    # the pairs such a merge creates are new, yet sort among the existing ones
+    vocab, report = assert_matches_oracle(words, floor_size(words) + 10, 1)
+    assert report.merges_performed > len(vocab.tokens) - floor_size(words)
+
+
 def test_train_bpe_memory_stays_at_flat_array_scale():
     """The trainer keeps symbols, pair counts and their deltas in flat numpy
     arrays. A per-pair index of Python objects (pair -> set of words, as in a
