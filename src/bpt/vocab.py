@@ -332,7 +332,7 @@ class _PairTotals:
             first = np.ones(fresh.size, bool)
             first[1:] = fresh[1:] != fresh[:-1]
             fresh = fresh[first]
-            if held.size and fresh[0] < held[-1]:  # the merge made a token that already existed
+            if fresh[0] < held[-1]:  # the merge made a token that already existed
                 into = np.searchsorted(held, fresh)
                 self.keys = np.insert(held, into, fresh)
                 self.totals = np.insert(self.totals[: self.size], into, 0)

@@ -1,7 +1,8 @@
 """Edge cases of the numeric kernels. BPE training as a whole is pinned by
 the merge-for-merge oracle test (C07), merge application on the linked
-layout by the per-word oracle below, once and twice in a row, masking by the golden-value test in test_instances.py and
-the batch kernel by the one-sequence oracle below."""
+layout by the per-word oracle below, once and twice in a row, masking by
+the golden-value test in test_instances.py and the batch kernel by the
+one-sequence oracle below."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -111,22 +112,23 @@ def test_apply_merge_whole_array_equals_per_word_oracle(words, left, right):
     check_merge(linked(words), words, left, right, 9)
 
 
-# words of 1-12 symbols over "a" (a = 0) or "aab" (b = 1), then two merges:
-# the second may take the first's new symbol 2, so its runs and links cross
-# slots the first merge unlinked
-TWICE = st.sampled_from(["a", "aab"]).flatmap(lambda alphabet: st.tuples(
-    st.lists(st.lists(st.sampled_from([0 if ch == "a" else 1 for ch in alphabet]), min_size=1, max_size=12),
-             max_size=10),
-    st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet)).map(lambda p: ["ab".index(c) for c in p]),
-    st.tuples(*[st.sampled_from([2] + ["ab".index(c) for c in alphabet])] * 2),
-))
+def two_merges(alphabet):
+    """Words of 1-12 symbols over `alphabet` as ids (a = 0, b = 1), a first
+    merge over those symbols, and a second that may also take the first's
+    new symbol 2, so that its runs and links cross slots the first unlinked."""
+    symbols = ["ab".index(ch) for ch in alphabet]
+    return st.tuples(
+        st.lists(st.lists(st.sampled_from(symbols), min_size=1, max_size=12), max_size=10),
+        st.tuples(st.sampled_from(symbols), st.sampled_from(symbols)),
+        st.tuples(st.sampled_from(symbols + [2]), st.sampled_from(symbols + [2])),
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(TWICE)
-@example(([[0] * 9, [0] * 4], [0, 0], (2, 2)))
-@example(([[0] * 7], [0, 0], (2, 0)))
-@example(([[0, 0, 1, 0, 0, 1, 0, 0]], [0, 0], (2, 1)))
+@given(st.sampled_from(["a", "aab"]).flatmap(two_merges))
+@example(([[0] * 9, [0] * 4], (0, 0), (2, 2)))
+@example(([[0] * 7], (0, 0), (2, 0)))
+@example(([[0, 0, 1, 0, 0, 1, 0, 0]], (0, 0), (2, 1)))
 def test_apply_merge_twice_equals_oracle_applied_twice(case):
     words, first, second = case
     layout = linked(words)
