@@ -1,12 +1,14 @@
 """The pipeline's numeric inner loops, written with numpy.
 
-Adjacent-pair counting and merge application run during vocabulary training,
-mask selection during instance generation. Pairs are counted once, on words
-stored as a flat symbol array plus offsets; merges then run on a linked
-layout of the same array, so that one merge costs one compare over the array
-plus work in the occurrences it merges, not a copy of every word. Masking
-consumes draws from the splitmix64 stream of rng.py in a fixed order, so its
-output depends only on its arguments.
+Pair counting and merge application run during vocabulary training, mask
+selection during instance generation. `count_pairs` sums weights by key and
+knows nothing of words or of how a pair is keyed; the trainer calls it on
+every pair of the starting words, then once per merge on that merge's
+changes. Merges run on a linked layout of one flat symbol array, so that one
+merge costs one compare over the array plus work in the occurrences it
+merges, not a copy of every word. Masking consumes draws from the splitmix64
+stream of rng.py in a fixed order, so its output depends only on its
+arguments.
 
 `mask_sequence` takes a batch: 2-D ids and special flags, every row padded
 to one width, with one uint64 seed per row. Padding must be flagged special,
@@ -25,33 +27,23 @@ from .rng import _GAMMA
 
 BACKEND = "numpy"  # reported by tools that record the machine set-up
 
-_EMPTY_I64 = np.empty(0, np.int64)
-
 
 # ---------------------------------------------------------------------------
-# BPE pair counting: weighted counts of adjacent symbol pairs across words.
-# Words are stored as one flat int32 array of symbol ids plus an offsets array
-# (len n_words+1); counts[w] is the corpus frequency of word w. Pairs never
-# cross word boundaries. Returns (sorted unique pair keys, summed counts)
-# with key = left << 32 | right.
+# BPE pair counting: the sum of the weights of each distinct pair key. The
+# keys arrive in any order and may repeat, and weights may be negative, so
+# one call sums both a first count and one merge's changes to it.
 # ---------------------------------------------------------------------------
 
 
-def count_pairs(flat, offsets, counts):
-    if flat.size < 2:
-        return _EMPTY_I64, _EMPTY_I64
-    word_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
-    valid = word_of[:-1] == word_of[1:]
-    if not valid.any():
-        return _EMPTY_I64, _EMPTY_I64
-    weights = counts[word_of[:-1][valid]]
-    del word_of  # this call sets the trainer's memory peak, so word_of goes before keys are made
-    keys = flat[:-1][valid].astype(np.int64) << 32
-    keys |= flat[1:][valid]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    totals = np.zeros(uniq.size, np.int64)
-    np.add.at(totals, inverse, weights)
-    return uniq, totals
+def count_pairs(keys, weights):
+    """The distinct keys in ascending order, and the summed weight of each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.size, bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    keys = keys[starts]  # the sorted copy goes before the weights are gathered
+    return keys, np.add.reduceat(weights[order], starts)
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,8 @@ class _PairTotals:
     until the arrays are full; then such totals are dropped before the
     arrays grow."""
 
-    def __init__(self, keys, totals):
-        order = np.argsort(keys)
-        self.keys, self.totals, self.size = keys[order], totals[order], keys.size
+    def __init__(self):
+        self.keys, self.totals, self.size = np.empty(0, np.int64), np.empty(0, np.int64), 0
 
     def best(self):
         """The largest total and the keys that have it."""
@@ -323,29 +322,28 @@ class _PairTotals:
         return best, self.keys[: self.size][totals == best]
 
     def add(self, keys, weights) -> None:
+        """Add each weight to the total of its pair key; keys may repeat."""
+        keys, weights = kernels.count_pairs(keys, weights)
         held = self.keys[: self.size]
         at = np.searchsorted(held, keys)
         found = at < held.size
         found[found] = held[at[found]] == keys[found]
-        if not found.all():
-            fresh = np.sort(keys[~found])
-            first = np.ones(fresh.size, bool)
-            first[1:] = fresh[1:] != fresh[:-1]
-            fresh = fresh[first]
-            if fresh[0] < held[-1]:  # the merge made a token that already existed
-                into = np.searchsorted(held, fresh)
-                self.keys = np.insert(held, into, fresh)
-                self.totals = np.insert(self.totals[: self.size], into, 0)
-                self.size = self.keys.size
-            else:
-                if self.size + fresh.size > self.keys.size:
-                    self._make_room(fresh.size)
-                end = self.size + fresh.size
-                self.keys[self.size : end] = fresh
-                self.totals[self.size : end] = 0
-                self.size = end
-            at = np.searchsorted(self.keys[: self.size], keys)
-        np.add.at(self.totals, at, weights)
+        self.totals[at[found]] += weights[found]
+        fresh = ~found
+        into = at[fresh]
+        if not into.size:
+            return
+        if into[0] < self.size:  # the merge made a token that already existed
+            self.keys = np.insert(held, into, keys[fresh])
+            self.totals = np.insert(self.totals[: self.size], into, weights[fresh])
+            self.size = self.keys.size
+        else:
+            if self.size + into.size > self.keys.size:
+                self._make_room(into.size)
+            end = self.size + into.size
+            self.keys[self.size : end] = keys[fresh]
+            self.totals[self.size : end] = weights[fresh]
+            self.size = end
 
     def _make_room(self, extra: int) -> None:
         live = self.totals[: self.size] != 0
@@ -393,9 +391,8 @@ def _merge_deltas(flat, nxt, prv, at, weight, left, right, new):
 
 
 def train_bpe(
-    word_counts: "Mapping[str, int] | Iterable[tuple[str, int]]",
+    word_counts: Mapping[str, int],
     target_size: int = DEFAULT_TARGET_SIZE,
-    special_tokens: "list[str] | None" = None,
     min_frequency: int = DEFAULT_MIN_FREQUENCY,
 ) -> tuple[Vocabulary, TrainReport]:
     """Frequency-greedy BPE over a (word -> count) stream.
@@ -405,34 +402,30 @@ def train_bpe(
     Stops at target_size, or earlier when no pair reaches min_frequency, in
     which case the report is marked truncated.
 
-    All pairs are counted once with `kernels.count_pairs`. The symbols then
-    stay in one array of fixed length with links to each slot's neighbours
-    in its word, and each merge is one `kernels.apply_merge` call: one
-    compare over the array, then work in the occurrences it merges. Only
-    the pairs that start at a merged occurrence's previous, left and right
-    slot change. They are counted before the merge (weight -count) and after
-    it (+count), from the merged slots and their links, and the difference
-    is added into the pair totals.
+    The symbols stay in one array of fixed length with the index of each
+    slot's word and links to its neighbours in that word. The pair totals
+    start empty and take every pair of adjacent slots of one word, weighted
+    by the word's count. Each merge is then one `kernels.apply_merge` call:
+    one compare over the array, then work in the occurrences it merges.
+    Only the pairs that start at a merged occurrence's previous, left and
+    right slot change. They are counted before the merge (weight -count)
+    and after it (+count), from the merged slots and their links, and added
+    into the totals. Both additions sum by pair key in `kernels.count_pairs`.
     """
-    specials = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
-    if isinstance(word_counts, Mapping):
-        items = [(w, int(c)) for w, c in word_counts.items() if w and c > 0]
-    else:
-        items = [(w, int(c)) for w, c in word_counts if w and c > 0]
+    items = [(w, int(c)) for w, c in word_counts.items() if w and c > 0]
     if not items:
         raise VocabError("empty training stream")
 
-    alphabet: set[str] = set()
-    for word, _ in items:
-        alphabet.update(word_symbols(word))
+    later = set(chain.from_iterable(w[1:] for w, _ in items))
+    alphabet = {w[0] for w, _ in items} | {CONTINUATION_PREFIX + ch for ch in later}
     alphabet_sorted = sorted(alphabet)
-    floor_size = len(specials) + len(alphabet_sorted)
+    floor_size = len(SPECIAL_TOKENS) + len(alphabet_sorted)
     if target_size <= floor_size:
         raise VocabError(
             f"target_size {target_size} must exceed special tokens + alphabet = {floor_size}"
         )
 
-    tokens = specials + alphabet_sorted
+    tokens = SPECIAL_TOKENS + alphabet_sorted
     index = {t: i for i, t in enumerate(tokens)}
     report = TrainReport(
         requested_size=target_size, alphabet_size=len(alphabet_sorted), min_frequency=min_frequency
@@ -445,15 +438,15 @@ def train_bpe(
         (index[s] for w, _ in items for s in word_symbols(w)), np.int32, count=int(offsets[-1])
     )
     counts = np.asarray([c for _, c in items], np.int64)
+    word_of = np.repeat(np.arange(len(items), dtype=np.int32), lengths)
 
-    keys, totals = kernels.count_pairs(flat, offsets, counts)
-    pairs = _PairTotals(_pair_keys(keys >> 32, keys & 0xFFFFFFFF), totals)
-    del keys, totals
+    pairs = _PairTotals()
+    inner = word_of[:-1] == word_of[1:]
+    pairs.add(_pair_keys(flat[:-1][inner], flat[1:][inner]), counts[word_of[:-1][inner]])
     nxt = np.arange(1, flat.size + 1, dtype=np.int32)
     nxt[offsets[1:] - 1] = -1
     prv = np.arange(-1, flat.size - 1, dtype=np.int32)
     prv[offsets[:-1]] = -1
-    word_of = np.repeat(np.arange(len(items), dtype=np.int32), lengths)
     merges: list[tuple[str, str]] = []
     while len(tokens) < target_size:
         best_total, best_keys = pairs.best()
@@ -484,13 +477,17 @@ def train_bpe(
         merges.append((left_tok, right_tok))
 
         at = kernels.apply_merge(flat, nxt, prv, np.int32(left_id), np.int32(right_id), np.int32(new_id))
+        if not at.size:
+            raise RuntimeError(
+                f"merging ({left_tok!r}, {right_tok!r}) with total {best_total} merged no occurrence"
+            )
         pairs.add(*_merge_deltas(flat, nxt, prv, at, counts[word_of[at]], left_id, right_id, new_id))
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)
     if report.final_size < target_size:
         report.truncated = True
-    return Vocabulary(tokens, merges=merges, special_tokens=specials), report
+    return Vocabulary(tokens, merges=merges), report
 
 
 def coverage_report(vocab: Vocabulary, terms: list[str]) -> list[dict]:

@@ -13,21 +13,20 @@ from .oracles import apply_merge_oracle, mask_sequence_oracle
 
 
 def test_count_pairs_empty_and_single():
-    flat = np.array([3], np.int32)
-    offsets = np.array([0, 1], np.int64)
-    counts = np.array([5], np.int64)
-    keys, totals = kernels.count_pairs(flat, offsets, counts)
+    keys, totals = kernels.count_pairs(np.empty(0, np.int64), np.empty(0, np.int64))
     assert keys.size == 0 and totals.size == 0
+    keys, totals = kernels.count_pairs(np.array([9], np.int64), np.array([5], np.int64))
+    assert keys.tolist() == [9] and totals.tolist() == [5]
 
 
 def test_count_pairs_weighted_totals():
-    # words: [0,1,1] x3 and [1,1] x2 -> pair (0,1): 3, pair (1,1): 3+2
-    flat = np.array([0, 1, 1, 1, 1], np.int32)
-    offsets = np.array([0, 3, 5], np.int64)
-    counts = np.array([3, 2], np.int64)
-    keys, totals = kernels.count_pairs(flat, offsets, counts)
-    got = {(int(k) >> 32, int(k) & 0xFFFFFFFF): int(t) for k, t in zip(keys, totals)}
-    assert got == {(0, 1): 3, (1, 1): 5}
+    # repeated keys are summed, negative weights included, and the distinct
+    # keys come back in ascending order
+    keys = np.array([10**12, 3, 10**12, 5, 3, 3], np.int64)
+    weights = np.array([4, 1, -6, 2, 2, -3], np.int64)
+    keys, totals = kernels.count_pairs(keys, weights)
+    assert keys.tolist() == [3, 5, 10**12]
+    assert totals.tolist() == [0, 2, -2]
 
 
 def linked(words):

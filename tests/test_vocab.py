@@ -3,6 +3,7 @@ import tracemalloc
 import unicodedata
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -400,6 +401,14 @@ def test_train_bpe_merge_that_makes_an_existing_token_matches_oracle(words):
     # the pairs such a merge creates are new, yet sort among the existing ones
     vocab, report = assert_matches_oracle(words, floor_size(words) + 10, 1)
     assert report.merges_performed > len(vocab.tokens) - floor_size(words)
+
+
+def test_train_bpe_merge_that_merges_nothing_raises(monkeypatch):
+    # a pair total that disagrees with the symbols picks a pair that merges
+    # nothing; from its second pick on the vocabulary no longer grows
+    monkeypatch.setattr(vocab_module.kernels, "apply_merge", lambda *args: np.empty(0, np.int64))
+    with pytest.raises(RuntimeError, match=r"merging \('##u', '##g'\) with total 4 merged no occurrence"):
+        train_bpe({"hug": 3, "pug": 1}, target_size=12, min_frequency=1)
 
 
 def test_train_bpe_memory_stays_at_flat_array_scale():
