@@ -3,68 +3,67 @@
 Pipeline: filter (MeSH rules) -> shard -> build vocabulary (optionally
 amplified) -> generate MLM/NSP instances (balanced or conventional) ->
 verify balance and masking statistics.
+
+The names in `__all__` are imported from their modules on first access
+(PEP 562), so `import bpt` loads no module, and no numpy, until a name is
+used. Submodules import as usual: ``from bpt import kernels``.
 """
 
-from .corpus import Corpus, Document, Origin, Shard, load_corpus, split_corpus
-from .instances import (
-    GenerationReport,
-    InstanceConfig,
-    InstanceTally,
-    PretrainInstance,
-    create_instances_from_documents,
-    generate_conventional,
-    generate_simpt,
-    mask_tokens,
-    pair_diversity,
-)
-from .mesh_filter import ArticleRecord, MeshRuleset, select_articles, tree_matches
-from .serialize import Manifest, read_instances, write_instances
-from .tokenizer import TokenSequence, WordPieceTokenizer, wordpiece_tokenize
-from .verify import Tolerances, VerificationReport, verify_file
-from .vocab import (
-    AmplificationPlan,
-    Vocabulary,
-    coverage_report,
-    normalize,
-    plan_amplification,
-    train_bpe,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplificationPlan",
-    "ArticleRecord",
-    "Corpus",
-    "Document",
-    "GenerationReport",
-    "InstanceConfig",
-    "InstanceTally",
-    "Manifest",
-    "MeshRuleset",
-    "Origin",
-    "PretrainInstance",
-    "Shard",
-    "TokenSequence",
-    "Tolerances",
-    "VerificationReport",
-    "Vocabulary",
-    "WordPieceTokenizer",
-    "coverage_report",
-    "create_instances_from_documents",
-    "generate_conventional",
-    "generate_simpt",
-    "load_corpus",
-    "mask_tokens",
-    "normalize",
-    "pair_diversity",
-    "plan_amplification",
-    "read_instances",
-    "select_articles",
-    "split_corpus",
-    "train_bpe",
-    "tree_matches",
-    "verify_file",
-    "wordpiece_tokenize",
-    "write_instances",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "AmplificationPlan": "vocab",
+    "ArticleRecord": "mesh_filter",
+    "Corpus": "corpus",
+    "Document": "corpus",
+    "GenerationReport": "instances",
+    "InstanceConfig": "settings",
+    "InstanceTally": "instances",
+    "Manifest": "serialize",
+    "MeshRuleset": "mesh_filter",
+    "Origin": "corpus",
+    "PretrainInstance": "instances",
+    "Shard": "corpus",
+    "TokenSequence": "tokenizer",
+    "Tolerances": "settings",
+    "VerificationReport": "verify",
+    "Vocabulary": "vocab",
+    "WordPieceTokenizer": "tokenizer",
+    "coverage_report": "vocab",
+    "create_instances_from_documents": "instances",
+    "generate_conventional": "instances",
+    "generate_simpt": "instances",
+    "load_corpus": "corpus",
+    "mask_tokens": "instances",
+    "normalize": "vocab",
+    "pair_diversity": "instances",
+    "plan_amplification": "vocab",
+    "read_instances": "serialize",
+    "select_articles": "mesh_filter",
+    "split_corpus": "corpus",
+    "train_bpe": "vocab",
+    "tree_matches": "mesh_filter",
+    "verify_file": "verify",
+    "wordpiece_tokenize": "tokenizer",
+    "write_instances": "serialize",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

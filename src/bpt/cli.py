@@ -12,6 +12,14 @@ a key that names no flag exits 2; a null value means unset; an on/off flag
 takes only JSON true or false; any other value is read as the flag's text
 (a JSON bool, array or object exits 2) and must be in the flag's choices.
 Logs go to stderr; data and reports go to stdout or the requested output file.
+build-vocab and create-instances check that every output file's directory
+exists before they read any input, and log the interpreter's Unicode
+database version, which normalization depends on.
+
+Each `cmd_*` imports the modules it runs when it runs; this module itself
+imports only `errors` and `settings`, where the parser's defaults live. So
+filter, shard, tokenize and dump-ruleset never load numpy, and a process
+pays start-up only for its own command.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ import logging
 import re
 import sys
 import time
+import unicodedata
 from pathlib import Path
 
-from .corpus import Origin, load_corpus, split_corpus, text_lines, write_document_text
 from .errors import (
     BptError,
     CorpusError,
@@ -35,27 +43,7 @@ from .errors import (
     UsageError,
     VocabError,
 )
-from .instances import InstanceConfig, generate_conventional, generate_simpt
-from .mesh_filter import load_ruleset, parse_records_jsonl, select_articles
-from .serialize import (
-    Manifest,
-    manifest_path,
-    open_instance_set,
-    sha256_file,
-    write_instances,
-    write_instances_jsonl,
-)
-from .tokenizer import WordPieceTokenizer
-from .vocab import (
-    DEFAULT_MIN_FREQUENCY,
-    DEFAULT_TARGET_SIZE,
-    AmplificationPlan,
-    Vocabulary,
-    combined_word_counts,
-    corpus_word_counts_and_bytes,
-    train_bpe,
-)
-from .verify import Tolerances, render_table, verify_file
+from .settings import DEFAULT_MIN_FREQUENCY, DEFAULT_TARGET_SIZE, InstanceConfig, Tolerances
 
 log = logging.getLogger("bpt")
 
@@ -119,8 +107,20 @@ def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{name}: invalid UTF-8 ({exc.reason})")
 
 
+def _check_output_dirs(args: argparse.Namespace, *keys: str) -> None:
+    """A usage error naming the flag when the directory an output file under
+    `keys` would go to does not exist, so a run fails before it reads any
+    input rather than after its work is done."""
+    for key in keys:
+        value = getattr(args, key)
+        if value is not None and not Path(value).parent.is_dir():
+            raise UsageError(f"--{key.replace('_', '-')}: directory {Path(value).parent} does not exist")
+
+
 def _load_corpora(args: argparse.Namespace) -> tuple:
     """The small and large corpora; None for one not given."""
+    from .corpus import Origin, load_corpus
+
     return tuple(
         load_corpus(_check_input(path, f"{origin.value} corpus"), label, origin) if path else None
         for path, label, origin in ((args.small, args.small_label, Origin.SMALL),
@@ -142,6 +142,9 @@ def _emit_report(payload: dict, report_path) -> None:
 
 
 def cmd_filter(args) -> int:
+    from .corpus import text_lines
+    from .mesh_filter import load_ruleset, parse_records_jsonl, select_articles
+
     ruleset_arg = _require(args, "ruleset", "--ruleset")
     try:
         ruleset = load_ruleset(ruleset_arg)
@@ -173,6 +176,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_shard(args) -> int:
+    from .corpus import load_corpus, split_corpus, write_document_text
+
     in_path = _check_input(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
@@ -197,11 +202,17 @@ def cmd_shard(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
+    from .vocab import AmplificationPlan, combined_word_counts, corpus_word_counts_and_bytes, train_bpe
+
     if args.small is None and args.large is None:
         raise UsageError("at least one corpus (--small/--large) is required")
     if args.amplify and (args.small is None or args.large is None):
         raise UsageError("--amplify requires both --small and --large corpora")
     out_path = Path(_require(args, "out", "--out"))
+    _check_output_dirs(args, "out", "merges_out", "report")
+    # Outputs match only across interpreters with this Unicode database; the
+    # version goes to the log, never into an output that must stay identical.
+    log.info("build-vocab: Unicode database %s", unicodedata.unidata_version)
 
     # One counting pass per corpus gives both its word counts and its byte
     # size; the corpora and their own counts are let go before training.
@@ -229,6 +240,9 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
+    from .tokenizer import WordPieceTokenizer
+    from .vocab import Vocabulary
+
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
     with contextlib.ExitStack() as files:  # closes what it opened; stdin and stdout stay open
@@ -264,6 +278,12 @@ def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
 
 
 def cmd_create_instances(args) -> int:
+    from .corpus import split_corpus
+    from .instances import generate_conventional, generate_simpt
+    from .serialize import Manifest, manifest_path, sha256_file, write_instances, write_instances_jsonl
+    from .tokenizer import WordPieceTokenizer
+    from .vocab import Vocabulary
+
     mode = _require(args, "mode", "--mode")
     if mode == "simpt" and not (args.small and args.large):
         raise UsageError("simpt requires two corpora (--small and --large)")
@@ -275,6 +295,8 @@ def cmd_create_instances(args) -> int:
     max_file_bytes = _positive_size(args, "max_file_bytes")
     if args.format == "jsonl" and max_file_bytes is not None:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
+    _check_output_dirs(args, "out", "report")
+    log.info("create-instances: Unicode database %s", unicodedata.unidata_version)
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
@@ -342,6 +364,10 @@ _TOLERANCE_KEYS = (
 
 
 def cmd_verify(args) -> int:
+    from .serialize import open_instance_set
+    from .verify import verify_file
+    from .vocab import Vocabulary
+
     infile = _require(args, "infile", "--in")
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
 
@@ -374,6 +400,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .serialize import open_instance_set
+    from .verify import render_table, verify_file
+
     paths = [Path(p) for p in (args.files or [])]
     if len(paths) != 2:
         raise UsageError("compare requires exactly two instance files")
@@ -418,6 +447,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dump_ruleset(args) -> int:
+    from .mesh_filter import load_ruleset
+
     try:
         ruleset = load_ruleset(args.name)
     except FileNotFoundError as exc:

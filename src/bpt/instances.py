@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -36,6 +36,7 @@ from . import kernels
 from .corpus import Document, Origin, Shard
 from .errors import InstanceError
 from .rng import _MASK64, SplitRng, fold
+from .settings import InstanceConfig
 from .tokenizer import WordPieceTokenizer
 from .vocab import Vocabulary
 
@@ -47,41 +48,6 @@ _STREAM_DOCS = 2
 # most this many cells of rows x max_seq_length, so its arrays stay under
 # 1 MB at any sequence length. Larger batches were no faster on 2 vCPUs.
 _BATCH_CELLS = 1 << 14
-
-
-@dataclass
-class InstanceConfig:
-    max_seq_length: int = 128
-    masked_lm_prob: float = 0.15
-    max_predictions_per_seq: int = 20
-    short_seq_prob: float = 0.10
-    dupe_factor: int = 1
-    n_rounds: int = 0
-    n_splits: int = 1
-    shards_per_corpus: int = 10
-    master_seed: int = 0
-
-    def validate(self) -> None:
-        if not 0.0 < self.masked_lm_prob < 1.0:
-            raise InstanceError(f"masked_lm_prob must be in (0, 1), got {self.masked_lm_prob}")
-        if self.max_predictions_per_seq < 1:
-            raise InstanceError("max_predictions_per_seq must be >= 1")
-        if not 8 <= self.max_seq_length <= 0xFFFF:
-            # the instance file stores lengths and positions as u16
-            raise InstanceError(f"max_seq_length must be in [8, 65535], got {self.max_seq_length}")
-        if not 0.0 <= self.short_seq_prob <= 1.0:
-            raise InstanceError("short_seq_prob must be in [0, 1]")
-        if self.dupe_factor < 1:
-            raise InstanceError("dupe_factor must be >= 1")
-        if self.n_rounds < 0:
-            raise InstanceError("n_rounds must be >= 0")
-        if self.n_splits < 1:
-            raise InstanceError("n_splits must be >= 1")
-        if self.shards_per_corpus < 1:
-            raise InstanceError("shards_per_corpus must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(eq=False)

@@ -2,13 +2,14 @@
 
 Pair counting and merge application run during vocabulary training, mask
 selection during instance generation. `count_pairs` sums weights by key and
-knows nothing of words or of how a pair is keyed; the trainer calls it on
-every pair of the starting words, then once per merge on that merge's
-changes. Merges run on a linked layout of one flat symbol array, so that one
-merge costs one compare over the array plus work in the occurrences it
-merges, not a copy of every word. Masking consumes draws from the splitmix64
-stream of rng.py in a fixed order, so its output depends only on its
-arguments.
+knows nothing of words or of how a pair is keyed; only `pair_keys` and
+`key_pair` know the key format. The trainer (`vocab.train_bpe`) keeps its
+pair totals in a `PairTotals`, which passes every pair of the starting
+words, then each merge's changes (`merge_deltas`), through `count_pairs`.
+Merges run on a linked layout of one flat symbol array, so that one merge
+costs one compare over the array plus work in the occurrences it merges,
+not a copy of every word. Masking consumes draws from the splitmix64 stream
+of rng.py in a fixed order, so its output depends only on its arguments.
 
 `mask_sequence` takes a batch: 2-D ids and special flags, every row padded
 to one width, with one uint64 seed per row. Padding must be flagged special,
@@ -16,7 +17,10 @@ so it is never chosen and comes back as given; each row is masked exactly as
 it would be on its own.
 
 Callers reach these as module attributes (``kernels.count_pairs`` and so on),
-so a profiler can swap in a timed wrapper.
+and `PairTotals.add` calls `count_pairs` by its module-level name, so a
+profiler can swap in a timed wrapper. The trainer's numpy code lives here,
+not in `vocab`: `vocab` imports this module, and numpy, only when
+`train_bpe` runs, so commands that train nothing never load numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +39,20 @@ BACKEND = "numpy"  # reported by tools that record the machine set-up
 # ---------------------------------------------------------------------------
 
 
+def pair_keys(left, right):
+    """Sort keys of (left, right) symbol pairs: the larger id, then the
+    smaller, then whether the larger is on the left. Every pair that holds
+    the newest token thus sorts after every pair that does not."""
+    high = np.maximum(left, right).astype(np.int64)
+    low = np.minimum(left, right).astype(np.int64)
+    return high << 32 | low << 1 | (left > right)
+
+
+def key_pair(key: int) -> tuple[int, int]:
+    high, low = key >> 32, (key >> 1) & 0x7FFFFFFF
+    return (high, low) if key & 1 else (low, high)
+
+
 def count_pairs(keys, weights):
     """The distinct keys in ascending order, and the summed weight of each."""
     order = np.argsort(keys)
@@ -44,6 +62,56 @@ def count_pairs(keys, weights):
     starts = np.flatnonzero(first)
     keys = keys[starts]  # the sorted copy goes before the weights are gathered
     return keys, np.add.reduceat(weights[order], starts)
+
+
+class PairTotals:
+    """Summed word counts of adjacent symbol pairs, in arrays sorted by
+    `pair_keys` with room to grow at the end. A total that falls to 0 stays
+    until the arrays are full; then such totals are dropped before the
+    arrays grow."""
+
+    def __init__(self):
+        self.keys, self.totals, self.size = np.empty(0, np.int64), np.empty(0, np.int64), 0
+
+    def best(self):
+        """The largest total and the keys that have it."""
+        totals = self.totals[: self.size]
+        best = int(totals.max(initial=0))
+        return best, self.keys[: self.size][totals == best]
+
+    def add(self, keys, weights) -> None:
+        """Add each weight to the total of its pair key; keys may repeat."""
+        keys, weights = count_pairs(keys, weights)
+        held = self.keys[: self.size]
+        at = np.searchsorted(held, keys)
+        found = at < held.size
+        found[found] = held[at[found]] == keys[found]
+        self.totals[at[found]] += weights[found]
+        fresh = ~found
+        into = at[fresh]
+        if not into.size:
+            return
+        if into[0] < self.size:  # the merge made a token that already existed
+            self.keys = np.insert(held, into, keys[fresh])
+            self.totals = np.insert(self.totals[: self.size], into, weights[fresh])
+            self.size = self.keys.size
+        else:
+            if self.size + into.size > self.keys.size:
+                self._make_room(into.size)
+            end = self.size + into.size
+            self.keys[self.size : end] = keys[fresh]
+            self.totals[self.size : end] = weights[fresh]
+            self.size = end
+
+    def _make_room(self, extra: int) -> None:
+        live = self.totals[: self.size] != 0
+        keys, totals = self.keys[: self.size][live], self.totals[: self.size][live]
+        capacity = 2 * (keys.size + extra)
+        self.keys = np.empty(capacity, np.int64)
+        self.totals = np.empty(capacity, np.int64)
+        self.size = keys.size
+        self.keys[: self.size] = keys
+        self.totals[: self.size] = totals
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +147,40 @@ def apply_merge(flat, nxt, prv, left, right, new_id):
     linked = after >= 0
     prv[after[linked]] = merged[linked]
     return merged
+
+
+def merge_deltas(flat, nxt, prv, at, weight, left, right, new):
+    """Pair keys and weights that sum to the change one merge made to the
+    pair totals, read from the merged slots `at` (ascending) after the
+    merge; `weight` holds their words' counts.
+
+    Before the merge an occurrence held the pairs (previous, left),
+    (left, right) and (right, next); after it, (previous, new) and
+    (new, next). Only dead slots lie between linked slots, so a merged
+    slot's next slot is merged too exactly when it is the next entry of
+    `at`. Such a next slot held `left` before the merge, and the pair
+    between the two is counted once, as the next pair of the first.
+    """
+    prev, nexts = prv[at], nxt[at]
+    next_merged = np.zeros(at.size, bool)
+    next_merged[:-1] = at[1:] == nexts[:-1]
+    has_prev = prev >= 0
+    has_prev[1:] &= ~next_merged[:-1]
+    has_next = nexts >= 0
+    p, wp = flat[prev[has_prev]], weight[has_prev]
+    n, wn = flat[nexts[has_next]], weight[has_next]
+    k, j = p.size, n.size
+    # rows: (previous, left), (previous, new), (right, next), (new, next), (left, right)
+    lefts = np.empty(2 * k + 2 * j + 1, np.int64)
+    rights = np.empty_like(lefts)
+    lefts[:k] = lefts[k : 2 * k] = p
+    rights[:k], rights[k : 2 * k] = left, new
+    lefts[2 * k : 2 * k + j], lefts[2 * k + j : -1] = right, new
+    rights[2 * k : 2 * k + j] = np.where(next_merged[has_next], left, n)
+    rights[2 * k + j : -1] = n
+    lefts[-1], rights[-1] = left, right
+    weights = np.concatenate([-wp, wp, -wn, wn, [-weight.sum()]])
+    return pair_keys(lefts, rights), weights
 
 
 # ---------------------------------------------------------------------------

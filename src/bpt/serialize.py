@@ -41,7 +41,8 @@ from .errors import (
     TruncatedFileError,
     VocabHashMismatchError,
 )
-from .instances import InstanceConfig, PretrainInstance, batch_rows, run_offsets, structural_errors
+from .instances import PretrainInstance, batch_rows, run_offsets, structural_errors
+from .settings import InstanceConfig
 from .vocab import Vocabulary
 
 MAGIC = b"BPTI"

@@ -18,26 +18,13 @@ import numpy as np
 
 from .instances import InstanceTally, batch_rows, run_offsets, structural_errors
 from .serialize import InstanceSet, open_instance_set, read_instances
+from .settings import Tolerances
 from .vocab import Vocabulary
 
 PASS = "pass"
 FAIL = "fail"
 INSUFFICIENT = "insufficient data"
 SKIPPED = "skipped"
-
-
-@dataclass
-class Tolerances:
-    mask_selection_target: float = 0.15
-    mask_selection_tol: float = 0.003
-    mask_split_tol: float = 0.005
-    nsp_target: float = 0.5
-    nsp_tol: float = 0.02
-    origin_target: "float | None" = 0.5
-    origin_tol: float = 0.05
-    min_instances: int = 1000
-    min_masked: int = 10_000
-    min_candidates: int = 10_000
 
 
 @dataclass

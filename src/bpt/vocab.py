@@ -15,17 +15,13 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from . import kernels
 from .corpus import Corpus
 from .errors import VocabError
+from .settings import DEFAULT_MIN_FREQUENCY, DEFAULT_TARGET_SIZE
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = [PAD, UNK, CLS, SEP, MASK]
 CONTINUATION_PREFIX = "##"
-DEFAULT_TARGET_SIZE = 32_000
-DEFAULT_MIN_FREQUENCY = 2
 TRANSLATE_TABLE_ENTRIES = 1 << 16
 
 
@@ -292,104 +288,6 @@ def merged_token(left: str, right: str) -> str:
     return left + right
 
 
-def _pair_keys(left, right):
-    """Sort keys of (left, right) symbol pairs: the larger id, then the
-    smaller, then whether the larger is on the left. Every pair that holds
-    the newest token thus sorts after every pair that does not."""
-    high = np.maximum(left, right).astype(np.int64)
-    low = np.minimum(left, right).astype(np.int64)
-    return high << 32 | low << 1 | (left > right)
-
-
-def _key_pair(key: int) -> tuple[int, int]:
-    high, low = key >> 32, (key >> 1) & 0x7FFFFFFF
-    return (high, low) if key & 1 else (low, high)
-
-
-class _PairTotals:
-    """Summed word counts of adjacent symbol pairs, in arrays sorted by
-    `_pair_keys` with room to grow at the end. A total that falls to 0 stays
-    until the arrays are full; then such totals are dropped before the
-    arrays grow."""
-
-    def __init__(self):
-        self.keys, self.totals, self.size = np.empty(0, np.int64), np.empty(0, np.int64), 0
-
-    def best(self):
-        """The largest total and the keys that have it."""
-        totals = self.totals[: self.size]
-        best = int(totals.max(initial=0))
-        return best, self.keys[: self.size][totals == best]
-
-    def add(self, keys, weights) -> None:
-        """Add each weight to the total of its pair key; keys may repeat."""
-        keys, weights = kernels.count_pairs(keys, weights)
-        held = self.keys[: self.size]
-        at = np.searchsorted(held, keys)
-        found = at < held.size
-        found[found] = held[at[found]] == keys[found]
-        self.totals[at[found]] += weights[found]
-        fresh = ~found
-        into = at[fresh]
-        if not into.size:
-            return
-        if into[0] < self.size:  # the merge made a token that already existed
-            self.keys = np.insert(held, into, keys[fresh])
-            self.totals = np.insert(self.totals[: self.size], into, weights[fresh])
-            self.size = self.keys.size
-        else:
-            if self.size + into.size > self.keys.size:
-                self._make_room(into.size)
-            end = self.size + into.size
-            self.keys[self.size : end] = keys[fresh]
-            self.totals[self.size : end] = weights[fresh]
-            self.size = end
-
-    def _make_room(self, extra: int) -> None:
-        live = self.totals[: self.size] != 0
-        keys, totals = self.keys[: self.size][live], self.totals[: self.size][live]
-        capacity = 2 * (keys.size + extra)
-        self.keys = np.empty(capacity, np.int64)
-        self.totals = np.empty(capacity, np.int64)
-        self.size = keys.size
-        self.keys[: self.size] = keys
-        self.totals[: self.size] = totals
-
-
-def _merge_deltas(flat, nxt, prv, at, weight, left, right, new):
-    """Pair keys and weights that sum to the change one merge made to the
-    pair totals, read from the merged slots `at` (ascending) after the
-    merge; `weight` holds their words' counts.
-
-    Before the merge an occurrence held the pairs (previous, left),
-    (left, right) and (right, next); after it, (previous, new) and
-    (new, next). Only dead slots lie between linked slots, so a merged
-    slot's next slot is merged too exactly when it is the next entry of
-    `at`. Such a next slot held `left` before the merge, and the pair
-    between the two is counted once, as the next pair of the first.
-    """
-    prev, nexts = prv[at], nxt[at]
-    next_merged = np.zeros(at.size, bool)
-    next_merged[:-1] = at[1:] == nexts[:-1]
-    has_prev = prev >= 0
-    has_prev[1:] &= ~next_merged[:-1]
-    has_next = nexts >= 0
-    p, wp = flat[prev[has_prev]], weight[has_prev]
-    n, wn = flat[nexts[has_next]], weight[has_next]
-    k, j = p.size, n.size
-    # rows: (previous, left), (previous, new), (right, next), (new, next), (left, right)
-    lefts = np.empty(2 * k + 2 * j + 1, np.int64)
-    rights = np.empty_like(lefts)
-    lefts[:k] = lefts[k : 2 * k] = p
-    rights[:k], rights[k : 2 * k] = left, new
-    lefts[2 * k : 2 * k + j], lefts[2 * k + j : -1] = right, new
-    rights[2 * k : 2 * k + j] = np.where(next_merged[has_next], left, n)
-    rights[2 * k + j : -1] = n
-    lefts[-1], rights[-1] = left, right
-    weights = np.concatenate([-wp, wp, -wn, wn, [-weight.sum()]])
-    return _pair_keys(lefts, rights), weights
-
-
 def train_bpe(
     word_counts: Mapping[str, int],
     target_size: int = DEFAULT_TARGET_SIZE,
@@ -410,8 +308,16 @@ def train_bpe(
     Only the pairs that start at a merged occurrence's previous, left and
     right slot change. They are counted before the merge (weight -count)
     and after it (+count), from the merged slots and their links, and added
-    into the totals. Both additions sum by pair key in `kernels.count_pairs`.
+    into the totals. Both additions sum by pair key in `kernels.count_pairs`,
+    through `kernels.PairTotals`.
+
+    numpy and `kernels` are imported when training runs, so that importing
+    this module (as `bpt tokenize` does) loads neither.
     """
+    import numpy as np
+
+    from . import kernels
+
     items = [(w, int(c)) for w, c in word_counts.items() if w and c > 0]
     if not items:
         raise VocabError("empty training stream")
@@ -440,9 +346,9 @@ def train_bpe(
     counts = np.asarray([c for _, c in items], np.int64)
     word_of = np.repeat(np.arange(len(items), dtype=np.int32), lengths)
 
-    pairs = _PairTotals()
+    pairs = kernels.PairTotals()
     inner = word_of[:-1] == word_of[1:]
-    pairs.add(_pair_keys(flat[:-1][inner], flat[1:][inner]), counts[word_of[:-1][inner]])
+    pairs.add(kernels.pair_keys(flat[:-1][inner], flat[1:][inner]), counts[word_of[:-1][inner]])
     nxt = np.arange(1, flat.size + 1, dtype=np.int32)
     nxt[offsets[1:] - 1] = -1
     prv = np.arange(-1, flat.size - 1, dtype=np.int32)
@@ -461,7 +367,7 @@ def train_bpe(
         best_key = None
         chosen = None
         for key in best_keys.tolist():
-            left_id, right_id = _key_pair(key)
+            left_id, right_id = kernels.key_pair(key)
             left_tok, right_tok = tokens[left_id], tokens[right_id]
             merged = merged_token(left_tok, right_tok)
             order_key = (merged, left_tok, right_tok)
@@ -481,7 +387,7 @@ def train_bpe(
             raise RuntimeError(
                 f"merging ({left_tok!r}, {right_tok!r}) with total {best_total} merged no occurrence"
             )
-        pairs.add(*_merge_deltas(flat, nxt, prv, at, counts[word_of[at]], left_id, right_id, new_id))
+        pairs.add(*kernels.merge_deltas(flat, nxt, prv, at, counts[word_of[at]], left_id, right_id, new_id))
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)

@@ -797,3 +797,55 @@ def test_build_vocab_logs_training_rate_only(tmp_path, capsys, caplog, corpora):
     lines = [r.getMessage() for r in caplog.records if "merges/s" in r.getMessage()]
     assert len(lines) == 1 and lines[0].startswith(f"build-vocab: {report['merges_performed']} merges in ")
     assert "merges/s" not in stdout and "seconds" not in report
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("build-vocab", "--out"), ("build-vocab", "--merges-out"), ("build-vocab", "--report"),
+    ("create-instances", "--out"), ("create-instances", "--report"),
+])
+def test_missing_output_directory_exits_2_before_reading_input(tmp_path, capsys, caplog, monkeypatch,
+                                                               vocab_file, corpora, command, flag):
+    from bpt import cli, vocab
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("input was read or a vocabulary trained before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_corpora", must_not_run)
+    monkeypatch.setattr(vocab, "train_bpe", must_not_run)
+    monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
+    small, large = corpora
+    outputs = {"--out": tmp_path / "out", "--report": tmp_path / "report.json"}
+    if command == "build-vocab":
+        outputs["--merges-out"] = tmp_path / "merges.txt"
+        argv = ["build-vocab", "--small", small, "--large", large, "--target-size", "600"]
+    else:
+        argv = ["create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file]
+    missing = tmp_path / "no-such-dir"
+    outputs[flag] = missing / outputs[flag].name
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout = run(capsys, *argv, *(part for item in outputs.items() for part in item))
+    assert code == 2 and stdout == ""
+    assert f"{flag}: directory {missing} does not exist" in caplog.text
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_unicode_database_version_is_logged_and_in_no_output(tmp_path, capsys, caplog, corpora):
+    import unicodedata
+
+    small, large = corpora
+    vocab, merges, report = tmp_path / "v.txt", tmp_path / "m.txt", tmp_path / "r.json"
+    with caplog.at_level("INFO", logger="bpt"):
+        code, _ = run(capsys, "build-vocab", "--small", small, "--large", large, "--target-size", "600",
+                      "--min-frequency", "1", "--out", vocab, "--merges-out", merges, "--report", report)
+        assert code == 0
+        code, _ = run(capsys, "create-instances", "--mode", "conventional", "--small", small, "--large", large,
+                      "--vocab", vocab, "--out", tmp_path / "o.bin", "--max-seq-length", "64",
+                      "--report", tmp_path / "c.json")
+        assert code == 0
+    version = unicodedata.unidata_version
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    for command in ("build-vocab", "create-instances"):
+        assert f"{command}: Unicode database {version}" in messages
+    outputs = [vocab, merges, report, tmp_path / "o.bin", manifest_path(tmp_path / "o.bin"), tmp_path / "c.json"]
+    for path in outputs:
+        assert version.encode() not in path.read_bytes(), path.name

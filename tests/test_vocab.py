@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bpt import kernels
 from bpt import vocab as vocab_module
 from bpt.corpus import Corpus, Document, Origin, load_corpus
 from bpt.errors import VocabError
@@ -406,7 +407,7 @@ def test_train_bpe_merge_that_makes_an_existing_token_matches_oracle(words):
 def test_train_bpe_merge_that_merges_nothing_raises(monkeypatch):
     # a pair total that disagrees with the symbols picks a pair that merges
     # nothing; from its second pick on the vocabulary no longer grows
-    monkeypatch.setattr(vocab_module.kernels, "apply_merge", lambda *args: np.empty(0, np.int64))
+    monkeypatch.setattr(kernels, "apply_merge", lambda *args: np.empty(0, np.int64))
     with pytest.raises(RuntimeError, match=r"merging \('##u', '##g'\) with total 4 merged no occurrence"):
         train_bpe({"hug": 3, "pug": 1}, target_size=12, min_frequency=1)
 
