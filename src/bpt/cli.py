@@ -280,7 +280,7 @@ def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
 def cmd_create_instances(args) -> int:
     from .corpus import split_corpus
     from .instances import generate_conventional, generate_simpt
-    from .serialize import Manifest, manifest_path, sha256_file, write_instances, write_instances_jsonl
+    from .serialize import write_instances
     from .tokenizer import WordPieceTokenizer
     from .vocab import Vocabulary
 
@@ -323,28 +323,8 @@ def cmd_create_instances(args) -> int:
         **icfg.to_dict(),
     }
 
-    if args.format == "binary":
-        manifest = write_instances(
-            stream,
-            out_path,
-            vocabulary,
-            icfg,
-            statistics=lambda: report.to_dict(),
-            max_file_bytes=max_file_bytes,
-            run_config=run_config,
-        )
-    else:
-        count = write_instances_jsonl(stream, out_path, vocabulary, icfg)
-        manifest = Manifest(
-            files=[{"name": out_path.name, "instances": count, "sha256": sha256_file(out_path)}],
-            max_seq_length=icfg.max_seq_length,
-            instance_count=count,
-            master_seed=icfg.master_seed,
-            config=run_config,
-            statistics=report.to_dict(),
-            format="jsonl",
-        )
-        manifest.write(manifest_path(out_path))
+    write_instances(stream, out_path, vocabulary, icfg, statistics=lambda: report.to_dict(),
+                    max_file_bytes=max_file_bytes, run_config=run_config, format=args.format)
     _emit_report(report.to_dict(), args.report)
     log.info("create-instances: wrote %d instances to %s", report.instances, out_path)
     return EXIT_OK

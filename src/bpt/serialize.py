@@ -12,7 +12,9 @@ File layout (little-endian):
 
 The JSON manifest sidecar ("<path>.manifest.json") carries the effective
 config, master seed, per-file instance counts and sha256 checksums, and
-generation statistics. Files written from identical inputs and seeds are
+generation statistics. `write_instances` writes the same sidecar for binary
+and JSONL output: its `format` names which one, and a JSONL sidecar's
+`vocab_hash` is empty. Files written from identical inputs and seeds are
 byte-identical; nothing time- or host-dependent is stored. Output rotated with
 max_file_bytes is the set of files "<path>.00000", "<path>.00001", ... that
 the one sidecar "<path>.manifest.json" lists; `open_instance_set` resolves a
@@ -203,8 +205,12 @@ def write_instances(
     statistics=None,
     max_file_bytes: "int | None" = None,
     run_config: "dict | None" = None,
+    format: str = "binary",
 ) -> Manifest:
-    """Write the stream, patch the header count, and emit the manifest sidecar.
+    """Write the stream as `format` ("binary", or "jsonl" as by
+    `write_instances_jsonl`) and emit the manifest sidecar. Both formats get
+    the same sidecar: its `format` names which one, and a JSONL sidecar's
+    `vocab_hash` is empty.
 
     `statistics` may be a dict or a zero-argument callable; a callable is
     evaluated after the stream is exhausted, so generation reports that fill
@@ -219,9 +225,18 @@ def write_instances(
     ("<path>.00000", "<path>.00001", ...): a record that arrives when the
     current file's body has reached the limit starts the next file, so a
     file is empty only when the stream is. Otherwise everything goes to
-    exactly `path`.
+    exactly `path`. JSONL output is never rotated: max_file_bytes with
+    format "jsonl" raises SerializeError before anything is written.
     """
     path = Path(path)
+    if format == "jsonl":
+        if max_file_bytes is not None:
+            raise SerializeError("max_file_bytes rotates binary output only; it cannot be used with jsonl")
+        count = write_instances_jsonl(stream, path, vocab, config)
+        files = [{"name": path.name, "instances": count, "sha256": sha256_file(path)}]
+        return _write_manifest(path, files, "", config, statistics, run_config, format)
+    if format != "binary":
+        raise SerializeError(f"unknown format {format!r}; expected 'binary' or 'jsonl'")
     vhash = vocab_hash(vocab)
     rotating = max_file_bytes is not None
     files: list[dict] = []
@@ -231,7 +246,6 @@ def write_instances(
         return _FileWriter(target, config.max_seq_length, vhash)
 
     writer = new_writer()
-    total = 0
     try:
         for batch in checked_batches(stream, vocab, config.max_seq_length):
             buffer, offsets = encode_records(batch)
@@ -247,22 +261,26 @@ def write_instances(
                     files.append(writer.close())
                     writer = new_writer()
                 first = last
-            total += len(batch)
             del batch, buffer  # free this batch, and the arrays its records view, before the next is made
     except Exception:
         writer._f.close()
         raise
     files.append(writer.close())
+    return _write_manifest(path, files, vhash.hex(), config, statistics, run_config, format)
 
-    stats = statistics() if callable(statistics) else statistics
+
+def _write_manifest(path: Path, files: list, vhash: str, config: InstanceConfig, statistics,
+                    run_config: "dict | None", format: str) -> Manifest:
+    """The sidecar of written `files`, the one place that lays a manifest out."""
     manifest = Manifest(
         files=files,
         max_seq_length=config.max_seq_length,
-        vocab_hash=vhash.hex(),
-        instance_count=total,
+        vocab_hash=vhash,
+        instance_count=sum(entry["instances"] for entry in files),
         master_seed=config.master_seed,
         config=run_config if run_config is not None else config.to_dict(),
-        statistics=stats,
+        statistics=statistics() if callable(statistics) else statistics,
+        format=format,
     )
     manifest.write(manifest_path(path))
     return manifest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -364,6 +365,21 @@ def test_create_simpt_deterministic_across_runs_and_threads(tmp_path, capsys, vo
     assert m1 == m2
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+def test_manifest_is_the_same_however_inputs_are_named(tmp_path, capsys, monkeypatch, vocab_file, corpora):
+    monkeypatch.chdir(tmp_path)  # where small.txt, large.txt and vocab.txt are
+    outs = []
+    for prefix, out_dir in (("", "one"), ("./", "two")):
+        (tmp_path / out_dir).mkdir()
+        code, _ = run(capsys, "create-instances", "--mode", "conventional", "--small", f"{prefix}small.txt",
+                      "--large", f"{prefix}large.txt", "--vocab", f"{prefix}vocab.txt",
+                      "--out", f"{out_dir}/o.bin", "--max-seq-length", "64", "--seed", "5")
+        assert code == 0
+        outs.append(tmp_path / out_dir / "o.bin")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert manifest_path(outs[0]).read_bytes() == manifest_path(outs[1]).read_bytes()
+
+
 def test_create_conventional_dupe_factor_doubles(tmp_path, capsys, vocab_file, corpora):
     code1, out1, stdout1 = create(capsys, tmp_path, vocab_file, corpora, "d1.bin",
                                   "--mode", "conventional", "--dupe-factor", "1")
@@ -413,11 +429,21 @@ def test_config_file_with_flag_override(tmp_path, capsys, vocab_file, corpora):
 
 
 def test_jsonl_format(tmp_path, capsys, vocab_file, corpora):
+    report = tmp_path / "report.json"
     code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "d.jsonl",
-                          "--mode", "conventional", "--format", "jsonl")
+                          "--mode", "conventional", "--format", "jsonl", "--report", report)
     assert code == 0
     first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
     assert first["tokens"][0] == "[CLS]"
+    # the sidecar lists the one file, as for binary output
+    manifest = json.loads(manifest_path(out).read_text(encoding="utf-8"))
+    lines = len(out.read_text(encoding="utf-8").splitlines())
+    assert manifest["files"] == [{"name": "d.jsonl", "instances": lines,
+                                  "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]
+    assert manifest["instance_count"] == lines > 0
+    assert manifest["format"] == "jsonl"
+    assert manifest["vocab_hash"] == ""
+    assert manifest["statistics"] == json.loads(report.read_text(encoding="utf-8"))
 
 
 def test_verify_pass_and_exit_codes(tmp_path, capsys, vocab_file, corpora):

@@ -250,6 +250,17 @@ def test_jsonl_debug_format(tmp_path):
     assert first["doc_id_a"].startswith("d#")
 
 
+@pytest.mark.parametrize("format, max_file_bytes, message", [
+    ("jsonl", 1, "rotates binary output only"),
+    ("xml", None, "unknown format 'xml'"),
+])
+def test_write_instances_refuses_before_writing(tmp_path, format, max_file_bytes, message):
+    with pytest.raises(SerializeError, match=message):
+        write_instances(sample_instances(), tmp_path / "inst.out", VOCAB, CONFIG,
+                        max_file_bytes=max_file_bytes, format=format)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jsonl_writer_checks_each_batch_before_writing_it(tmp_path):
     bad = PretrainInstance(np.array([9, 9, 9], np.int32), np.array([0, 0, 1], np.int8),
                            np.array([1], np.int64), np.array([9], np.int32), True, 0, 0)
