@@ -118,13 +118,15 @@ def _check_output_dirs(args: argparse.Namespace, *keys: str) -> None:
 
 
 def _load_corpora(args: argparse.Namespace) -> tuple:
-    """The small and large corpora; None for one not given."""
+    """The small and large corpora; None for one not given. A corpus is
+    labelled by --small-label/--large-label where the command has them, and
+    else by its origin ("small", "large")."""
     from .corpus import Origin, load_corpus
 
     return tuple(
-        load_corpus(_check_input(path, f"{origin.value} corpus"), label, origin) if path else None
-        for path, label, origin in ((args.small, args.small_label, Origin.SMALL),
-                                    (args.large, args.large_label, Origin.LARGE))
+        load_corpus(_check_input(path, f"{origin.value} corpus"),
+                    getattr(args, f"{origin.value}_label", origin.value), origin) if path else None
+        for path, origin in ((args.small, Origin.SMALL), (args.large, Origin.LARGE))
     )
 
 
@@ -471,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", parents=[reports], help="train a BPE vocabulary")
     p.add_argument("--small", help="small corpus path")
     p.add_argument("--large", help="large corpus path")
-    p.add_argument("--small-label", dest="small_label", default="small")
-    p.add_argument("--large-label", dest="large_label", default="large")
     p.add_argument("--amplify", action="store_true",
                    help="repeat the small corpus to match the large corpus size")
     p.add_argument("--target-size", dest="target_size", type=int, default=DEFAULT_TARGET_SIZE)

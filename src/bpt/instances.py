@@ -1,25 +1,27 @@
 """MLM+NSP pre-training instance generation.
 
-Two modes share one per-document pairing routine:
+Every entry point is one loop over a unit plan. A unit is a list of document
+indices with its own rng and number of dupe passes, and each mode only says
+which documents form its units:
 
 - balanced ("simpt"): every round samples an equal number of shards from the
-  small and the large corpus and pools their documents, so small-origin text
-  contributes about half of each round's bytes regardless of raw corpus sizes,
-  and negative pairs may cross corpora.
+  small and the large corpus and pools their documents into one unit, so
+  small-origin text contributes about half of each round's bytes regardless
+  of raw corpus sizes, and negative pairs may cross corpora.
 - conventional: the combined document list is split into contiguous groups,
-  each processed dupe_factor times; the segment pairs are identical across
-  passes and only the mask positions/replacements differ. Negative partners
-  stay within the group.
+  one unit each, processed dupe_factor times; the segment pairs are
+  identical across passes and only the mask positions/replacements differ.
+  Negative partners stay within the group.
+- `create_instances_from_documents`: one unit of all the given documents.
 
-Each run tokenizes every sentence once into one flat id array
-(`tokenize_documents`); a round or group is a list of document indices, and
-a segment is one span of that array.
-
-All randomness is counter-keyed by (master_seed, stream, unit, document), so
-any round or group can be regenerated in isolation. Rounds and groups run
-serially in index order. Within one, the segment pairs are built once, then
+The loop (`_generate`) tokenizes every sentence once into one flat id array
+(`tokenize_documents`), and a segment is one span of that array. Units run
+serially in plan order. Within one, the segment pairs are built once, then
 masked a batch at a time (one `kernels.mask_sequence` call per batch and
 dupe pass); each instance is yielded in order as soon as its batch is masked.
+
+All randomness is counter-keyed by (master_seed, stream, unit, document), so
+any round or group can be regenerated in isolation.
 """
 
 from __future__ import annotations
@@ -430,40 +432,42 @@ def create_instances_from_documents(
     are re-masked with per-dupe derived seeds, so pass k of n is identical to
     pass k of any larger run with the same inputs.
     """
-    config.validate()
-    if not docs:
-        raise InstanceError("docs must be non-empty")
-    if report is None:
-        report = GenerationReport()
-    block = tokenize_documents(docs, tokenizer)
-    return list(_instances(block, range(len(docs)), tokenizer.vocab, config, rng, n_dupes, report))
+    report = GenerationReport() if report is None else report
+    return list(_generate(docs, [(range(len(docs)), rng, n_dupes)], tokenizer, config, report))
 
 
-def _instances(
-    block: TokenizedDocuments,
-    doc_indices: Sequence[int],
-    vocab: Vocabulary,
+def _generate(
+    docs: list[Document],
+    units: Iterable[tuple[Sequence[int], SplitRng, int]],
+    tokenizer: WordPieceTokenizer,
     config: InstanceConfig,
-    rng: SplitRng,
-    n_dupes: int,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    """Yield each instance of the unit `doc_indices` (indices into
-    `block.docs`), recorded, as soon as its batch is masked. The unit's
-    segment pairs are built once, and every dupe pass masks that list."""
-    doc_indices = np.asarray(doc_indices, np.int64)
-    empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
-    report.empty_documents += int(np.count_nonzero(empty))
-    usable = doc_indices[~empty].tolist()
-    pairs = [
-        pair
-        for di in range(len(usable))
-        for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)
-    ]
-    per_batch = batch_rows(config.max_seq_length)
-    for dupe in range(n_dupes):
-        for start in range(0, len(pairs), per_batch):
-            yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
+    """Check the config and `docs` now, and return the lazy stream of a unit
+    plan's instances. The stream tokenizes `docs` once, then takes each unit
+    (indices into `docs`, its rng, its dupe passes) in turn: it counts and
+    leaves out the unit's empty documents, builds its segment pairs once, and
+    masks that list a batch at a time on every dupe pass, recording and
+    yielding each instance as soon as its batch is masked."""
+    config.validate()
+    if not docs:
+        raise InstanceError("documents must be non-empty")
+
+    def stream():
+        block = tokenize_documents(docs, tokenizer)
+        vocab, per_batch = tokenizer.vocab, batch_rows(config.max_seq_length)
+        for doc_indices, rng, n_dupes in units:
+            doc_indices = np.asarray(doc_indices, np.int64)
+            empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
+            report.empty_documents += int(np.count_nonzero(empty))
+            usable = doc_indices[~empty].tolist()
+            pairs = [pair for di in range(len(usable))
+                     for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)]
+            for dupe in range(n_dupes):
+                for start in range(0, len(pairs), per_batch):
+                    yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
+
+    return stream()
 
 
 def _sample_shards(units: list, k: int, rng: SplitRng) -> list:
@@ -483,21 +487,18 @@ def generate_simpt(
     """Balanced generation: per round, equal shard counts from each corpus.
 
     Returns a lazy instance stream and a report that is complete once the
-    stream is exhausted. The stream tokenizes every shard once, then each
-    round draws (shard id, document range) units; rounds run one after
-    another, in ascending (round, within-round index) order. `threads` is
-    accepted for compatibility and has no effect.
+    stream is exhausted. The stream tokenizes every shard once; round r then
+    draws its shards and pools their documents into one unit. Rounds run in
+    index order. `threads` is accepted for compatibility and has no effect.
     """
-    config.validate()
     if not small_shards or not large_shards:
         raise InstanceError("simpt requires non-empty shard lists for both corpora")
     report = GenerationReport(mode="simpt")
+    shards = small_shards + large_shards
+    ends = list(accumulate((len(s.documents) for s in shards), initial=0))
+    units = [(s.shard_id, range(ends[k], ends[k + 1])) for k, s in enumerate(shards)]
 
-    def stream():
-        shards = small_shards + large_shards
-        block = tokenize_documents([d for s in shards for d in s.documents], tokenizer)
-        ends = list(accumulate((len(s.documents) for s in shards), initial=0))
-        units = [(s.shard_id, range(ends[k], ends[k + 1])) for k, s in enumerate(shards)]
+    def rounds():
         seen: set = set()
         for r in range(config.n_rounds):
             rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
@@ -512,10 +513,10 @@ def generate_simpt(
                 report.shard_combo_collisions += 1
             seen.add(combo)
             rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
-            doc_indices = [d for _, docs in small_sel + large_sel for d in docs]
-            yield from _instances(block, doc_indices, tokenizer.vocab, config, rng_docs, 1, report)
+            yield [d for _, docs in small_sel + large_sel for d in docs], rng_docs, 1
 
-    return stream(), report
+    docs = [d for s in shards for d in s.documents]
+    return _generate(docs, rounds(), tokenizer, config, report), report
 
 
 def generate_conventional(
@@ -531,20 +532,14 @@ def generate_conventional(
     segment pairs with fresh mask randomness. Groups run one after another;
     `threads` is accepted for compatibility and has no effect.
     """
-    config.validate()
-    if not all_documents:
-        raise InstanceError("documents must be non-empty")
-    groups = split_documents(range(len(all_documents)), config.n_splits)
     report = GenerationReport(mode="conventional")
 
-    def stream():
-        block = tokenize_documents(all_documents, tokenizer)
-        for g, group in enumerate(groups):
+    def groups():
+        for g, group in enumerate(split_documents(range(len(all_documents)), config.n_splits)):
             report.groups += 1
-            rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, g)
-            yield from _instances(block, group, tokenizer.vocab, config, rng_docs, config.dupe_factor, report)
+            yield group, SplitRng(config.master_seed, _STREAM_DOCS, g), config.dupe_factor
 
-    return stream(), report
+    return _generate(all_documents, groups(), tokenizer, config, report), report
 
 
 def split_documents(docs: Sequence, n_splits: int) -> list[Sequence]:

@@ -18,7 +18,9 @@ and JSONL output: its `format` names which one, and a JSONL sidecar's
 byte-identical; nothing time- or host-dependent is stored. Output rotated with
 max_file_bytes is the set of files "<path>.00000", "<path>.00001", ... that
 the one sidecar "<path>.manifest.json" lists; `open_instance_set` resolves a
-path to such a set and `read_instances` streams it.
+path to such a set and `read_instances` streams it. `write_instances` gives
+its files their names only once the whole output is written, so a failed
+write leaves none of them behind.
 """
 
 from __future__ import annotations
@@ -177,12 +179,17 @@ def checked_batches(stream: Iterable[PretrainInstance], vocab: Vocabulary,
         del batch
 
 
+def _temporary(target: Path) -> Path:
+    """The name `write_instances` writes `target` under until the whole output is written."""
+    return target.with_name(f".{target.name}.tmp")
+
+
 class _FileWriter:
     def __init__(self, path: Path, max_seq_length: int, vhash: bytes):
         self.path = path
         self.count = 0
         self.body_bytes = 0
-        self._f = open(path, "wb")
+        self._f = open(_temporary(path), "wb")
         self._f.write(_HEADER.pack(MAGIC, VERSION, max_seq_length, vhash, 0))
 
     def add(self, records: np.ndarray, count: int) -> None:
@@ -194,7 +201,7 @@ class _FileWriter:
         self._f.seek(16)  # instance_count is the final u64 of the header
         self._f.write(struct.pack("<Q", self.count))
         self._f.close()
-        return {"name": self.path.name, "instances": self.count, "sha256": sha256_file(self.path)}
+        return {"name": self.path.name, "instances": self.count, "sha256": sha256_file(self._f.name)}
 
 
 def write_instances(
@@ -227,23 +234,50 @@ def write_instances(
     file is empty only when the stream is. Otherwise everything goes to
     exactly `path`. JSONL output is never rotated: max_file_bytes with
     format "jsonl" raises SerializeError before anything is written.
+
+    Each file is written under a temporary name (".<name>.tmp") in the
+    output directory and renamed only once the stream is exhausted: the
+    parts in order, then the sidecar. On any error the temporaries are
+    removed, so a failed write leaves nothing that looks whole, and an
+    earlier output at `path` stays as it was.
     """
     path = Path(path)
-    if format == "jsonl":
-        if max_file_bytes is not None:
-            raise SerializeError("max_file_bytes rotates binary output only; it cannot be used with jsonl")
-        count = write_instances_jsonl(stream, path, vocab, config)
-        files = [{"name": path.name, "instances": count, "sha256": sha256_file(path)}]
-        return _write_manifest(path, files, "", config, statistics, run_config, format)
-    if format != "binary":
+    if format == "jsonl" and max_file_bytes is not None:
+        raise SerializeError("max_file_bytes rotates binary output only; it cannot be used with jsonl")
+    if format not in ("binary", "jsonl"):
         raise SerializeError(f"unknown format {format!r}; expected 'binary' or 'jsonl'")
-    vhash = vocab_hash(vocab)
+    staged: list[Path] = []  # each file begun, by its final name
+    try:
+        if format == "jsonl":
+            staged.append(path)
+            count = write_instances_jsonl(stream, _temporary(path), vocab, config)
+            files = [{"name": path.name, "instances": count, "sha256": sha256_file(_temporary(path))}]
+            vhash = ""
+        else:
+            vhash = vocab_hash(vocab)
+            files = _write_binary(stream, path, vocab, config, vhash, max_file_bytes, staged)
+            vhash = vhash.hex()
+        staged.append(manifest_path(path))
+        manifest = _write_manifest(_temporary(staged[-1]), files, vhash, config, statistics, run_config, format)
+    except BaseException:
+        for target in staged:
+            _temporary(target).unlink(missing_ok=True)
+        raise
+    for target in staged:  # the sidecar last
+        os.replace(_temporary(target), target)
+    return manifest
+
+
+def _write_binary(stream: Iterable[PretrainInstance], path: Path, vocab: Vocabulary, config: InstanceConfig,
+                  vhash: bytes, max_file_bytes: "int | None", staged: list) -> list[dict]:
+    """Write the binary parts under their temporary names, adding each one's
+    final name to `staged` as it is begun; returns their manifest entries."""
     rotating = max_file_bytes is not None
     files: list[dict] = []
 
     def new_writer() -> _FileWriter:
-        target = Path(f"{path}.{len(files):05d}") if rotating else path
-        return _FileWriter(target, config.max_seq_length, vhash)
+        staged.append(Path(f"{path}.{len(files):05d}") if rotating else path)
+        return _FileWriter(staged[-1], config.max_seq_length, vhash)
 
     writer = new_writer()
     try:
@@ -262,16 +296,17 @@ def write_instances(
                     writer = new_writer()
                 first = last
             del batch, buffer  # free this batch, and the arrays its records view, before the next is made
-    except Exception:
+    except BaseException:
         writer._f.close()
         raise
     files.append(writer.close())
-    return _write_manifest(path, files, vhash.hex(), config, statistics, run_config, format)
+    return files
 
 
-def _write_manifest(path: Path, files: list, vhash: str, config: InstanceConfig, statistics,
+def _write_manifest(target: Path, files: list, vhash: str, config: InstanceConfig, statistics,
                     run_config: "dict | None", format: str) -> Manifest:
-    """The sidecar of written `files`, the one place that lays a manifest out."""
+    """Write the sidecar of written `files` to `target`; the one place that
+    lays a manifest out."""
     manifest = Manifest(
         files=files,
         max_seq_length=config.max_seq_length,
@@ -282,7 +317,7 @@ def _write_manifest(path: Path, files: list, vhash: str, config: InstanceConfig,
         statistics=statistics() if callable(statistics) else statistics,
         format=format,
     )
-    manifest.write(manifest_path(path))
+    manifest.write(target)
     return manifest
 
 

@@ -275,6 +275,7 @@ def test_each_sentence_is_tokenized_once(mode, lexicon, small_vocab):
         stream, report = generate_simpt(small, large, tokenizer, config(n_rounds=4, shards_per_corpus=2))
     else:
         stream, report = generate_conventional(docs, tokenizer, config(dupe_factor=3, n_splits=2))
+    assert not tokenizer.calls  # the stream is lazy: nothing is tokenized before it is iterated
     assert sum(1 for _ in stream) == report.instances > 0
     assert tokenizer.calls == Counter(s for d in docs for s in d.sentences)
 

@@ -160,6 +160,31 @@ def test_bad_record_is_named_by_its_stream_index(tmp_path):
         write_instances([good] * 130 + [bad, good], tmp_path / "bad.bin", VOCAB, config)
 
 
+@pytest.mark.parametrize("format, max_file_bytes", [("binary", None), ("binary", 8000), ("jsonl", None)],
+                         ids=["binary", "rotated", "jsonl"])
+def test_failed_write_leaves_nothing_that_looks_whole(tmp_path, format, max_file_bytes):
+    config = InstanceConfig(max_seq_length=128, master_seed=13)  # batches of 128 records
+    good = sample_instances()[0]
+    bad = sample_instances()[0]
+    bad.origin_small_tokens += 1
+    path = tmp_path / "o.out"
+
+    def write(records):
+        return write_instances(records, path, VOCAB, config, max_file_bytes=max_file_bytes, format=format)
+
+    # the first batch of 128 records passes its checks and is written before record 130 fails
+    with pytest.raises(SerializeError, match="instance 130 violates invariants"):
+        write([good] * 130 + [bad, good])
+    assert list(tmp_path.iterdir()) == []  # no file, numbered part, sidecar or temporary
+
+    manifest = write([good] * 140)
+    assert (len(manifest.files) > 1) == (max_file_bytes is not None)
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SerializeError, match="instance 130 violates invariants"):
+        write([good] * 130 + [bad, good])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
+
+
 U32 = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 4, 2**32 - 1))
 
 
