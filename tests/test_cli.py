@@ -774,11 +774,11 @@ def test_verify_rotated_set_closes_every_file(tmp_path, capsys, vocab_file, corp
 
 @pytest.mark.parametrize("command, key, value, message", [
     ("build-vocab", "amplfy", True, "'amplfy'"),
-    ("build-vocab", "small_label", "a", "'small_label'"),  # build-vocab writes no document ids
     ("create-instances", "max_file_bytes", True, "'max_file_bytes'"),
     ("create-instances", "small_label", ["a"], "'small_label'"),
     ("create-instances", "small", 5, "small corpus not found: 5"),
     ("create-instances", "mode", "medium", "--mode"),
+    ("build-vocab", "small_label", "a", "'small_label'"),  # build-vocab writes no document ids
 ])
 def test_config_value_is_held_to_its_flags_rules(tmp_path, capsys, caplog, vocab_file, corpora,
                                                  command, key, value, message):
