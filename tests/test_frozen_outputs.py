@@ -3,7 +3,9 @@
 The instance runs below cover simpt with with-replacement shard draws and a document
 that tokenizes to nothing, conventional with dupe_factor 3, a rotated binary
 set and the jsonl format, at max_seq_length 64 and short_seq_prob 0.5 so that
-truncation and short targets occur. The build-vocab runs cover an amplified
+truncation and short targets occur. The `bpt create-instances` runs read
+corpus files with "\r\n" and "\r" line ends, whitespace-only separator lines
+and a directory input, in both modes. The build-vocab runs cover an amplified
 training stream that reaches its target and one that stops early at
 --min-frequency, so that its report holds the warning. A change that alters
 any digest alters output bytes for fixed seeds; such a change must be made on
@@ -12,6 +14,8 @@ purpose and the digests updated with it.
 
 import hashlib
 import json
+
+import pytest
 
 from bpt.cli import main
 from bpt.corpus import Document, Origin, Shard
@@ -75,6 +79,48 @@ def test_instance_files_and_manifests_are_frozen(tmp_path, lexicon, small_tokeni
 
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert digests == FROZEN
+
+
+CLI_FROZEN = {
+    "conventional": {
+        "out.bin": "0aca213d2ace5d9f40084e9690d43648df2f421177418f021fb8a7bde7dd963f",
+        "out.bin.manifest.json": "61e111ed00dd12bbf8bbd9f25c32b5cd22894db88a5df45b15cea15b7b82913e",
+    },
+    "simpt": {
+        "out.bin": "d9c8ceb3615a45ca90c93df984853edcb601909c495077482daae5a5675212b6",
+        "out.bin.manifest.json": "536675f74188dbd03d804e940173008c2f9bf1c2a31e84b4a64add84554d0f35",
+    },
+}
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path, monkeypatch, lexicon, small_vocab):
+    """Corpus files and a vocabulary in the working directory: small.txt with
+    "\r\n" line ends, and a directory large/ of one file with "\r" line ends
+    and one whose documents are separated by whitespace-only lines."""
+    monkeypatch.chdir(tmp_path)  # the manifest echoes input paths, so they are relative
+    small_vocab.save("vocab.txt")
+    (tmp_path / "large").mkdir()
+    texts = [make_corpus_text(SplitRng(seed), lexicon, n_docs=n) for seed, n in ((71, 5), (72, 8), (73, 8))]
+    (tmp_path / "small.txt").write_bytes(texts[0].replace("\n", "\r\n").encode("utf-8"))
+    (tmp_path / "large" / "a.txt").write_bytes(texts[1].replace("\n", "\r").encode("utf-8"))
+    (tmp_path / "large" / "b.txt").write_bytes(texts[2].replace("\n\n", "\n \t\n\n").encode("utf-8"))
+    return tmp_path
+
+
+@pytest.mark.parametrize("mode,flags", [
+    ("simpt", ("--rounds", "4", "--shards-per-corpus", "2", "--each-file-size", "6000", "--seed", "9")),
+    ("conventional", ("--dupe-factor", "2", "--n-splits", "3", "--seed", "11")),
+])
+def test_create_instances_cli_outputs_are_frozen(cli_inputs, mode, flags):
+    out = cli_inputs / "out"
+    out.mkdir()
+    code = main(["create-instances", "--mode", mode, "--small", "small.txt", "--large", "large",
+                 "--vocab", "vocab.txt", "--out", "out/out.bin", "--max-seq-length", "64",
+                 "--short-seq-prob", "0.5", *flags])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == CLI_FROZEN[mode]
 
 
 VOCAB_FROZEN = {
