@@ -38,11 +38,13 @@ _EXPORTS = {
     "create_instances_from_documents": "instances",
     "generate_conventional": "instances",
     "generate_simpt": "instances",
+    "generate_simpt_from_documents": "instances",
     "load_corpus": "corpus",
     "mask_tokens": "instances",
     "normalize": "vocab",
     "pair_diversity": "instances",
     "plan_amplification": "vocab",
+    "read_documents": "corpus",
     "read_instances": "serialize",
     "select_articles": "mesh_filter",
     "split_corpus": "corpus",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import re
@@ -90,6 +91,17 @@ def _check_input(path, what: str) -> Path:
     return p
 
 
+def _check_corpus(path, what: str) -> Path:
+    """A corpus path: one that exists, or a glob pattern (see
+    `corpus.is_pattern`), which fails as it is read if it matches no file."""
+    from .corpus import is_pattern
+
+    p = Path(path)
+    if not p.exists() and not is_pattern(p):
+        raise UsageError(f"{what} not found: {p}")
+    return p
+
+
 def _positive_size(args: argparse.Namespace, key: str) -> "int | None":
     """The byte size under `key` (None when unset); a size below 1 byte is a
     usage error naming the flag."""
@@ -117,15 +129,15 @@ def _check_output_dirs(args: argparse.Namespace, *keys: str) -> None:
             raise UsageError(f"--{key.replace('_', '-')}: directory {Path(value).parent} does not exist")
 
 
-def _load_corpora(args: argparse.Namespace) -> tuple:
-    """The small and large corpora; None for one not given. A corpus is
-    labelled by --small-label/--large-label where the command has them, and
-    else by its origin ("small", "large")."""
-    from .corpus import Origin, load_corpus
+def _load_corpora(args: argparse.Namespace, read) -> tuple:
+    """`read(path, label, origin)` of the small and the large corpus; None
+    for one not given. A corpus is labelled by --small-label/--large-label
+    where the command has them, and else by its origin ("small", "large")."""
+    from .corpus import Origin
 
     return tuple(
-        load_corpus(_check_input(path, f"{origin.value} corpus"),
-                    getattr(args, f"{origin.value}_label", origin.value), origin) if path else None
+        read(_check_corpus(path, f"{origin.value} corpus"), getattr(args, f"{origin.value}_label", origin.value),
+             origin) if path else None
         for path, origin in ((args.small, Origin.SMALL), (args.large, Origin.LARGE))
     )
 
@@ -180,7 +192,7 @@ def cmd_filter(args) -> int:
 def cmd_shard(args) -> int:
     from .corpus import load_corpus, split_corpus, write_document_text
 
-    in_path = _check_input(_require(args, "infile", "--in"), "input corpus")
+    in_path = _check_corpus(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
 
@@ -204,6 +216,7 @@ def cmd_shard(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
+    from .corpus import load_corpus
     from .vocab import AmplificationPlan, combined_word_counts, corpus_word_counts_and_bytes, train_bpe
 
     if args.small is None and args.large is None:
@@ -218,7 +231,7 @@ def cmd_build_vocab(args) -> int:
 
     # One counting pass per corpus gives both its word counts and its byte
     # size; the corpora and their own counts are let go before training.
-    small, large = _load_corpora(args)
+    small, large = _load_corpora(args, load_corpus)
     small_counts, small_bytes = corpus_word_counts_and_bytes(small) if small else ({}, 0)
     large_counts, large_bytes = corpus_word_counts_and_bytes(large) if large else ({}, 0)
     del small, large
@@ -280,8 +293,8 @@ def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
 
 
 def cmd_create_instances(args) -> int:
-    from .corpus import split_corpus
-    from .instances import generate_conventional, generate_simpt
+    from .corpus import read_documents
+    from .instances import generate_conventional, generate_simpt_from_documents
     from .serialize import write_instances
     from .tokenizer import WordPieceTokenizer
     from .vocab import Vocabulary
@@ -302,14 +315,13 @@ def cmd_create_instances(args) -> int:
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
-    small, large = _load_corpora(args)
-
+    # The documents are read as they are tokenized, small corpus first, and
+    # only their token ids are held. A corpus that cannot be read fails once
+    # the writer has begun, which then leaves no output.
+    docs = itertools.chain.from_iterable(d for d in _load_corpora(args, read_documents) if d)
     if mode == "simpt":
-        small_shards = split_corpus(small, each)
-        large_shards = split_corpus(large, each)
-        stream, report = generate_simpt(small_shards, large_shards, tokenizer, icfg)
+        stream, report = generate_simpt_from_documents(docs, each, tokenizer, icfg)
     else:
-        docs = (small.documents if small else []) + (large.documents if large else [])
         stream, report = generate_conventional(docs, tokenizer, icfg)
 
     run_config = {

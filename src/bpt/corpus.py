@@ -2,7 +2,9 @@
 
 Input convention: UTF-8 plain text, one sentence per line, blank line between
 documents. A path may be a single file, a directory (every regular file
-inside), or a glob pattern; multiple files are read in lexicographic order.
+inside), or a glob pattern (see `is_pattern`); multiple files are read in
+lexicographic order. `read_documents` reads a file a line at a time and
+yields each document as it ends; `load_corpus` holds them all.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import enum
 import glob as _glob
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import CorpusError
 
@@ -73,12 +76,18 @@ class Shard:
         return sum(d.byte_size for d in self.documents)
 
 
+def is_pattern(path: Path) -> bool:
+    """Whether a corpus path is a glob pattern: a path that exists is that
+    file or directory, and any other path holding "*", "?" or "[" is a
+    pattern."""
+    return not path.exists() and any(ch in str(path) for ch in "*?[")
+
+
 def _input_files(path: Path) -> list[Path]:
-    pattern = str(path)
-    if any(ch in pattern for ch in "*?["):
-        files = sorted(Path(p) for p in _glob.glob(pattern) if Path(p).is_file())
+    if is_pattern(path):
+        files = sorted(Path(p) for p in _glob.glob(str(path)) if Path(p).is_file())
         if not files:
-            raise CorpusError(f"no input files match pattern {pattern}")
+            raise CorpusError(f"no input files match pattern {path}")
         return files
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
@@ -86,13 +95,6 @@ def _input_files(path: Path) -> list[Path]:
             raise CorpusError(f"no input files in directory {path}")
         return files
     return [path]
-
-
-def _decode(raw: bytes, path: Path) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
 def text_lines(text: str) -> list[str]:
@@ -103,41 +105,69 @@ def text_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpus:
-    r"""Parse sentence-per-line text into a Corpus.
-
-    Lines end at "\n", "\r\n" or "\r" (see `text_lines`). Whitespace-only
-    lines separate documents; consecutive separators collapse.
-    doc_id is "<label>#<ordinal>" with ordinals counted across all input files.
-    """
-    origin = Origin.parse(origin)
-    path = Path(path)
-    documents: list[Document] = []
+def _file_documents(path: Path) -> Iterator[list[str]]:
+    """The sentences of each document of one file, read a line at a time."""
     pending: list[str] = []
-
-    def flush():
-        if pending:
-            documents.append(Document(f"{label}#{len(documents)}", origin, list(pending)))
-            pending.clear()
-
-    try:
-        for f in _input_files(path):  # one file's bytes in memory at a time
-            for line in text_lines(_decode(f.read_bytes(), f)):
+    with open(path, encoding="utf-8", newline=None) as lines:  # lines end as `text_lines` ends them
+        try:
+            for line in lines:
                 line = line.strip()
                 if line:
                     pending.append(line)
-                else:
-                    flush()
-            flush()  # document boundaries do not span files
+                elif pending:
+                    yield pending
+                    pending = []
+        except UnicodeDecodeError:
+            raise CorpusError(f"{path}: invalid UTF-8 at byte offset {_invalid_utf8_offset(path)}") from None
+    if pending:  # document boundaries do not span files
+        yield pending
+
+
+def _invalid_utf8_offset(path: Path) -> int:
+    """Where the first byte that is not UTF-8 is in the file."""
+    offset = 0
+    with open(path, "rb") as f:
+        for raw in f:  # ends at b"\n", which no multi-byte character holds
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return offset + exc.start
+            offset += len(raw)
+    return offset
+
+
+def read_documents(path: "str | Path", label: str, origin: "str | Origin") -> Iterator[Document]:
+    r"""Parse sentence-per-line text into Documents, yielding each as soon as
+    it ends, so only the current document is held.
+
+    Lines end at "\n", "\r\n" or "\r" (see `text_lines`). Whitespace-only
+    lines separate documents; consecutive separators collapse. doc_id is
+    "<label>#<ordinal>" with ordinals counted across all input files. An
+    input that holds no document raises CorpusError once it is read.
+    """
+    origin = Origin.parse(origin)
+    path = Path(path)
+    count = 0
+    try:
+        for f in _input_files(path):
+            for sentences in _file_documents(f):
+                yield Document(f"{label}#{count}", origin, sentences)
+                count += 1
     except OSError as exc:
         raise CorpusError(f"cannot read corpus at {path}: {exc}") from exc
-    if not documents:
+    if not count:
         raise CorpusError(f"empty corpus: {path}")
-    return Corpus(label=label, origin=origin, documents=documents)
 
 
-def split_corpus(corpus: Corpus, each_file_size: int) -> list[Shard]:
-    """Greedy in-order packing of whole documents into shards.
+def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpus:
+    """Every document of `read_documents` in one Corpus."""
+    origin = Origin.parse(origin)
+    return Corpus(label=label, origin=origin, documents=list(read_documents(path, label, origin)))
+
+
+def shard_ends(byte_sizes: Iterable[int], each_file_size: int) -> list[int]:
+    """Greedy in-order packing of whole documents into shards, given the
+    documents' byte sizes: the index after each shard's last document.
 
     Documents accumulate into the current shard until its byte size reaches
     each_file_size, then a new shard starts; only the last shard may be
@@ -145,21 +175,25 @@ def split_corpus(corpus: Corpus, each_file_size: int) -> list[Shard]:
     """
     if each_file_size <= 0:
         raise CorpusError(f"each_file_size must be positive, got {each_file_size}")
-    if not corpus.documents:
+    ends: list[int] = []
+    filled = n = 0
+    for n, size in enumerate(byte_sizes, 1):
+        filled += size
+        if filled >= each_file_size:
+            ends.append(n)
+            filled = 0
+    if n and (not ends or ends[-1] != n):
+        ends.append(n)
+    return ends
+
+
+def split_corpus(corpus: Corpus, each_file_size: int) -> list[Shard]:
+    """The corpus's documents packed into shards as `shard_ends` packs them."""
+    ends = shard_ends((d.byte_size for d in corpus.documents), each_file_size)
+    if not ends:
         raise CorpusError(f"cannot split empty corpus {corpus.label!r}")
-    shards: list[Shard] = []
-    current: list[Document] = []
-    current_bytes = 0
-    for doc in corpus.documents:
-        current.append(doc)
-        current_bytes += doc.byte_size
-        if current_bytes >= each_file_size:
-            shards.append(Shard(len(shards), corpus.origin, current, each_file_size))
-            current = []
-            current_bytes = 0
-    if current:
-        shards.append(Shard(len(shards), corpus.origin, current, each_file_size))
-    return shards
+    return [Shard(k, corpus.origin, corpus.documents[start:end], each_file_size)
+            for k, (start, end) in enumerate(zip([0, *ends], ends))]
 
 
 def write_document_text(documents: list[Document]) -> str:

@@ -7,7 +7,9 @@ which documents form its units:
 - balanced ("simpt"): every round samples an equal number of shards from the
   small and the large corpus and pools their documents into one unit, so
   small-origin text contributes about half of each round's bytes regardless
-  of raw corpus sizes, and negative pairs may cross corpora.
+  of raw corpus sizes, and negative pairs may cross corpora. The shards are
+  the caller's (`generate_simpt`) or split from the documents' byte sizes
+  as `split_corpus` splits a corpus (`generate_simpt_from_documents`).
 - conventional: the combined document list is split into contiguous groups,
   one unit each, processed dupe_factor times; the segment pairs are
   identical across passes and only the mask positions/replacements differ.
@@ -15,10 +17,13 @@ which documents form its units:
 - `create_instances_from_documents`: one unit of all the given documents.
 
 The loop (`_generate`) tokenizes every sentence once into one flat id array
-(`tokenize_documents`), and a segment is one span of that array. Units run
-serially in plan order. Within one, the segment pairs are built once, then
-masked a batch at a time (one `kernels.mask_sequence` call per batch and
-dupe pass); each instance is yielded in order as soon as its batch is masked.
+(`tokenize_documents`), and a segment is one span of that array. Of each
+document the loop keeps only its id, origin and byte size, so documents read
+from a file one at a time are never all held; the plan is made from the
+tokenized block. Units run serially in plan order. Within one, the segment
+pairs are built once, then masked a batch at a time (one
+`kernels.mask_sequence` call per batch and dupe pass); each instance is
+yielded in order as soon as its batch is masked.
 
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
 any round or group can be regenerated in isolation.
@@ -30,12 +35,12 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .corpus import Document, Origin, Shard
+from .corpus import Document, Origin, Shard, shard_ends
 from .errors import InstanceError
 from .rng import _MASK64, SplitRng, fold
 from .settings import InstanceConfig
@@ -265,7 +270,9 @@ class TokenizedDocuments(NamedTuple):
     `ids[sentences[k]:sentences[k + 1]]`, and document d holds sentences
     `doc_sentences[d]` to `doc_sentences[d + 1]` (exclusive)."""
 
-    docs: list[Document]
+    doc_ids: list[str]
+    origins: list[Origin]
+    byte_sizes: np.ndarray  # int64, each document's `byte_size`
     ids: np.ndarray  # int32, the ids of every non-empty sentence in order
     sentences: np.ndarray  # int64 run offsets of the sentences into ids, then len(ids)
     doc_sentences: np.ndarray  # int64 run offsets of the documents into sentences, then their count
@@ -275,19 +282,25 @@ class TokenizedDocuments(NamedTuple):
         return self.sentences[self.doc_sentences[d] : self.doc_sentences[d + 1] + 1].tolist()
 
 
-def tokenize_documents(docs: list[Document], tokenizer: WordPieceTokenizer) -> TokenizedDocuments:
-    """One `tokenize` call per sentence; sentences that tokenize to nothing
-    are left out, so a document of only such sentences has none."""
+def tokenize_documents(docs: Iterable[Document], tokenizer: WordPieceTokenizer) -> TokenizedDocuments:
+    """One pass over `docs`, one `tokenize` call per sentence; of each
+    document only its id, origin and byte size are kept. Sentences that
+    tokenize to nothing are left out, so a document of only such sentences
+    has none."""
     ids = array("i")  # grows without one Python int per token
     sentences, doc_sentences = array("q", [0]), array("q", [0])
+    doc_ids, origins, byte_sizes = [], [], array("q")
     for doc in docs:
         for sentence in doc.sentences:
             ids.extend(tokenizer.tokenize(sentence).ids)
             if len(ids) > sentences[-1]:
                 sentences.append(len(ids))
         doc_sentences.append(len(sentences) - 1)
-    return TokenizedDocuments(docs, np.frombuffer(ids, np.int32), np.frombuffer(sentences, np.int64),
-                              np.frombuffer(doc_sentences, np.int64))
+        doc_ids.append(doc.doc_id)
+        origins.append(doc.origin)
+        byte_sizes.append(doc.byte_size)
+    return TokenizedDocuments(doc_ids, origins, np.frombuffer(byte_sizes, np.int64), np.frombuffer(ids, np.int32),
+                              np.frombuffer(sentences, np.int64), np.frombuffer(doc_sentences, np.int64))
 
 
 def truncated_lengths(len_a: int, len_b: int, max_num: int) -> tuple[int, int]:
@@ -398,9 +411,9 @@ def _assemble(
     )
     segment_ids = (cols >= len_a + 2).astype(np.int8)
     n_masked = np.count_nonzero(positions >= 0, axis=1).tolist()
+    origins = block.origins
     for i, ((_, a, _, b, is_next, a_index, b_index, _), m) in enumerate(zip(pairs, n_masked)):
-        doc_a, doc_b = block.docs[a_index], block.docs[b_index]
-        small = (a if doc_a.origin is Origin.SMALL else 0) + (b if doc_b.origin is Origin.SMALL else 0)
+        small = (a if origins[a_index] is Origin.SMALL else 0) + (b if origins[b_index] is Origin.SMALL else 0)
         n = a + b + 3
         inst = PretrainInstance(
             token_ids=masked[i, :n],
@@ -410,11 +423,15 @@ def _assemble(
             is_next=is_next,
             origin_small_tokens=small,
             origin_large_tokens=a + b - small,
-            doc_id_a=doc_a.doc_id,
-            doc_id_b=doc_b.doc_id,
+            doc_id_a=block.doc_ids[a_index],
+            doc_id_b=block.doc_ids[b_index],
         )
         report.record(inst)
         yield inst
+
+
+# A unit: indices into the block's documents, the unit's rng and its dupe passes.
+Unit = tuple[Sequence[int], SplitRng, int]
 
 
 def create_instances_from_documents(
@@ -433,41 +450,52 @@ def create_instances_from_documents(
     pass k of any larger run with the same inputs.
     """
     report = GenerationReport() if report is None else report
-    return list(_generate(docs, [(range(len(docs)), rng, n_dupes)], tokenizer, config, report))
+    return list(_generate(docs, lambda block: [(range(len(block.doc_ids)), rng, n_dupes)], tokenizer, config,
+                          report))
 
 
 def _generate(
-    docs: list[Document],
-    units: Iterable[tuple[Sequence[int], SplitRng, int]],
+    docs: Iterable[Document],
+    plan: Callable[[TokenizedDocuments], Iterable[Unit]],
     tokenizer: WordPieceTokenizer,
     config: InstanceConfig,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    """Check the config and `docs` now, and return the lazy stream of a unit
-    plan's instances. The stream tokenizes `docs` once, then takes each unit
-    (indices into `docs`, its rng, its dupe passes) in turn: it counts and
-    leaves out the unit's empty documents, builds its segment pairs once, and
-    masks that list a batch at a time on every dupe pass, recording and
-    yielding each instance as soon as its batch is masked."""
+    """Check the config and `docs` now (an empty list; an iterator of no
+    documents fails when the stream starts), and return the lazy stream of a
+    unit plan's instances. The stream tokenizes `docs` in one pass, then
+    takes each unit of `plan(block)` in turn: it counts and leaves out the
+    unit's empty documents, builds its segment pairs once, and masks that
+    list a batch at a time on every dupe pass, recording and yielding each
+    instance as soon as its batch is masked."""
     config.validate()
     if not docs:
         raise InstanceError("documents must be non-empty")
+    return _stream(docs, plan, tokenizer, config, report)
 
-    def stream():
-        block = tokenize_documents(docs, tokenizer)
-        vocab, per_batch = tokenizer.vocab, batch_rows(config.max_seq_length)
-        for doc_indices, rng, n_dupes in units:
-            doc_indices = np.asarray(doc_indices, np.int64)
-            empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
-            report.empty_documents += int(np.count_nonzero(empty))
-            usable = doc_indices[~empty].tolist()
-            pairs = [pair for di in range(len(usable))
-                     for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)]
-            for dupe in range(n_dupes):
-                for start in range(0, len(pairs), per_batch):
-                    yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
 
-    return stream()
+def _stream(
+    docs: Iterable[Document],
+    plan: Callable[[TokenizedDocuments], Iterable[Unit]],
+    tokenizer: WordPieceTokenizer,
+    config: InstanceConfig,
+    report: GenerationReport,
+) -> Iterator[PretrainInstance]:
+    block = tokenize_documents(docs, tokenizer)
+    del docs  # from here on the stream pins no document
+    if not block.doc_ids:
+        raise InstanceError("documents must be non-empty")
+    vocab, per_batch = tokenizer.vocab, batch_rows(config.max_seq_length)
+    for doc_indices, rng, n_dupes in plan(block):
+        doc_indices = np.asarray(doc_indices, np.int64)
+        empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
+        report.empty_documents += int(np.count_nonzero(empty))
+        usable = doc_indices[~empty].tolist()
+        pairs = [pair for di in range(len(usable))
+                 for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)]
+        for dupe in range(n_dupes):
+            for start in range(0, len(pairs), per_batch):
+                yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
 
 
 def _sample_shards(units: list, k: int, rng: SplitRng) -> list:
@@ -475,6 +503,27 @@ def _sample_shards(units: list, k: int, rng: SplitRng) -> list:
         return rng.sample(units, k)
     # fall back to with-replacement to preserve the byte balance
     return rng.choices(units, k)
+
+
+def _simpt_rounds(small: list, large: list, config: InstanceConfig, report: GenerationReport) -> Iterator[Unit]:
+    """simpt's unit plan over the shards of each corpus, each a (shard_id,
+    document indices) pair: round r draws shards_per_corpus of each and
+    pools their documents into one unit."""
+    seen: set = set()
+    for r in range(config.n_rounds):
+        rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
+        small_sel = _sample_shards(small, config.shards_per_corpus, rng_shards)
+        large_sel = _sample_shards(large, config.shards_per_corpus, rng_shards)
+        combo = (
+            tuple(sorted(shard_id for shard_id, _ in small_sel)),
+            tuple(sorted(shard_id for shard_id, _ in large_sel)),
+        )
+        report.rounds += 1
+        if combo in seen:
+            report.shard_combo_collisions += 1
+        seen.add(combo)
+        rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
+        yield [d for _, docs in small_sel + large_sel for d in docs], rng_docs, 1
 
 
 def generate_simpt(
@@ -497,30 +546,44 @@ def generate_simpt(
     shards = small_shards + large_shards
     ends = list(accumulate((len(s.documents) for s in shards), initial=0))
     units = [(s.shard_id, range(ends[k], ends[k + 1])) for k, s in enumerate(shards)]
-
-    def rounds():
-        seen: set = set()
-        for r in range(config.n_rounds):
-            rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
-            small_sel = _sample_shards(units[: len(small_shards)], config.shards_per_corpus, rng_shards)
-            large_sel = _sample_shards(units[len(small_shards) :], config.shards_per_corpus, rng_shards)
-            combo = (
-                tuple(sorted(shard_id for shard_id, _ in small_sel)),
-                tuple(sorted(shard_id for shard_id, _ in large_sel)),
-            )
-            report.rounds += 1
-            if combo in seen:
-                report.shard_combo_collisions += 1
-            seen.add(combo)
-            rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
-            yield [d for _, docs in small_sel + large_sel for d in docs], rng_docs, 1
-
+    small, large = units[: len(small_shards)], units[len(small_shards) :]
     docs = [d for s in shards for d in s.documents]
-    return _generate(docs, rounds(), tokenizer, config, report), report
+    return _generate(docs, lambda block: _simpt_rounds(small, large, config, report), tokenizer, config,
+                     report), report
+
+
+def generate_simpt_from_documents(
+    documents: Iterable[Document],
+    each_file_size: int,
+    tokenizer: WordPieceTokenizer,
+    config: InstanceConfig,
+) -> tuple[Iterator[PretrainInstance], GenerationReport]:
+    """`generate_simpt` on the shards that `split_corpus` would make of the
+    small-origin and of the large-origin `documents`, each in their order.
+
+    The documents are read once, as the stream starts, and the shards are
+    split from the byte sizes in the tokenized block, so no document is held
+    after it is tokenized. Either origin having no document fails then.
+    """
+    if each_file_size <= 0:
+        raise InstanceError(f"each_file_size must be positive, got {each_file_size}")
+    report = GenerationReport(mode="simpt")
+
+    def plan(block: TokenizedDocuments) -> Iterator[Unit]:
+        shards = []
+        for origin in (Origin.SMALL, Origin.LARGE):
+            docs = [d for d, o in enumerate(block.origins) if o is origin]
+            ends = shard_ends(block.byte_sizes[docs].tolist(), each_file_size)
+            shards.append([(k, docs[start:end]) for k, (start, end) in enumerate(zip([0, *ends], ends))])
+        if not shards[0] or not shards[1]:
+            raise InstanceError("simpt requires documents of both origins")
+        return _simpt_rounds(*shards, config, report)
+
+    return _generate(documents, plan, tokenizer, config, report), report
 
 
 def generate_conventional(
-    all_documents: list[Document],
+    all_documents: Iterable[Document],
     tokenizer: WordPieceTokenizer,
     config: InstanceConfig,
     threads: int = 1,
@@ -534,12 +597,12 @@ def generate_conventional(
     """
     report = GenerationReport(mode="conventional")
 
-    def groups():
-        for g, group in enumerate(split_documents(range(len(all_documents)), config.n_splits)):
+    def groups(block: TokenizedDocuments) -> Iterator[Unit]:
+        for g, group in enumerate(split_documents(range(len(block.doc_ids)), config.n_splits)):
             report.groups += 1
             yield group, SplitRng(config.master_seed, _STREAM_DOCS, g), config.dupe_factor
 
-    return _generate(all_documents, groups(), tokenizer, config, report), report
+    return _generate(all_documents, groups, tokenizer, config, report), report
 
 
 def split_documents(docs: Sequence, n_splits: int) -> list[Sequence]:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, chunk_words
+from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, normalize_split, pretokenize
 
 DEFAULT_MAX_CHARS_PER_WORD = 100
-# The chunk cache holds at most this many chunks, each of at most this many
-# characters: about 15 MB full on word-like chunks, about 90 MB at worst.
-CHUNK_CACHE_ENTRIES = 1 << 16
-CHUNK_CACHE_MAX_CHARS = 100
+# The word cache holds at most this many words, each of at most
+# max_chars_per_word characters: about 10 MB full on word-like text, about
+# 70 MB at worst.
+WORD_CACHE_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -29,11 +29,13 @@ class TokenSequence:
 class WordPieceTokenizer:
     """Tokenizes normalized text; words with any unmatched position become [UNK].
 
-    `tokenize` splits raw text on U+0020 and caches the ids of each distinct
-    chunk, so a repeated chunk is normalized (by `chunk_words`, which says
-    why the split is exact) and matched once. Chunks longer than
-    CHUNK_CACHE_MAX_CHARS are not cached and the cache is emptied whenever
-    it is full, which bounds its memory on inputs of any size.
+    `tokenize` normalizes the text (`normalize_split`), pretokenizes it and
+    caches the ids of each distinct word, so WordPiece matches a repeated
+    word once. A part of the normalized text that is a cached word is not
+    pretokenized, since a word pretokenizes to itself. A word longer than
+    max_chars_per_word is [UNK] without matching and is not cached, and the
+    cache is emptied whenever it holds WORD_CACHE_ENTRIES words, which
+    bounds its memory on inputs of any size.
     """
 
     def __init__(self, vocab: Vocabulary, max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD):
@@ -42,7 +44,7 @@ class WordPieceTokenizer:
         self.vocab = vocab
         self.max_chars_per_word = max_chars_per_word
         self._unk = UNK
-        self._chunk_ids: dict[str, tuple[int, ...]] = {}
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     def tokenize_word(self, word: str) -> list[str]:
         """Greedy longest-match pieces of one already-normalized word."""
@@ -68,24 +70,23 @@ class WordPieceTokenizer:
             start = end
         return pieces
 
-    def tokenize_words(self, words: list[str]) -> list[str]:
-        out = []
-        for word in words:
-            out.extend(self.tokenize_word(word))
-        return out
-
     def tokenize(self, text: str) -> TokenSequence:
         ids: list[int] = []
-        for chunk in text.split(" "):
-            chunk_ids = self._chunk_ids.get(chunk)
-            if chunk_ids is None:
-                pieces = self.tokenize_words(chunk_words(chunk)[0])
-                chunk_ids = tuple(self.vocab.id_of(t) for t in pieces)
-                if len(chunk) <= CHUNK_CACHE_MAX_CHARS:
-                    if len(self._chunk_ids) >= CHUNK_CACHE_ENTRIES:
-                        self._chunk_ids.clear()
-                    self._chunk_ids[chunk] = chunk_ids
-            ids.extend(chunk_ids)
+        cache = self._word_ids
+        for part in normalize_split(text):
+            part_ids = cache.get(part)  # a cached word pretokenizes to itself
+            if part_ids is not None:
+                ids.extend(part_ids)
+                continue
+            for word in pretokenize(part):
+                word_ids = cache.get(word)
+                if word_ids is None:
+                    word_ids = tuple(self.vocab.id_of(t) for t in self.tokenize_word(word))
+                    if len(word) <= self.max_chars_per_word:
+                        if len(cache) >= WORD_CACHE_ENTRIES:
+                            cache.clear()
+                        cache[word] = word_ids
+                ids.extend(word_ids)
         return TokenSequence(ids, self.vocab)
 
 

@@ -13,11 +13,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .corpus import Corpus
 from .errors import VocabError
 from .settings import DEFAULT_MIN_FREQUENCY, DEFAULT_TARGET_SIZE
+
+if TYPE_CHECKING:  # `bpt tokenize` imports this module and reads no corpus
+    from .corpus import Corpus
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = [PAD, UNK, CLS, SEP, MASK]
@@ -52,7 +54,26 @@ def _strip_rule(ch: str) -> "str | None":
 def normalize(text: str) -> str:
     """Uncased normalization: NFKD, strip combining marks and control
     characters, lowercase, collapse whitespace runs to single spaces."""
-    return " ".join(unicodedata.normalize("NFKD", text).translate(_STRIP).lower().split())
+    return " ".join(normalize_split(text))
+
+
+def normalize_split(text: str) -> list[str]:
+    """`normalize(text).split()`, without joining the parts first.
+
+    NFKD and _STRIP leave printable ASCII as it is, so it is only
+    lowercased. Other text is normalized a U+0020 chunk at a time, which is
+    exact (see `chunk_words`), so that only its non-ASCII chunks take the
+    slow path.
+    """
+    if text.isascii() and text.isprintable():
+        return text.lower().split()
+    parts: list[str] = []
+    for chunk in text.split(" "):
+        if not chunk.isascii() or not chunk.isprintable():
+            parts += unicodedata.normalize("NFKD", chunk).translate(_STRIP).lower().split()
+        elif chunk:
+            parts.append(chunk.lower())
+    return parts
 
 
 def _is_punctuation(ch: str) -> bool:

@@ -174,6 +174,23 @@ def test_shard_writes_files_and_report(tmp_path, capsys, corpora):
     assert sum(report["shard_bytes"]) == report["total_bytes"]
 
 
+def test_shard_reads_a_glob_pattern(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    for name, text in (("a1.txt", "one\n"), ("a2.txt", "two\n"), ("b.txt", "other\n")):
+        (tmp_path / "d" / name).write_text(text, encoding="utf-8")
+    code, stdout = run(capsys, "shard", "--in", tmp_path / "d" / "a*.txt", "--out-dir", tmp_path / "shards")
+    assert code == 0 and json.loads(stdout)["documents"] == 2
+    assert (tmp_path / "shards" / "shard-00000.txt").read_text() == "one\n\ntwo\n"
+
+
+def test_shard_reads_an_existing_file_whose_name_holds_glob_characters(tmp_path, capsys):
+    (tmp_path / "data[1].txt").write_text("literal\n", encoding="utf-8")
+    (tmp_path / "data1.txt").write_text("matched by the pattern\n", encoding="utf-8")
+    code, stdout = run(capsys, "shard", "--in", tmp_path / "data[1].txt", "--out-dir", tmp_path / "shards")
+    assert code == 0 and json.loads(stdout)["documents"] == 1
+    assert (tmp_path / "shards" / "shard-00000.txt").read_text() == "literal\n"
+
+
 def test_shard_bad_origin_in_config_exits_2_naming_flag(tmp_path, capsys, caplog, corpora):
     small, _ = corpora
     cfg = tmp_path / "run.json"
@@ -388,6 +405,27 @@ def test_create_conventional_dupe_factor_doubles(tmp_path, capsys, vocab_file, c
     assert code1 == code2 == 0
     r1, r2 = json.loads(stdout1), json.loads(stdout2)
     assert r2["instances"] == 2 * r1["instances"]
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+@pytest.mark.parametrize("bad, message", [
+    (b" \n\t\n\n", "empty corpus: {path}"),
+    (b"first line\nsecond line\n\n" * 400 + b"last \xff line\n", "{path}: invalid UTF-8 at byte offset 9605"),
+], ids=["whitespace-only", "undecodable"])
+def test_unreadable_large_corpus_exits_3_and_keeps_earlier_output(tmp_path, capsys, caplog, vocab_file, corpora,
+                                                                  mode, bad, message):
+    small, large = corpora
+    flags = ("--mode", mode, "--rounds", "2")
+    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "o.bin", *flags)
+    assert code == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    large.write_bytes(bad)
+    code, _, stdout = create(capsys, tmp_path, vocab_file, corpora, "o.bin", *flags)
+    assert code == 3 and stdout == ""
+    assert message.format(path=large) in caplog.text
+    after = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    del before[large], after[large]
+    assert after == before  # o.bin and its manifest as they were, and no temporary file
 
 
 def test_manifest_echoes_effective_config(tmp_path, capsys, vocab_file, corpora):

@@ -1,6 +1,19 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from bpt.corpus import Origin, load_corpus, split_corpus, text_byte_size, write_document_text
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bpt.corpus import (
+    Origin,
+    load_corpus,
+    read_documents,
+    split_corpus,
+    text_byte_size,
+    text_lines,
+    write_document_text,
+)
 from bpt.errors import CorpusError
 
 
@@ -49,6 +62,41 @@ def test_lines_end_only_at_line_breaks(tmp_path):
         ["a\x0bb", "c\x85d", "e\u2028f\x1dg"], ["h\u2029i\x0cj\x1ek"]]
 
 
+def documents_oracle(texts: list[str]) -> list[list[str]]:
+    """Each file's text decoded whole and split by `text_lines`; whitespace-only
+    lines end a document, and so does the end of a file."""
+    docs: list[list[str]] = []
+    for text in texts:
+        pending: list[str] = []
+        for line in [*text_lines(text), ""]:
+            if line.strip():
+                pending.append(line.strip())
+            elif pending:
+                docs.append(pending)
+                pending = []
+    return docs
+
+
+LINE_PIECES = ["a", "b c", " ", "\t", "\n", "\r", "\r\n", "\n\n", "\x1c", "\x85", "\u2028", "\xe9"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join), min_size=1, max_size=3))
+def test_read_documents_equals_whole_file_parse(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, text in enumerate(texts):
+            (Path(tmp) / f"f{k}.txt").write_bytes(text.encode("utf-8"))
+        expected = documents_oracle(texts)
+        if not expected:
+            with pytest.raises(CorpusError, match="empty corpus"):
+                list(read_documents(tmp, "r", "large"))
+            return
+        docs = list(read_documents(tmp, "r", "large"))
+    assert [d.sentences for d in docs] == expected
+    assert [d.doc_id for d in docs] == [f"r#{k}" for k in range(len(expected))]
+    assert all(d.origin is Origin.LARGE for d in docs)
+
+
 def test_missing_trailing_newline_ok(tmp_path):
     corpus = load_corpus(write(tmp_path, "c.txt", "a\n\nb"), "c", "small")
     assert len(corpus.documents) == 2
@@ -83,6 +131,15 @@ def test_glob_input(tmp_path):
     assert [doc.sentences[0] for doc in corpus.documents] == ["one", "two"]
     with pytest.raises(CorpusError, match="match pattern"):
         load_corpus(tmp_path / "z*.txt", "g", "small")
+
+
+def test_existing_path_with_glob_characters_is_that_file(tmp_path):
+    (tmp_path / "data[1].txt").write_text("literal\n", encoding="utf-8")
+    (tmp_path / "data1.txt").write_text("matched\n", encoding="utf-8")
+    corpus = load_corpus(tmp_path / "data[1].txt", "g", "small")
+    assert [doc.sentences for doc in corpus.documents] == [["literal"]]
+    corpus = load_corpus(tmp_path / "data[0-9].txt", "g", "small")
+    assert [doc.sentences for doc in corpus.documents] == [["matched"]]
 
 
 def test_load_is_pure_function_of_bytes(tmp_path):

@@ -108,19 +108,38 @@ def cli_inputs(tmp_path, monkeypatch, lexicon, small_vocab):
     return tmp_path
 
 
-@pytest.mark.parametrize("mode,flags", [
+CLI_RUNS = [
     ("simpt", ("--rounds", "4", "--shards-per-corpus", "2", "--each-file-size", "6000", "--seed", "9")),
     ("conventional", ("--dupe-factor", "2", "--n-splits", "3", "--seed", "11")),
-])
-def test_create_instances_cli_outputs_are_frozen(cli_inputs, mode, flags):
-    out = cli_inputs / "out"
+]
+
+
+def create_instances(root, mode, flags):
+    """sha256 of out.bin and its manifest, written by `bpt create-instances`."""
+    out = root / "out"
     out.mkdir()
     code = main(["create-instances", "--mode", mode, "--small", "small.txt", "--large", "large",
                  "--vocab", "vocab.txt", "--out", "out/out.bin", "--max-seq-length", "64",
                  "--short-seq-prob", "0.5", *flags])
     assert code == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert digests == CLI_FROZEN[mode]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("mode,flags", CLI_RUNS)
+def test_create_instances_cli_outputs_are_frozen(cli_inputs, mode, flags):
+    assert create_instances(cli_inputs, mode, flags) == CLI_FROZEN[mode]
+
+
+@pytest.mark.parametrize("mode,flags", CLI_RUNS)
+def test_create_instances_cli_holds_no_corpus(cli_inputs, monkeypatch, mode, flags):
+    from bpt import corpus
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("create-instances built a whole corpus or its shards")
+
+    monkeypatch.setattr(corpus, "load_corpus", must_not_run)
+    monkeypatch.setattr(corpus, "split_corpus", must_not_run)
+    assert create_instances(cli_inputs, mode, flags) == CLI_FROZEN[mode]
 
 
 VOCAB_FROZEN = {

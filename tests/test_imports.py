@@ -75,6 +75,11 @@ def test_commands_that_need_no_numpy_never_load_it(inputs, argv):
     assert "numpy" not in loaded_modules(inputs, *argv)
 
 
+def test_tokenize_loads_no_corpus_module(inputs):
+    modules = loaded_modules(inputs, "tokenize", "--vocab", "vocab.txt", "--in", "corpus.txt", "--out", "tokens.txt")
+    assert "bpt.tokenizer" in modules and "bpt.corpus" not in modules
+
+
 def test_build_vocab_loads_no_instance_serialize_verify_or_filter_module(inputs):
     modules = loaded_modules(inputs, "build-vocab", "--small", "corpus.txt", "--out", "v.txt",
                              "--target-size", "80", "--min-frequency", "1")

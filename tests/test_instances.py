@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpt import instances, kernels, serialize
-from bpt.corpus import Document, Origin, Shard
+from bpt.corpus import Document, Origin, Shard, load_corpus, split_corpus
 from bpt.errors import InstanceError
 from bpt.instances import (
     GenerationReport,
@@ -15,6 +17,7 @@ from bpt.instances import (
     create_instances_from_documents,
     generate_conventional,
     generate_simpt,
+    generate_simpt_from_documents,
     mask_tokens,
     pair_diversity,
     run_offsets,
@@ -29,7 +32,7 @@ from bpt.tokenizer import WordPieceTokenizer
 from bpt.verify import verify_file
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary
 
-from .conftest import make_document_sentences
+from .conftest import make_corpus_text, make_document_sentences, write_corpus_file
 from .oracles import structural_errors_oracle, truncate_pair_oracle
 
 # word-level vocabulary: every word is a whole token, so sentence token count
@@ -235,13 +238,61 @@ def test_tokenize_documents_equals_per_sentence_ids(tiny_corpus, small_tokenizer
     per_doc = [[ids for ids in (small_tokenizer.tokenize(s).ids for s in d.sentences) if ids] for d in docs]
     sentences = [ids for doc_ids in per_doc for ids in doc_ids]
     assert len(per_doc[0]) == len(docs[0].sentences) - 1 and per_doc[2] == []
-    assert block.docs is docs and block.ids.dtype == np.int32
+    assert block.doc_ids == [d.doc_id for d in docs] and block.origins == [d.origin for d in docs]
+    assert block.byte_sizes.tolist() == [d.byte_size for d in docs] and block.ids.dtype == np.int32
     assert block.ids.tolist() == [t for ids in sentences for t in ids]
     assert block.sentences.tolist() == run_offsets([len(ids) for ids in sentences]).tolist()
     assert block.doc_sentences.tolist() == run_offsets([len(d) for d in per_doc]).tolist()
     for d, doc_ids in enumerate(per_doc):
         at = block.sentence_offsets(d)
         assert [block.ids[start:end].tolist() for start, end in zip(at, at[1:])] == doc_ids
+
+
+def test_no_document_outlives_its_tokenization(tiny_corpus, small_tokenizer):
+    """Documents read one at a time are let go once tokenized: the block keeps
+    each one's id, origin and byte size, and the instance stream none of them."""
+    refs = []
+
+    def documents():
+        for d in tiny_corpus.documents:
+            doc = Document(d.doc_id, d.origin, list(d.sentences))
+            refs.append(weakref.ref(doc))
+            yield doc
+
+    block = tokenize_documents(documents(), small_tokenizer)
+    gc.collect()
+    assert len(refs) == len(tiny_corpus) and all(ref() is None for ref in refs)
+    assert block.doc_ids == [d.doc_id for d in tiny_corpus.documents]
+    assert block.origins == [Origin.SMALL] * len(tiny_corpus)
+    assert block.byte_sizes.tolist() == [d.byte_size for d in tiny_corpus.documents]
+
+    refs.clear()
+    stream, _ = generate_conventional(documents(), small_tokenizer, config(n_splits=2))
+    next(stream)
+    gc.collect()
+    assert len(refs) == len(tiny_corpus) and all(ref() is None for ref in refs)
+
+
+def test_simpt_from_documents_equals_simpt_on_split_corpora(tmp_path, lexicon, small_tokenizer):
+    corpora = [load_corpus(write_corpus_file(tmp_path / f"{origin.value}.txt",
+                                             make_corpus_text(SplitRng(seed), lexicon, n_docs=n_docs)),
+                           origin.value, origin)
+               for origin, seed, n_docs in ((Origin.SMALL, 51, 4), (Origin.LARGE, 52, 12))]
+    cfg = config(max_seq_length=64, n_rounds=6, shards_per_corpus=2, master_seed=13, short_seq_prob=0.3)
+    each = 5000
+    expected, expected_report = generate_simpt(*(split_corpus(c, each) for c in corpora), small_tokenizer, cfg)
+    expected = [(i.payload(), i.doc_id_a, i.doc_id_b) for i in expected]
+    stream, report = generate_simpt_from_documents(iter(corpora[0].documents + corpora[1].documents), each,
+                                                   small_tokenizer, cfg)
+    assert [(i.payload(), i.doc_id_a, i.doc_id_b) for i in stream] == expected
+    assert report.to_dict() == expected_report.to_dict() and report.rounds == 6
+
+
+def test_simpt_from_documents_requires_both_origins():
+    docs = [doc(f"s#{i}", Origin.SMALL, [3, 4]) for i in range(3)]
+    stream, _ = generate_simpt_from_documents(iter(docs), 10, TOKENIZER, config(n_rounds=1))
+    with pytest.raises(InstanceError, match="both origins"):
+        next(stream)
 
 
 class CountingTokenizer(WordPieceTokenizer):

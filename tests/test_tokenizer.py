@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpt import tokenizer
-from bpt.tokenizer import CHUNK_CACHE_MAX_CHARS, WordPieceTokenizer, wordpiece_tokenize
+from bpt.tokenizer import WordPieceTokenizer, wordpiece_tokenize
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary, normalize, pretokenize
 
 from .oracles import greedy_longest_prefix_oracle
@@ -97,11 +97,11 @@ def test_vocabulary_member_tokenizes_to_itself(small_vocab):
             assert tok.tokenize(token).tokens == [token]
 
 
-# Characters where caching on raw U+0020 chunks could go wrong: U+0020 runs
-# (empty chunks), whitespace that str.split() sees but normalize drops (Cc) or
-# maps to a separator, Cf characters, NFKD expansions (U+00A8 becomes a space
-# and a combining mark) and a capital sigma whose lowercase depends on whether
-# it ends a word.
+# Characters where caching could split text into other words than normalize
+# and pretokenize do: U+0020 runs, whitespace that str.split() sees but
+# normalize drops (Cc) or maps to a separator, Cf characters, NFKD expansions
+# (U+00A8 becomes a space and a combining mark) and a capital sigma whose
+# lowercase depends on whether it ends a word.
 CHUNK_PIECES = [
     " ", "  ", "\t", "\n", "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
     "\u2028", "\u3000", "\u200b", "\xad", "\xa8", "\xbd", "\ufb01", "\u03a3", "A\u03a3",
@@ -118,8 +118,9 @@ WARM = WordPieceTokenizer(CHUNK_VOCAB)
 @given(st.lists(st.sampled_from(CHUNK_PIECES), max_size=24).map("".join))
 @example("a\x1cb")
 @example(" A\u03a3 a\u03a3b \xa8\u03a3 ")
-def test_chunk_cache_changes_no_ids(text):
-    uncached = WordPieceTokenizer(CHUNK_VOCAB).tokenize_words(pretokenize(normalize(text)))
+def test_word_cache_changes_no_ids(text):
+    words = pretokenize(normalize(text))
+    uncached = [t for word in words for t in WordPieceTokenizer(CHUNK_VOCAB).tokenize_word(word)]
     expected = [CHUNK_VOCAB.id_of(t) for t in uncached]
     cold = WordPieceTokenizer(CHUNK_VOCAB)
     for tok in (cold, cold, WARM):
@@ -133,19 +134,19 @@ def test_control_character_does_not_split_a_word():
     assert tokens.tokens == ["ab", "ab"]
 
 
-def test_chunk_cache_memory_stays_bounded_on_distinct_chunks(monkeypatch):
+def test_word_cache_memory_stays_bounded_on_distinct_words(monkeypatch):
     # a smaller cache keeps the run short; the bound scales with the constant
-    monkeypatch.setattr(tokenizer, "CHUNK_CACHE_ENTRIES", 256)
+    monkeypatch.setattr(tokenizer, "WORD_CACHE_ENTRIES", 256)
     tok = WordPieceTokenizer(CHUNK_VOCAB)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         for start in range(0, 16 * 256, 32):
-            # 32 distinct short chunks and one distinct chunk too long to cache
+            # 32 distinct short words and one distinct word too long to cache
             words = [f"a{i}" for i in range(start, start + 32)]
-            too_long = f"{start:0{CHUNK_CACHE_MAX_CHARS + 1}d}"
+            too_long = f"{start:0{tok.max_chars_per_word + 1}d}"
             tok.tokenize(" ".join(words + [too_long]))
-            assert len(tok._chunk_ids) <= 256 and too_long not in tok._chunk_ids
+            assert len(tok._word_ids) <= 256 and too_long not in tok._word_ids
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

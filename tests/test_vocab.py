@@ -89,6 +89,7 @@ def test_tables_equal_per_character_loops_on_every_assigned_code_point(fresh_tab
 @example("\u00bd")
 @example("".join(map(chr, range(128))))
 @example("\tA-b\x1c.C\x7f(d)\r")
+@example("Ab \u0391\u03a3 x\u03a3  e\u0301 A\u03a3b\xa0c\x1cd \u00a8\u03a3 Z.")  # printable ASCII and other chunks
 def test_tables_equal_per_character_loops(text):
     assert normalize(text) == normalize_oracle(text)
     assert pretokenize(text) == pretokenize_oracle(text)
