@@ -12,9 +12,10 @@ a key that names no flag exits 2; a null value means unset; an on/off flag
 takes only JSON true or false; any other value is read as the flag's text
 (a JSON bool, array or object exits 2) and must be in the flag's choices.
 Logs go to stderr; data and reports go to stdout or the requested output file.
-build-vocab and create-instances check that every output file's directory
-exists before they read any input, and log the interpreter's Unicode
-database version, which normalization depends on.
+Every command that writes a report checks that the directory of each output
+file (--out, --merges-out, --report) exists before it reads any input.
+build-vocab and create-instances log the interpreter's Unicode database
+version, which normalization depends on.
 
 Each `cmd_*` imports the modules it runs when it runs; this module itself
 imports only `errors` and `settings`, where the parser's defaults live. So
@@ -160,12 +161,13 @@ def cmd_filter(args) -> int:
     from .mesh_filter import load_ruleset, parse_records_jsonl, select_articles
 
     ruleset_arg = _require(args, "ruleset", "--ruleset")
+    in_path = _check_input(_require(args, "infile", "--in"), "input file")
+    out_path = Path(_require(args, "out", "--out"))
+    _check_output_dirs(args, "out", "report")
     try:
         ruleset = load_ruleset(ruleset_arg)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    in_path = _check_input(_require(args, "infile", "--in"), "input file")
-    out_path = Path(_require(args, "out", "--out"))
 
     with open(in_path, encoding="utf-8") as f:
         records = parse_records_jsonl(f)
@@ -190,33 +192,45 @@ def cmd_filter(args) -> int:
 
 
 def cmd_shard(args) -> int:
-    from .corpus import load_corpus, split_corpus, write_document_text
+    from .corpus import read_documents, shard_closes, write_document_text
+    from .staging import staged_files
 
     in_path = _check_corpus(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
+    _check_output_dirs(args, "report")
 
-    corpus = load_corpus(in_path, args.label, args.origin)
-    shards = split_corpus(corpus, each)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for shard in shards:
-        (out_dir / f"shard-{shard.shard_id:05d}.txt").write_text(
-            write_document_text(shard.documents), encoding="utf-8"
-        )
+    # Each document goes to its shard file as it is read, so only it is held.
+    # The shards are staged, so an input that fails to read leaves none, and
+    # an earlier set at --out-dir stays as it was.
+    documents, sized = itertools.tee(read_documents(in_path, args.label, args.origin))
+    # each document's shard: how many shards closed before it
+    shard_of = itertools.accumulate(shard_closes((d.byte_size for d in sized), each), initial=0)
+    shard_bytes: list[int] = []
+    count = 0
+    with staged_files() as stage:
+        for k, shard in itertools.groupby(zip(documents, shard_of), key=lambda item: item[1]):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            shard_bytes.append(0)
+            with open(stage(out_dir / f"shard-{k:05d}.txt"), "w", encoding="utf-8") as out:
+                for n, (doc, _) in enumerate(shard):
+                    out.write(("\n" if n else "") + write_document_text([doc]))  # a blank line between documents
+                    shard_bytes[-1] += doc.byte_size
+                    count += 1
     payload = {
         "label": args.label,
-        "documents": len(corpus.documents),
-        "total_bytes": corpus.total_bytes,
+        "documents": count,
+        "total_bytes": sum(shard_bytes),
         "each_file_size": each,
-        "shards": len(shards),
-        "shard_bytes": [s.byte_size for s in shards],
+        "shards": len(shard_bytes),
+        "shard_bytes": shard_bytes,
     }
     _emit_report(payload, args.report)
     return EXIT_OK
 
 
 def cmd_build_vocab(args) -> int:
-    from .corpus import load_corpus
+    from .corpus import read_documents
     from .vocab import AmplificationPlan, combined_word_counts, corpus_word_counts_and_bytes, train_bpe
 
     if args.small is None and args.large is None:
@@ -229,12 +243,11 @@ def cmd_build_vocab(args) -> int:
     # version goes to the log, never into an output that must stay identical.
     log.info("build-vocab: Unicode database %s", unicodedata.unidata_version)
 
-    # One counting pass per corpus gives both its word counts and its byte
-    # size; the corpora and their own counts are let go before training.
-    small, large = _load_corpora(args, load_corpus)
+    # One counting pass over each corpus's stream of documents gives both its
+    # word counts and its byte size; the counts are let go before training.
+    small, large = _load_corpora(args, read_documents)
     small_counts, small_bytes = corpus_word_counts_and_bytes(small) if small else ({}, 0)
     large_counts, large_bytes = corpus_word_counts_and_bytes(large) if large else ({}, 0)
-    del small, large
     repeat_factor = None
     if args.amplify:
         repeat_factor = AmplificationPlan.from_sizes(small_bytes, large_bytes).repeat_factor
@@ -363,6 +376,7 @@ def cmd_verify(args) -> int:
     from .vocab import Vocabulary
 
     infile = _require(args, "infile", "--in")
+    _check_output_dirs(args, "report")
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
 
     tol = Tolerances(**{key: getattr(args, key) for key in _TOLERANCE_KEYS})
@@ -403,6 +417,7 @@ def cmd_compare(args) -> int:
     names = args.labels.split(",") if args.labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
+    _check_output_dirs(args, "report")
     rows = []
     for path in paths:
         instance_set = open_instance_set(path)

@@ -165,9 +165,10 @@ def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpu
     return Corpus(label=label, origin=origin, documents=list(read_documents(path, label, origin)))
 
 
-def shard_ends(byte_sizes: Iterable[int], each_file_size: int) -> list[int]:
+def shard_closes(byte_sizes: Iterable[int], each_file_size: int) -> Iterator[bool]:
     """Greedy in-order packing of whole documents into shards, given the
-    documents' byte sizes: the index after each shard's last document.
+    documents' byte sizes as they come: for each document, whether its shard
+    closes after it.
 
     Documents accumulate into the current shard until its byte size reaches
     each_file_size, then a new shard starts; only the last shard may be
@@ -175,13 +176,24 @@ def shard_ends(byte_sizes: Iterable[int], each_file_size: int) -> list[int]:
     """
     if each_file_size <= 0:
         raise CorpusError(f"each_file_size must be positive, got {each_file_size}")
-    ends: list[int] = []
-    filled = n = 0
-    for n, size in enumerate(byte_sizes, 1):
+    filled = 0
+    for size in byte_sizes:
         filled += size
         if filled >= each_file_size:
-            ends.append(n)
             filled = 0
+            yield True
+        else:
+            yield False
+
+
+def shard_ends(byte_sizes: Iterable[int], each_file_size: int) -> list[int]:
+    """The index after each shard's last document, as `shard_closes` packs
+    the documents; a last shard short of the target ends the list."""
+    ends: list[int] = []
+    n = 0
+    for n, closes in enumerate(shard_closes(byte_sizes, each_file_size), 1):
+        if closes:
+            ends.append(n)
     if n and (not ends or ends[-1] != n):
         ends.append(n)
     return ends

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .instances import PretrainInstance, batch_rows, run_offsets, structural_errors
 from .settings import InstanceConfig
+from .staging import staged_files
 from .vocab import Vocabulary
 
 MAGIC = b"BPTI"
@@ -179,17 +180,14 @@ def checked_batches(stream: Iterable[PretrainInstance], vocab: Vocabulary,
         del batch
 
 
-def _temporary(target: Path) -> Path:
-    """The name `write_instances` writes `target` under until the whole output is written."""
-    return target.with_name(f".{target.name}.tmp")
-
-
 class _FileWriter:
-    def __init__(self, path: Path, max_seq_length: int, vhash: bytes):
+    """One binary part, written to `temporary` and listed under `path`'s name."""
+
+    def __init__(self, path: Path, temporary: Path, max_seq_length: int, vhash: bytes):
         self.path = path
         self.count = 0
         self.body_bytes = 0
-        self._f = open(_temporary(path), "wb")
+        self._f = open(temporary, "wb")
         self._f.write(_HEADER.pack(MAGIC, VERSION, max_seq_length, vhash, 0))
 
     def add(self, records: np.ndarray, count: int) -> None:
@@ -246,38 +244,29 @@ def write_instances(
         raise SerializeError("max_file_bytes rotates binary output only; it cannot be used with jsonl")
     if format not in ("binary", "jsonl"):
         raise SerializeError(f"unknown format {format!r}; expected 'binary' or 'jsonl'")
-    staged: list[Path] = []  # each file begun, by its final name
-    try:
+    with staged_files() as stage:  # the sidecar is staged, and so renamed, last
         if format == "jsonl":
-            staged.append(path)
-            count = write_instances_jsonl(stream, _temporary(path), vocab, config)
-            files = [{"name": path.name, "instances": count, "sha256": sha256_file(_temporary(path))}]
+            temporary = stage(path)
+            count = write_instances_jsonl(stream, temporary, vocab, config)
+            files = [{"name": path.name, "instances": count, "sha256": sha256_file(temporary)}]
             vhash = ""
         else:
             vhash = vocab_hash(vocab)
-            files = _write_binary(stream, path, vocab, config, vhash, max_file_bytes, staged)
+            files = _write_binary(stream, path, vocab, config, vhash, max_file_bytes, stage)
             vhash = vhash.hex()
-        staged.append(manifest_path(path))
-        manifest = _write_manifest(_temporary(staged[-1]), files, vhash, config, statistics, run_config, format)
-    except BaseException:
-        for target in staged:
-            _temporary(target).unlink(missing_ok=True)
-        raise
-    for target in staged:  # the sidecar last
-        os.replace(_temporary(target), target)
-    return manifest
+        return _write_manifest(stage(manifest_path(path)), files, vhash, config, statistics, run_config, format)
 
 
 def _write_binary(stream: Iterable[PretrainInstance], path: Path, vocab: Vocabulary, config: InstanceConfig,
-                  vhash: bytes, max_file_bytes: "int | None", staged: list) -> list[dict]:
-    """Write the binary parts under their temporary names, adding each one's
-    final name to `staged` as it is begun; returns their manifest entries."""
+                  vhash: bytes, max_file_bytes: "int | None", stage) -> list[dict]:
+    """Write the binary parts, each under the temporary name `stage(name)`
+    gives it as it is begun; returns their manifest entries."""
     rotating = max_file_bytes is not None
     files: list[dict] = []
 
     def new_writer() -> _FileWriter:
-        staged.append(Path(f"{path}.{len(files):05d}") if rotating else path)
-        return _FileWriter(staged[-1], config.max_seq_length, vhash)
+        part = Path(f"{path}.{len(files):05d}") if rotating else path
+        return _FileWriter(part, stage(part), config.max_seq_length, vhash)
 
     writer = new_writer()
     try:

@@ -17,9 +17,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import VocabError
 from .settings import DEFAULT_MIN_FREQUENCY, DEFAULT_TARGET_SIZE
+from .staging import staged_files
 
 if TYPE_CHECKING:  # `bpt tokenize` imports this module and reads no corpus
-    from .corpus import Corpus
+    from .corpus import Corpus, Document
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = [PAD, UNK, CLS, SEP, MASK]
@@ -98,6 +99,11 @@ def _is_cjk(ch: str) -> bool:
 
 
 _STRIP = _CharTable(_strip_rule)
+# Whether a character normalizes to nothing. A text does exactly when each of
+# its characters does: NFKD decomposes and `_STRIP` maps a character at a
+# time, canonical reordering only moves combining marks, and no character
+# lowercases to whitespace.
+_NORMALIZES_TO_NOTHING = _CharTable(lambda ch: not normalize_split(ch))
 # Punctuation and CJK characters get a space on each side. None of them is
 # whitespace, so splitting afterwards makes each a word of its own.
 _ISOLATE = _CharTable(lambda ch: f" {ch} " if _is_punctuation(ch) or _is_cjk(ch) else ch)
@@ -186,10 +192,14 @@ class Vocabulary:
         return ("\n".join(self.tokens) + "\n").encode("utf-8")
 
     def save(self, path: "str | Path", merges_path: "str | Path | None" = None) -> None:
-        Path(path).write_bytes(self.file_bytes())
-        if merges_path is not None:
-            lines = [f"{left} {right}" for left, right in self.merges]
-            Path(merges_path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        """Write the vocabulary file and, when `merges_path` is given, the
+        merges beside it, as one staged group: a failure writing either
+        leaves neither, and earlier files at both paths as they were."""
+        with staged_files() as stage:
+            stage(path).write_bytes(self.file_bytes())
+            if merges_path is not None:
+                lines = [f"{left} {right}" for left, right in self.merges]
+                stage(merges_path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
     @classmethod
     def load(cls, path: "str | Path", merges_path: "str | Path | None" = None) -> "Vocabulary":
@@ -236,30 +246,34 @@ def plan_amplification(small: Corpus, large: Corpus) -> AmplificationPlan:
     )
 
 
-def corpus_word_counts_and_bytes(corpus: Corpus) -> tuple[Counter, int]:
+def corpus_word_counts_and_bytes(corpus: "Corpus | Iterable[Document]") -> tuple[Counter, int]:
     """Word counts and normalized UTF-8 byte size of the corpus, one newline
     per sentence, from one `chunk_words` call per distinct U+0020 chunk.
 
+    `corpus` is a Corpus or its documents as any iterable, which is read
+    once: only the distinct chunks and their counts are held, so a stream
+    such as `corpus.read_documents` is counted without holding its text.
+
     A non-empty normalized chunk adds its bytes plus a separator or the
     newline; a sentence whose chunks all normalize to nothing adds only its
-    newline. Whether a chunk does depends on each of its characters alone, so
-    such a sentence holds only U+0020 and characters of such chunks.
+    newline. Whether a chunk does depends on each of its characters alone
+    (see `_NORMALIZES_TO_NOTHING`), so each sentence is tested as it is read.
     """
-    chunks = Counter(chain.from_iterable(s.split(" ") for doc in corpus.documents for s in doc.sentences))
-    counts: Counter = Counter()
+    chunks: Counter = Counter()
     size = 0
-    vanishing = {" "}
+    vanishes = _NORMALIZES_TO_NOTHING
+    for doc in getattr(corpus, "documents", corpus):
+        # the first character decides for nearly every sentence, without a generator
+        size += sum(1 for s in doc.sentences if vanishes[ord(s[0])] and all(vanishes[ord(ch)] for ch in s))
+        chunks.update(" ".join(doc.sentences).split(" "))  # each sentence's chunks, in one list
+    counts: Counter = Counter()
     while chunks:  # popping lets each chunk string go once used, which lowers the peak
         chunk, n = chunks.popitem()
         words, nbytes = chunk_words(chunk)
         if nbytes:
             size += n * (nbytes + 1)
-        else:
-            vanishing.update(chunk)
         for word in words:
             counts[word] += n
-    blank = "".join(vanishing)
-    size += sum(1 for doc in corpus.documents for s in doc.sentences if not s.strip(blank))
     return counts, size
 
 

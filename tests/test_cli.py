@@ -191,6 +191,56 @@ def test_shard_reads_an_existing_file_whose_name_holds_glob_characters(tmp_path,
     assert (tmp_path / "shards" / "shard-00000.txt").read_text() == "literal\n"
 
 
+def test_unreadable_shard_input_exits_3_and_keeps_earlier_shards(tmp_path, capsys, caplog, lexicon, corpora):
+    small, _ = corpora
+    argv = ("shard", "--in", small, "--each-file-size", "2KB", "--out-dir", tmp_path / "shards",
+            "--report", tmp_path / "shard.json")
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    # other documents, so every shard would change, then a last one that is not UTF-8
+    text = make_corpus_text(SplitRng(13), lexicon, n_docs=6).encode()
+    small.write_bytes(text + b"\nlast \xff document\n")
+    code, stdout = run(capsys, *argv)
+    assert code == 3 and stdout == ""
+    assert f"{small}: invalid UTF-8 at byte offset {len(text) + 6}" in caplog.text
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    del before[small], after[small]
+    assert after == before  # the shards and their report as they were, and no temporary file
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "shard"])
+def test_memory_does_not_grow_with_the_corpus(tmp_path, capsys, lexicon, command):
+    """Both commands read each corpus as a stream of documents: the peak
+    holds the distinct chunks and words, not the text."""
+    import tracemalloc
+
+    text = make_corpus_text(SplitRng(17), lexicon, n_docs=60)
+    once = write_corpus_file(tmp_path / "once.txt", text)
+    eight = write_corpus_file(tmp_path / "eight.txt", "\n".join([text] * 8))
+
+    def peak(corpus: Path) -> int:
+        if command == "shard":
+            argv = ["shard", "--in", corpus, "--each-file-size", "50KB", "--out-dir", tmp_path / corpus.stem]
+        else:
+            argv = ["build-vocab", "--large", corpus, "--target-size", "300", "--min-frequency", "1",
+                    "--out", tmp_path / f"{corpus.stem}.vocab.txt"]
+        tracemalloc.reset_peak()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    run(capsys, "build-vocab", "--large", once, "--target-size", "300", "--min-frequency", "1",
+        "--out", tmp_path / "warm-up.txt")  # loads the modules and fills the character tables
+    tracemalloc.start()
+    try:
+        small_peak, large_peak = peak(once), peak(eight)
+    finally:
+        tracemalloc.stop()
+    assert once.stat().st_size > 150_000
+    assert large_peak - small_peak < 1_000_000, (small_peak, large_peak)
+
+
 def test_shard_bad_origin_in_config_exits_2_naming_flag(tmp_path, capsys, caplog, corpora):
     small, _ = corpora
     cfg = tmp_path / "run.json"
@@ -273,6 +323,30 @@ def test_build_vocab_amplify_requires_both(tmp_path, capsys, corpora):
     code, _ = run(capsys, "build-vocab", "--small", small, "--amplify",
                   "--target-size", "500", "--out", tmp_path / "v.txt")
     assert code == 2
+
+
+def test_build_vocab_failed_write_keeps_earlier_vocabulary_and_merges(tmp_path, capsys, caplog, monkeypatch,
+                                                                      corpora):
+    small, large = corpora
+    argv = ["build-vocab", "--small", small, "--large", large, "--min-frequency", "1",
+            "--out", tmp_path / "vocab.txt", "--merges-out", tmp_path / "merges.txt"]
+    code, _ = run(capsys, *argv, "--target-size", "600")
+    assert code == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    write_text = Path.write_text
+
+    def disk_full_in_merges(self, text, *args, **kwargs):
+        if "merges" not in self.name:
+            return write_text(self, text, *args, **kwargs)
+        write_text(self, text[:10], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_merges)
+    code, stdout = run(capsys, *argv, "--target-size", "500")
+    assert code == 3 and stdout == ""
+    assert "No space left on device" in caplog.text
+    after = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert after == before  # vocab.txt and merges.txt as they were, and no temporary file
 
 
 def test_build_vocab_exact_target_line_count(tmp_path, capsys, corpora):
@@ -867,15 +941,20 @@ def test_build_vocab_logs_training_rate_only(tmp_path, capsys, caplog, corpora):
 @pytest.mark.parametrize("command, flag", [
     ("build-vocab", "--out"), ("build-vocab", "--merges-out"), ("build-vocab", "--report"),
     ("create-instances", "--out"), ("create-instances", "--report"),
+    ("filter", "--out"), ("filter", "--report"), ("shard", "--report"), ("verify", "--report"),
+    ("compare", "--report"),
 ])
 def test_missing_output_directory_exits_2_before_reading_input(tmp_path, capsys, caplog, monkeypatch,
                                                                vocab_file, corpora, command, flag):
-    from bpt import cli, vocab
+    from bpt import cli, corpus, mesh_filter, serialize, vocab
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("input was read or a vocabulary trained before the output paths were checked")
 
     monkeypatch.setattr(cli, "_load_corpora", must_not_run)
+    monkeypatch.setattr(corpus, "read_documents", must_not_run)
+    monkeypatch.setattr(mesh_filter, "load_ruleset", must_not_run)
+    monkeypatch.setattr(serialize, "open_instance_set", must_not_run)
     monkeypatch.setattr(vocab, "train_bpe", must_not_run)
     monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
     small, large = corpora
@@ -883,8 +962,15 @@ def test_missing_output_directory_exits_2_before_reading_input(tmp_path, capsys,
     if command == "build-vocab":
         outputs["--merges-out"] = tmp_path / "merges.txt"
         argv = ["build-vocab", "--small", small, "--large", large, "--target-size", "600"]
-    else:
+    elif command == "create-instances":
         argv = ["create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file]
+    elif command == "filter":
+        argv = ["filter", "--ruleset", "sP", "--in", write_records(tmp_path / "recs.jsonl")]
+    else:  # these write no --out file
+        del outputs["--out"]
+        argv = {"shard": ["shard", "--in", small, "--out-dir", tmp_path / "shards"],
+                "verify": ["verify", "--in", tmp_path / "o.bin", "--vocab", vocab_file],
+                "compare": ["compare", tmp_path / "a.bin", tmp_path / "b.bin"]}[command]
     missing = tmp_path / "no-such-dir"
     outputs[flag] = missing / outputs[flag].name
     before = sorted(tmp_path.rglob("*"))

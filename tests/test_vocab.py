@@ -225,7 +225,9 @@ SENTENCES = st.one_of(
 def test_chunked_counts_match_per_sentence_oracle(documents):
     corpus = Corpus("c", Origin.SMALL, [Document(f"c#{i}", Origin.SMALL, d) for i, d in enumerate(documents)])
     sentences = [s for d in documents for s in d]
-    assert corpus_word_counts_and_bytes(corpus) == word_counts_and_bytes_oracle(sentences)
+    expected = word_counts_and_bytes_oracle(sentences)
+    assert corpus_word_counts_and_bytes(corpus) == expected
+    assert corpus_word_counts_and_bytes(iter(corpus.documents)) == expected  # a one-shot stream
 
 
 def test_counting_normalizes_each_distinct_chunk_at_most_once(monkeypatch):
