@@ -7,9 +7,10 @@ truncation and short targets occur. The `bpt create-instances` runs read
 corpus files with "\r\n" and "\r" line ends, whitespace-only separator lines
 and a directory input, in both modes. The build-vocab runs cover an amplified
 training stream that reaches its target and one that stops early at
---min-frequency, so that its report holds the warning. A change that alters
-any digest alters output bytes for fixed seeds; such a change must be made on
-purpose and the digests updated with it.
+--min-frequency, so that its report holds the warning. The trainer case
+trains a 20,000-word stream to 3,000 tokens, past the sizes the build-vocab
+runs reach. A change that alters any digest alters output bytes for fixed
+seeds; such a change must be made on purpose and the digests updated with it.
 """
 
 import hashlib
@@ -22,8 +23,9 @@ from bpt.corpus import Document, Origin, Shard
 from bpt.instances import InstanceConfig, generate_conventional, generate_simpt
 from bpt.rng import SplitRng
 from bpt.serialize import write_instances, write_instances_jsonl
+from bpt.vocab import train_bpe
 
-from .conftest import make_corpus_text, make_document_sentences, write_corpus_file
+from .conftest import make_corpus_text, make_document_sentences, make_lexicon, write_corpus_file
 
 FROZEN = {
     "conventional.bin": "a3b57ec8c0448fbd3fbf30dbd5180ff25d0f2089d37ca9e5e17c0c5e3def6ed2",
@@ -174,3 +176,18 @@ def test_build_vocab_outputs_are_frozen(tmp_path, lexicon):
     stopped = json.loads((tmp_path / "stopped" / "report.json").read_text())
     assert stopped["truncated"] and "below min_frequency 40" in stopped["warnings"][0]
     assert digests == VOCAB_FROZEN
+
+
+TRAINED_FROZEN = {
+    "merges.txt": "8555c57bebd267d05f549bc400ffdfa72954537b24cf1c16c6ad6571ca41fdfd",
+    "vocab.txt": "174bbe58afd1102c6d6b80d98f5c6e9e5a117f71935ee8d75422ae04c18ff513",
+}
+
+
+def test_trained_vocabulary_and_merges_are_frozen(tmp_path):
+    rng = SplitRng(5)
+    words = {w: 1 + rng.randrange(50) for w in make_lexicon(rng, 20_000)}
+    vocab, report = train_bpe(words, target_size=3000)
+    assert report.final_size == 3000 and not report.truncated
+    vocab.save(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())} == TRAINED_FROZEN
