@@ -19,8 +19,8 @@ version, which normalization depends on.
 
 Each `cmd_*` imports the modules it runs when it runs; this module itself
 imports only `errors` and `settings`, where the parser's defaults live. So
-filter, shard, tokenize and dump-ruleset never load numpy, and a process
-pays start-up only for its own command.
+filter, shard, tokenize, build-vocab and dump-ruleset never load numpy, and
+a process pays start-up only for its own command.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def cmd_shard(args) -> int:
 
     # Each document goes to its shard file as it is read, so only it is held.
     # The shards are staged, so an input that fails to read leaves none, and
-    # an earlier set at --out-dir stays as it was.
+    # an earlier set at --out-dir stays as it was; once they are renamed into
+    # place, the earlier set's higher-numbered shards go.
     documents, sized = itertools.tee(read_documents(in_path, args.label, args.origin))
     # each document's shard: how many shards closed before it
     shard_of = itertools.accumulate(shard_closes((d.byte_size for d in sized), each), initial=0)
@@ -217,6 +218,12 @@ def cmd_shard(args) -> int:
                     out.write(("\n" if n else "") + write_document_text([doc]))  # a blank line between documents
                     shard_bytes[-1] += doc.byte_size
                     count += 1
+    # An earlier run's shards numbered past this run's last one are not part of this set.
+    for path in out_dir.glob("shard-*.txt"):
+        number = path.name[len("shard-"):-len(".txt")]
+        is_shard_name = number.isascii() and number.isdigit() and path.name == f"shard-{int(number):05d}.txt"
+        if is_shard_name and int(number) >= len(shard_bytes):
+            path.unlink()
     payload = {
         "label": args.label,
         "documents": count,

@@ -35,17 +35,19 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .corpus import Document, Origin, Shard, shard_ends
 from .errors import InstanceError
 from .rng import _MASK64, SplitRng, fold
 from .settings import InstanceConfig
-from .tokenizer import WordPieceTokenizer
 from .vocab import Vocabulary
+
+if TYPE_CHECKING:  # `bpt verify` imports this module and reads no corpus and tokenizes nothing
+    from .corpus import Document, Origin, Shard
+    from .tokenizer import WordPieceTokenizer
 
 # rng stream tags: shard sampling and document pairing must not share draws
 _STREAM_SHARDS = 1
@@ -388,6 +390,8 @@ def _assemble(
 ) -> Iterator[PretrainInstance]:
     """Mask a batch of pairs in one kernel call, then record and yield its
     instances in order."""
+    from .corpus import Origin
+
     a_start, len_a, b_start, len_b = np.array([pair[:4] for pair in pairs]).T[:, :, None]
     lengths = len_a + len_b + 3
     cols = np.arange(lengths.max())
@@ -565,6 +569,8 @@ def generate_simpt_from_documents(
     split from the byte sizes in the tokenized block, so no document is held
     after it is tokenized. Either origin having no document fails then.
     """
+    from .corpus import Origin, shard_ends
+
     if each_file_size <= 0:
         raise InstanceError(f"each_file_size must be positive, got {each_file_size}")
     report = GenerationReport(mode="simpt")

@@ -1,186 +1,133 @@
-"""The pipeline's numeric inner loops, written with numpy.
+"""The pipeline's inner loops: BPE pair counting and merging, in plain
+Python, and mask selection, in numpy.
 
 Pair counting and merge application run during vocabulary training, mask
-selection during instance generation. `count_pairs` sums weights by key and
-knows nothing of words or of how a pair is keyed; only `pair_keys` and
-`key_pair` know the key format. The trainer (`vocab.train_bpe`) keeps its
-pair totals in a `PairTotals`, which passes every pair of the starting
-words, then each merge's changes (`merge_deltas`), through `count_pairs`.
-Merges run on a linked layout of one flat symbol array, so that one merge
-costs one compare over the array plus work in the occurrences it merges,
-not a copy of every word. Masking consumes draws from the splitmix64 stream
-of rng.py in a fixed order, so its output depends only on its arguments.
+selection during instance generation. The trainer (`vocab.train_bpe`) makes
+its first count with `count_pairs` and each merge with `apply_merge`. Both
+work on a linked layout of one symbol array, and keep each pair's total and
+the slots where it starts, so that a merge reads only its own occurrences
+and the few pairs around them, not the whole array. Masking consumes draws
+from the splitmix64 stream of rng.py in a fixed order, so its output
+depends only on its arguments.
 
 `mask_sequence` takes a batch: 2-D ids and special flags, every row padded
 to one width, with one uint64 seed per row. Padding must be flagged special,
 so it is never chosen and comes back as given; each row is masked exactly as
 it would be on its own.
 
-Callers reach these as module attributes (``kernels.count_pairs`` and so on),
-and `PairTotals.add` calls `count_pairs` by its module-level name, so a
-profiler can swap in a timed wrapper. The trainer's numpy code lives here,
-not in `vocab`: `vocab` imports this module, and numpy, only when
-`train_bpe` runs, so commands that train nothing never load numpy.
+Callers reach these as module attributes (``kernels.count_pairs`` and so
+on), so a profiler can swap in a timed wrapper. Only `mask_sequence` imports
+numpy, when it runs, so training a vocabulary never loads numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
+from itertools import count
 
 from .rng import _GAMMA
 
-BACKEND = "numpy"  # reported by tools that record the machine set-up
+BACKEND = "numpy"  # the masking kernel's; reported by tools that record the machine set-up
 
 
 # ---------------------------------------------------------------------------
-# BPE pair counting: the sum of the weights of each distinct pair key. The
-# keys arrive in any order and may repeat, and weights may be negative, so
-# one call sums both a first count and one merge's changes to it.
+# BPE on the linked layout: `flat` keeps one slot per symbol of the starting
+# words for the whole run, nxt[i] and prv[i] link slot i to its neighbours in
+# its word (-1 at either end), and weight[i] is the count of its word. The
+# pair (left, right) has the key left * width + right, `width` above every
+# token id. `totals` maps a key to the summed weight of its occurrences, and
+# `where` maps it to the slots where it started, in an array("i"). An entry
+# of `where` is never removed on its own: it is live only while
+# flat[s] == left and flat[nxt[s]] == right, and is checked when read. A key
+# whose total falls to 0 leaves both dicts.
 # ---------------------------------------------------------------------------
 
 
-def pair_keys(left, right):
-    """Sort keys of (left, right) symbol pairs: the larger id, then the
-    smaller, then whether the larger is on the left. Every pair that holds
-    the newest token thus sorts after every pair that does not."""
-    high = np.maximum(left, right).astype(np.int64)
-    low = np.minimum(left, right).astype(np.int64)
-    return high << 32 | low << 1 | (left > right)
+def count_pairs(flat, nxt, weight, width):
+    """`totals` and `where` of every pair of linked slots."""
+    totals: dict[int, int] = {}
+    where: dict[int, array] = {}
+    for s, left, n, w in zip(count(), flat, nxt, weight):
+        if n >= 0:
+            key = left * width + flat[n]
+            if key in totals:
+                totals[key] += w
+                where[key].append(s)
+            else:
+                totals[key] = w
+                where[key] = array("i", (s,))
+    return totals, where
 
 
-def key_pair(key: int) -> tuple[int, int]:
-    high, low = key >> 32, (key >> 1) & 0x7FFFFFFF
-    return (high, low) if key & 1 else (low, high)
+def apply_merge(flat, nxt, prv, weight, totals, where, width, left, right, new_id):
+    """Merge every live (left, right) occurrence in place, left to right in
+    each word, and move `totals` and `where` with it; returns the keys of
+    the pairs it made that are still there, each holding new_id.
 
-
-def count_pairs(keys, weights):
-    """The distinct keys in ascending order, and the summed weight of each."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.ones(keys.size, bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    keys = keys[starts]  # the sorted copy goes before the weights are gathered
-    return keys, np.add.reduceat(weights[order], starts)
-
-
-class PairTotals:
-    """Summed word counts of adjacent symbol pairs, in arrays sorted by
-    `pair_keys` with room to grow at the end. A total that falls to 0 stays
-    until the arrays are full; then such totals are dropped before the
-    arrays grow."""
-
-    def __init__(self):
-        self.keys, self.totals, self.size = np.empty(0, np.int64), np.empty(0, np.int64), 0
-
-    def best(self):
-        """The largest total and the keys that have it."""
-        totals = self.totals[: self.size]
-        best = int(totals.max(initial=0))
-        return best, self.keys[: self.size][totals == best]
-
-    def add(self, keys, weights) -> None:
-        """Add each weight to the total of its pair key; keys may repeat."""
-        keys, weights = count_pairs(keys, weights)
-        held = self.keys[: self.size]
-        at = np.searchsorted(held, keys)
-        found = at < held.size
-        found[found] = held[at[found]] == keys[found]
-        self.totals[at[found]] += weights[found]
-        fresh = ~found
-        into = at[fresh]
-        if not into.size:
-            return
-        if into[0] < self.size:  # the merge made a token that already existed
-            self.keys = np.insert(held, into, keys[fresh])
-            self.totals = np.insert(self.totals[: self.size], into, weights[fresh])
-            self.size = self.keys.size
-        else:
-            if self.size + into.size > self.keys.size:
-                self._make_room(into.size)
-            end = self.size + into.size
-            self.keys[self.size : end] = keys[fresh]
-            self.totals[self.size : end] = weights[fresh]
-            self.size = end
-
-    def _make_room(self, extra: int) -> None:
-        live = self.totals[: self.size] != 0
-        keys, totals = self.keys[: self.size][live], self.totals[: self.size][live]
-        capacity = 2 * (keys.size + extra)
-        self.keys = np.empty(capacity, np.int64)
-        self.totals = np.empty(capacity, np.int64)
-        self.size = keys.size
-        self.keys[: self.size] = keys
-        self.totals[: self.size] = totals
-
-
-# ---------------------------------------------------------------------------
-# BPE merge application on the linked layout: `flat` keeps one slot per
-# symbol of the starting words for the whole run, and nxt[i] and prv[i] link
-# slot i to its neighbours in its word (-1 at either end). One compare over
-# flat finds the left symbols; each is checked against its linked right
-# neighbour. The non-overlapping left-to-right occurrences get new_id in
-# their left slot, and their right slot is unlinked and set to -1. A dead
-# slot's own links are left as they were and never read again.
-# ---------------------------------------------------------------------------
-
-
-def apply_merge(flat, nxt, prv, left, right, new_id):
-    """Merge (left, right) in place; returns the merged (left) slots in
-    ascending order."""
-    merged = np.flatnonzero(flat == left)
-    gone = nxt[merged]
-    hit = (flat[gone] == right) & (gone >= 0)
-    merged, gone = merged[hit], gone[hit]
-    if left == right and merged.size > 1:
-        # Overlapping occurrences chain: one's right slot is the next one's
-        # left slot. Left to right, every other occurrence of a chain is kept.
-        starts = np.ones(merged.size, bool)
-        starts[1:] = merged[1:] != gone[:-1]
-        chain_start = np.flatnonzero(starts)[np.cumsum(starts) - 1]
-        first = (np.arange(merged.size) - chain_start) % 2 == 0
-        merged, gone = merged[first], gone[first]
-    after = nxt[gone]
-    flat[merged] = new_id
-    flat[gone] = -1
-    nxt[merged] = after
-    linked = after >= 0
-    prv[after[linked]] = merged[linked]
-    return merged
-
-
-def merge_deltas(flat, nxt, prv, at, weight, left, right, new):
-    """Pair keys and weights that sum to the change one merge made to the
-    pair totals, read from the merged slots `at` (ascending) after the
-    merge; `weight` holds their words' counts.
-
-    Before the merge an occurrence held the pairs (previous, left),
-    (left, right) and (right, next); after it, (previous, new) and
-    (new, next). Only dead slots lie between linked slots, so a merged
-    slot's next slot is merged too exactly when it is the next entry of
-    `at`. Such a next slot held `left` before the merge, and the pair
-    between the two is counted once, as the next pair of the first.
+    The occurrence at slot s with right slot r held the pairs (previous,
+    left), (left, right) and (right, next). After it, s holds new_id and
+    links to next, r is set to -1, and the pairs are (previous, new_id) and
+    (new_id, next). A dead slot's links are left as they were and never read
+    again. The pair's slots are visited once each, and each is checked
+    against the layout as the occurrences before it left it. In a run of
+    left == right they are visited in ascending order: the slot after a
+    merged occurrence is dead then, so every other occurrence is merged. The
+    same order keeps a new_id equal to `right` from merging an occurrence
+    that only the merge made.
     """
-    prev, nexts = prv[at], nxt[at]
-    next_merged = np.zeros(at.size, bool)
-    next_merged[:-1] = at[1:] == nexts[:-1]
-    has_prev = prev >= 0
-    has_prev[1:] &= ~next_merged[:-1]
-    has_next = nexts >= 0
-    p, wp = flat[prev[has_prev]], weight[has_prev]
-    n, wn = flat[nexts[has_next]], weight[has_next]
-    k, j = p.size, n.size
-    # rows: (previous, left), (previous, new), (right, next), (new, next), (left, right)
-    lefts = np.empty(2 * k + 2 * j + 1, np.int64)
-    rights = np.empty_like(lefts)
-    lefts[:k] = lefts[k : 2 * k] = p
-    rights[:k], rights[k : 2 * k] = left, new
-    lefts[2 * k : 2 * k + j], lefts[2 * k + j : -1] = right, new
-    rights[2 * k : 2 * k + j] = np.where(next_merged[has_next], left, n)
-    rights[2 * k + j : -1] = n
-    lefts[-1], rights[-1] = left, right
-    weights = np.concatenate([-wp, wp, -wn, wn, [-weight.sum()]])
-    return pair_keys(lefts, rights), weights
+    key = left * width + right
+    if key not in totals:
+        return set()
+    slots, where[key] = where[key], array("i")  # pairs the merge makes go in the new array
+    if left == right or new_id == right:
+        slots = sorted(slots)
+    made = set()
+    gone = 0  # subtracted from the pair's own total at the end, so it stays above 0 until then
+    for s in slots:
+        r = nxt[s]
+        if flat[s] != left or r < 0 or flat[r] != right:
+            continue
+        w = weight[s]
+        gone += w
+        p, n = prv[s], nxt[r]
+        flat[s], flat[r], nxt[s] = new_id, -1, n
+        if p >= 0:
+            k = flat[p] * width + left  # (previous, left) ends
+            total = totals[k] - w
+            if total:
+                totals[k] = total
+            else:
+                del totals[k], where[k]
+            k += new_id - left  # (previous, new_id) begins
+            made.add(k)
+            if k in totals:
+                totals[k] += w
+                where[k].append(p)
+            else:
+                totals[k] = w
+                where[k] = array("i", (p,))
+        if n >= 0:
+            prv[n] = s
+            k = right * width + flat[n]  # (right, next) ends
+            total = totals[k] - w
+            if total:
+                totals[k] = total
+            else:
+                del totals[k], where[k]
+            k += (new_id - right) * width  # (new_id, next) begins
+            made.add(k)
+            if k in totals:
+                totals[k] += w
+                where[k].append(s)
+            else:
+                totals[k] = w
+                where[k] = array("i", (s,))
+    total = totals[key] - gone
+    if total:
+        totals[key] = total
+    else:
+        del totals[key], where[key]
+    return {k for k in made if k in totals}  # a pair made and ended again in a run is gone
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +142,6 @@ def merge_deltas(flat, nxt, prv, at, weight, left, right, new):
 # in uint64 array arithmetic, so a row comes out as it would on its own.
 # ---------------------------------------------------------------------------
 
-_GAMMA_U64 = np.uint64(_GAMMA)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix64(z):
-    """rng.mix64 of each element of a uint64 array, in place (array
-    arithmetic wraps without warning)."""
-    z += _GAMMA_U64
-    z ^= z >> np.uint64(30)
-    z *= _MIX_1
-    z ^= z >> np.uint64(27)
-    z *= _MIX_2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _draws(seeds, done, count):
-    """Draws done+1 .. done+count of each row's stream, shape (rows, count)."""
-    z = (done[:, None] + np.arange(1, count + 1)).astype(np.uint64)
-    z *= _GAMMA_U64
-    z += seeds[:, None]
-    return _mix64(z)
-
 
 def mask_sequence(ids, special, seeds, prob, cap, mask_id, n_special, vocab_size):
     """Mask every row of a padded batch in one call.
@@ -229,6 +152,23 @@ def mask_sequence(ids, special, seeds, prob, cap, mask_id, n_special, vocab_size
     labels, k the most positions any row masked, each row's own entries
     first (positions ascending) and -1 after them.
     """
+    import numpy as np
+
+    def draws_after(done, count):
+        """Draws done+1 .. done+count of each row's stream, shape (rows,
+        count): rng.mix64 in uint64 array arithmetic, which wraps without
+        warning."""
+        z = (done[:, None] + np.arange(1, count + 1)).astype(np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += seeds[:, None]
+        z += np.uint64(_GAMMA)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
     rows, width = ids.shape
     out = ids.copy()
     free = special == 0
@@ -242,7 +182,7 @@ def mask_sequence(ids, special, seeds, prob, cap, mask_id, n_special, vocab_size
     # after them); past a row's own count a swap only moves later columns
     cand = np.argsort(~free, axis=1, kind="stable")
     span = np.maximum(n[:, None] - np.arange(k), 1).astype(np.uint64)
-    swap_with = np.arange(k) + (_draws(seeds, np.zeros(rows, np.int64), k) % span).astype(np.int64)
+    swap_with = np.arange(k) + (draws_after(np.zeros(rows, np.int64), k) % span).astype(np.int64)
     for i in range(k):
         j = swap_with[:, i]
         held = cand[:, i].copy()
@@ -255,7 +195,7 @@ def mask_sequence(ids, special, seeds, prob, cap, mask_id, n_special, vocab_size
 
     # replacement: at[r] is the next unread draw of row r
     n_random = vocab_size - n_special
-    draws = _draws(seeds, num, 2 * k)
+    draws = draws_after(num, 2 * k)
     at = np.zeros(rows, np.int64)
     for i in range(k):
         ui = (draws[r, at] >> np.uint64(11)) * 2.0**-53

@@ -3,7 +3,8 @@ tolerances and vocabulary training.
 
 The command-line parser reads its defaults from here, so this module, like
 every module it imports, must not import numpy: `bpt filter`, `shard`,
-`tokenize` and `dump-ruleset` would then pay for numpy without using it.
+`tokenize`, `build-vocab` and `dump-ruleset` would then pay for numpy
+without using it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
 (".<name>.tmp" beside each target) and renames them to their own names, in
 the order they were staged, only once the whole group is written. This
 module imports nothing but the standard library, so commands that must not
-load numpy (`filter`, `shard`) can use it as the instance writer does.
+load numpy (`filter`, `shard`, `build-vocab`) can use it as the instance
+writer does.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -335,21 +335,21 @@ def train_bpe(
     Stops at target_size, or earlier when no pair reaches min_frequency, in
     which case the report is marked truncated.
 
-    The symbols stay in one array of fixed length with the index of each
-    slot's word and links to its neighbours in that word. The pair totals
-    start empty and take every pair of adjacent slots of one word, weighted
-    by the word's count. Each merge is then one `kernels.apply_merge` call:
-    one compare over the array, then work in the occurrences it merges.
-    Only the pairs that start at a merged occurrence's previous, left and
-    right slot change. They are counted before the merge (weight -count)
-    and after it (+count), from the merged slots and their links, and added
-    into the totals. Both additions sum by pair key in `kernels.count_pairs`,
-    through `kernels.PairTotals`.
+    The symbols stay in one array of fixed length, with each slot's word
+    count and links to its neighbours in its word. `kernels.count_pairs`
+    counts every pair of adjacent slots once, and each merge is one
+    `kernels.apply_merge` call, which rewrites the pair's own occurrences
+    and moves the totals of the pairs around them. The best pair comes from
+    a heap of (-total, merged, left, right, key), whose order is the tie
+    rule. An entry is checked against the totals when it reaches the top,
+    and pushed again with its total if that fell; a merge pushes the pairs
+    it made, each holding the new token.
 
-    numpy and `kernels` are imported when training runs, so that importing
-    this module (as `bpt tokenize` does) loads neither.
+    `kernels`, `array` and `heapq` are imported when training runs, so that
+    importing this module (as `bpt tokenize` does) loads none of them.
     """
-    import numpy as np
+    from array import array
+    from heapq import heapify, heappop, heappush, heapreplace
 
     from . import kernels
 
@@ -372,44 +372,50 @@ def train_bpe(
         requested_size=target_size, alphabet_size=len(alphabet_sorted), min_frequency=min_frequency
     )
 
-    lengths = [len(w) for w, _ in items]
-    offsets = np.zeros(len(items) + 1, np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = np.fromiter(
-        (index[s] for w, _ in items for s in word_symbols(w)), np.int32, count=int(offsets[-1])
-    )
-    counts = np.asarray([c for _, c in items], np.int64)
-    word_of = np.repeat(np.arange(len(items), dtype=np.int32), lengths)
+    words = [w for w, _ in items]
+    lengths = list(map(len, words))
+    later_id = {ch: index[CONTINUATION_PREFIX + ch] for ch in later}
+    flat = array("i", map(later_id.get, "".join(words), repeat(-1)))  # each word's first slot is set below
+    weight = array("q", chain.from_iterable(map(repeat, (c for _, c in items), lengths)))
+    nxt = array("i", range(1, len(flat) + 1))
+    prv = array("i", range(-1, len(flat) - 1))
+    start = 0
+    for word, length in zip(words, lengths):
+        flat[start] = index[word[0]]
+        prv[start] = -1
+        start += length
+        nxt[start - 1] = -1
+    del items, words, lengths  # so that training, whose peak comes late, does not hold them
 
-    pairs = kernels.PairTotals()
-    inner = word_of[:-1] == word_of[1:]
-    pairs.add(kernels.pair_keys(flat[:-1][inner], flat[1:][inner]), counts[word_of[:-1][inner]])
-    nxt = np.arange(1, flat.size + 1, dtype=np.int32)
-    nxt[offsets[1:] - 1] = -1
-    prv = np.arange(-1, flat.size - 1, dtype=np.int32)
-    prv[offsets[:-1]] = -1
+    width = target_size  # above every token id
+    totals, where = kernels.count_pairs(flat, nxt, weight, width)
+
+    def entry(key):
+        left_tok, right_tok = tokens[key // width], tokens[key % width]
+        return -totals[key], merged_token(left_tok, right_tok), left_tok, right_tok, key
+
+    heap = [entry(key) for key in totals]
+    heapify(heap)
     merges: list[tuple[str, str]] = []
     while len(tokens) < target_size:
-        best_total, best_keys = pairs.best()
-        if best_total == 0:
+        while heap:  # until the top entry holds its pair's total
+            top = heap[0]
+            total = totals.get(top[4], 0)
+            if total == -top[0]:
+                break
+            if total:
+                heapreplace(heap, entry(top[4]))
+            else:
+                heappop(heap)
+        if not heap:
             report.warnings.append("stopped early: no adjacent pairs remain")
             break
-        if best_total < min_frequency:
+        if total < min_frequency:
             report.warnings.append(
-                f"stopped early: best pair count {best_total} is below min_frequency {min_frequency}"
+                f"stopped early: best pair count {total} is below min_frequency {min_frequency}"
             )
             break
-        best_key = None
-        chosen = None
-        for key in best_keys.tolist():
-            left_id, right_id = kernels.key_pair(key)
-            left_tok, right_tok = tokens[left_id], tokens[right_id]
-            merged = merged_token(left_tok, right_tok)
-            order_key = (merged, left_tok, right_tok)
-            if best_key is None or order_key < best_key:
-                best_key = order_key
-                chosen = (left_id, right_id, merged, left_tok, right_tok)
-        left_id, right_id, merged, left_tok, right_tok = chosen
+        _, merged, left_tok, right_tok, key = heappop(heap)
         new_id = index.get(merged)
         if new_id is None:
             new_id = len(tokens)
@@ -417,12 +423,11 @@ def train_bpe(
             index[merged] = new_id
         merges.append((left_tok, right_tok))
 
-        at = kernels.apply_merge(flat, nxt, prv, np.int32(left_id), np.int32(right_id), np.int32(new_id))
-        if not at.size:
-            raise RuntimeError(
-                f"merging ({left_tok!r}, {right_tok!r}) with total {best_total} merged no occurrence"
-            )
-        pairs.add(*kernels.merge_deltas(flat, nxt, prv, at, counts[word_of[at]], left_id, right_id, new_id))
+        made = kernels.apply_merge(flat, nxt, prv, weight, totals, where, width, key // width, key % width, new_id)
+        if len(made) == 0 and totals.get(key) == total:  # every merge makes a pair or lowers its own total
+            raise RuntimeError(f"merging ({left_tok!r}, {right_tok!r}) with total {total} merged no occurrence")
+        for pair in made:
+            heappush(heap, entry(pair))
 
     report.merges_performed = len(merges)
     report.final_size = len(tokens)

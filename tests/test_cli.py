@@ -209,6 +209,26 @@ def test_unreadable_shard_input_exits_3_and_keeps_earlier_shards(tmp_path, capsy
     assert after == before  # the shards and their report as they were, and no temporary file
 
 
+def test_shard_removes_an_earlier_runs_higher_numbered_shards(tmp_path, capsys, corpora):
+    small, _ = corpora
+    out_dir = tmp_path / "shards"
+    code, stdout = run(capsys, "shard", "--in", small, "--each-file-size", "2KB", "--out-dir", out_dir)
+    assert code == 0 and json.loads(stdout)["shards"] > 1
+    kept = ["notes.txt", "shard-7.txt", "shard-000001.txt", "shard-00001.md"]  # not names shard writes
+    for name in kept:
+        (out_dir / name).write_text("kept\n", encoding="utf-8")
+    code, stdout = run(capsys, "shard", "--in", small, "--each-file-size", "10MB", "--out-dir", out_dir)
+    report = json.loads(stdout)
+    assert code == 0 and report["shards"] == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(kept + ["shard-00000.txt"])
+    for name in kept:
+        assert (out_dir / name).read_text(encoding="utf-8") == "kept\n"
+    # the set read back as a corpus holds this run's documents only
+    shards = out_dir / "shard-[0-9][0-9][0-9][0-9][0-9].txt"
+    code, stdout = run(capsys, "shard", "--in", shards, "--out-dir", tmp_path / "again")
+    assert code == 0 and json.loads(stdout)["documents"] == report["documents"]
+
+
 @pytest.mark.parametrize("command", ["build-vocab", "shard"])
 def test_memory_does_not_grow_with_the_corpus(tmp_path, capsys, lexicon, command):
     """Both commands read each corpus as a stream of documents: the peak

@@ -70,6 +70,7 @@ def loaded_modules(root: Path, *argv: str) -> set:
     ("shard", "--in", "corpus.txt", "--out-dir", "shards", "--each-file-size", "200", "--report", "s.json"),
     ("tokenize", "--vocab", "vocab.txt", "--in", "corpus.txt", "--out", "tokens.txt"),
     ("dump-ruleset", "fP"),
+    ("build-vocab", "--small", "corpus.txt", "--out", "v.txt", "--target-size", "80", "--min-frequency", "1"),
 ], ids=lambda argv: argv[0] if argv else "import-bpt")
 def test_commands_that_need_no_numpy_never_load_it(inputs, argv):
     assert "numpy" not in loaded_modules(inputs, *argv)
@@ -85,6 +86,17 @@ def test_build_vocab_loads_no_instance_serialize_verify_or_filter_module(inputs)
                              "--target-size", "80", "--min-frequency", "1")
     assert "bpt.kernels" in modules  # it trains
     assert not modules & {"bpt.instances", "bpt.serialize", "bpt.verify", "bpt.mesh_filter"}
+
+
+def test_verify_loads_no_corpus_or_tokenizer_module(inputs):
+    from bpt.cli import main
+
+    assert main(["create-instances", "--mode", "conventional", "--small", str(inputs / "corpus.txt"),
+                 "--vocab", str(inputs / "vocab.txt"), "--out", str(inputs / "verify-in.bin"),
+                 "--max-seq-length", "64"]) == 0
+    modules = loaded_modules(inputs, "verify", "--in", "verify-in.bin", "--vocab", "vocab.txt")
+    assert "bpt.verify" in modules
+    assert not modules & {"bpt.corpus", "bpt.tokenizer"}
 
 
 def test_create_instances_loads_no_verify_or_filter_module(inputs):

@@ -1,8 +1,12 @@
 """Edge cases of the numeric kernels. BPE training as a whole is pinned by
 the merge-for-merge oracle test (C07), merge application on the linked
-layout by the per-word oracle below, once and twice in a row, masking by
-the golden-value test in test_instances.py and the batch kernel by the
-one-sequence oracle below."""
+layout by the per-word oracle below, once and twice in a row, together with
+the pair totals and slots it keeps, masking by the golden-value test in
+test_instances.py and the batch kernel by the one-sequence oracle below."""
+
+import copy
+from array import array
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,55 +15,65 @@ from hypothesis import strategies as st
 from bpt import kernels
 from .oracles import apply_merge_oracle, mask_sequence_oracle
 
-
-def test_count_pairs_empty_and_single():
-    keys, totals = kernels.count_pairs(np.empty(0, np.int64), np.empty(0, np.int64))
-    assert keys.size == 0 and totals.size == 0
-    keys, totals = kernels.count_pairs(np.array([9], np.int64), np.array([5], np.int64))
-    assert keys.tolist() == [9] and totals.tolist() == [5]
-
-
-def test_count_pairs_weighted_totals():
-    # repeated keys are summed, negative weights included, and the distinct
-    # keys come back in ascending order
-    keys = np.array([10**12, 3, 10**12, 5, 3, 3], np.int64)
-    weights = np.array([4, 1, -6, 2, 2, -3], np.int64)
-    keys, totals = kernels.count_pairs(keys, weights)
-    assert keys.tolist() == [3, 5, 10**12]
-    assert totals.tolist() == [0, 2, -2]
+WIDTH = 10  # above every symbol id below
 
 
 def linked(words):
-    """The linked layout of a list of words: (flat, nxt, prv, first slot of
-    each word)."""
-    flat = np.array([s for word in words for s in word], np.int32)
-    lengths = np.array([len(word) for word in words], np.int64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    nxt = np.arange(1, flat.size + 1, dtype=np.int32)
-    nxt[ends - 1] = -1
-    prv = np.arange(-1, flat.size - 1, dtype=np.int32)
-    prv[starts] = -1
-    return flat, nxt, prv, starts
+    """The linked layout of a list of words, word i weighing i + 1, with its
+    pair totals and slots: (flat, nxt, prv, weight, totals, where), and the
+    first slot of each word."""
+    flat = array("i", [s for word in words for s in word])
+    weight = array("q", [i + 1 for i, word in enumerate(words) for _ in word])
+    nxt = array("i", range(1, len(flat) + 1))
+    prv = array("i", range(-1, len(flat) - 1))
+    starts, end = [], 0
+    for word in words:
+        starts.append(end)
+        prv[end] = -1
+        end += len(word)
+        nxt[end - 1] = -1
+    totals, where = kernels.count_pairs(flat, nxt, weight, WIDTH)
+    return (flat, nxt, prv, weight, totals, where), starts
 
 
-def read_words(flat, nxt, prv, starts):
+def read_words(layout, starts):
     """The words of a linked layout, read by walking nxt from each word's
     first slot; checks that prv links each slot back to the one before it."""
+    flat, nxt, prv = layout[:3]
     words = []
     for slot in starts:
         word, before = [], -1
         while slot >= 0:
             assert prv[slot] == before and flat[slot] >= 0
-            word.append(int(flat[slot]))
+            word.append(flat[slot])
             before, slot = slot, nxt[slot]
         words.append(word)
     return words
 
 
+def check_pairs(layout, starts, words):
+    """The totals equal a recount of `words`, and each pair of linked slots
+    is among its key's slots."""
+    flat, nxt, _, _, totals, where = layout
+    recount = Counter()
+    for i, word in enumerate(words):
+        for left, right in zip(word, word[1:]):
+            recount[left * WIDTH + right] += i + 1
+    assert totals == dict(recount)  # no key is left at 0
+    assert where.keys() == totals.keys()
+    for slot in starts:
+        while nxt[slot] >= 0:
+            assert slot in where[flat[slot] * WIDTH + flat[nxt[slot]]]
+            slot = nxt[slot]
+
+
 def merge(layout, left, right, new_id):
-    flat, nxt, prv, _ = layout
-    return kernels.apply_merge(flat, nxt, prv, np.int32(left), np.int32(right), np.int32(new_id))
+    """apply_merge with the pair's slots listed as every slot, last first:
+    stale entries, repeats and their order must not change what it does."""
+    where = layout[5]
+    if left * WIDTH + right in where:
+        where[left * WIDTH + right] = array("i", reversed(range(len(layout[0]))))
+    return kernels.apply_merge(*layout, WIDTH, left, right, new_id)
 
 
 def oracle_words(words, left, right, new_id):
@@ -67,34 +81,52 @@ def oracle_words(words, left, right, new_id):
     return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
+def test_count_pairs_totals_and_slots():
+    # (1, 2) twice in the second word; (3, 1) only across the word boundary
+    (flat, nxt, prv, weight, totals, where), _ = linked([[1, 3], [1, 2, 1, 2]])
+    assert totals == {13: 1, 12: 4, 21: 2}
+    assert {key: list(slots) for key, slots in where.items()} == {13: [0], 12: [2, 4], 21: [3]}
+
+
 def test_apply_merge_overlapping_run_is_left_to_right():
     # "aaaa" with merge (a,a) -> (aa)(aa); "aaa" -> (aa)a
-    layout = linked([[7, 7, 7, 7], [7, 7, 7]])
-    merged = merge(layout, 7, 7, 9)
-    assert merged.tolist() == [0, 2, 4]
-    assert read_words(*layout) == [[9, 9], [9, 7]]
+    layout, starts = linked([[7, 7, 7, 7], [7, 7, 7]])
+    assert merge(layout, 7, 7, 9) == {99, 97}  # (9, 9) and (9, 7)
+    assert read_words(layout, starts) == [[9, 9], [9, 7]]
     assert layout[0].tolist() == [9, -1, 9, -1, 9, -1, 7]
+    check_pairs(layout, starts, [[9, 9], [9, 7]])
 
 
 def test_apply_merge_no_match_is_identity():
-    layout = linked([[1, 2, 3], [1, 3]])  # (3, 1) only across the word boundary
-    before = [a.copy() for a in layout]
-    assert merge(layout, 3, 1, 9).size == 0
-    for got, want in zip(layout, before):
-        np.testing.assert_array_equal(got, want)
+    layout, _ = linked([[1, 2, 3], [1, 3]])  # (3, 1) only across the word boundary
+    before = copy.deepcopy(layout)
+    assert merge(layout, 3, 1, 9) == set()
+    assert layout == before
 
 
-def check_merge(layout, words, left, right, new_id):
+def test_apply_merge_into_its_right_symbol_merges_only_what_was_there():
+    # (0, 1) -> 1, as "##" + "###" gives the existing "###": in [0, 0, 1] the
+    # merge makes a new (0, 1), which a rescan from the left would not merge
+    words = [[0, 0, 1], [0, 1, 1]]
+    layout, starts = linked(words)
+    assert merge(layout, 0, 1, 1) == {1, 11}
+    assert read_words(layout, starts) == oracle_words(words, 0, 1, 1) == [[0, 1], [1, 1]]
+    check_pairs(layout, starts, [[0, 1], [1, 1]])
+
+
+def check_merge(layout, starts, words, left, right, new_id):
     """Merge on the layout and in `words` with the oracle; the results must
-    agree, and the merged slots must be those that hold new_id, one right
-    slot set to -1 for each."""
-    dead = int(np.count_nonzero(layout[0] == -1))
-    merged = merge(layout, left, right, new_id)
+    agree, one right slot must be set to -1 for each merged slot (new_id is
+    new), the pairs reported made must be those that hold new_id, and the
+    totals and slots must follow."""
+    flat = layout[0]
+    dead = flat.count(-1)
+    made = merge(layout, left, right, new_id)
     words = oracle_words(words, left, right, new_id)
-    assert read_words(*layout) == words
-    assert merged.dtype == np.int64
-    assert merged.tolist() == np.flatnonzero(layout[0] == new_id).tolist()
-    assert np.count_nonzero(layout[0] == -1) == dead + merged.size
+    assert read_words(layout, starts) == words
+    assert flat.count(-1) == dead + flat.count(new_id)
+    assert made == {a * WIDTH + b for word in words for a, b in zip(word, word[1:]) if new_id in (a, b)}
+    check_pairs(layout, starts, words)
     return words
 
 
@@ -108,7 +140,7 @@ MERGE_WORDS = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8), max_
 @example([[0], [1]], 0, 1)  # the only (0, 1) crosses the boundary
 @example([[1, 1], [1, 1, 1]], 1, 1)
 def test_apply_merge_whole_array_equals_per_word_oracle(words, left, right):
-    check_merge(linked(words), words, left, right, 9)
+    check_merge(*linked(words), words, left, right, 9)
 
 
 def two_merges(alphabet):
@@ -130,9 +162,9 @@ def two_merges(alphabet):
 @example(([[0, 0, 1, 0, 0, 1, 0, 0]], (0, 0), (2, 1)))
 def test_apply_merge_twice_equals_oracle_applied_twice(case):
     words, first, second = case
-    layout = linked(words)
-    words = check_merge(layout, words, *first, 2)
-    check_merge(layout, words, *second, 3)
+    layout, starts = linked(words)
+    words = check_merge(layout, starts, words, *first, 2)
+    check_merge(layout, starts, words, *second, 3)
 
 
 def mask_one_row(ids, special, seed, *args):
