@@ -39,7 +39,9 @@ BACKEND = "numpy"  # the masking kernel's; reported by tools that record the mac
 # `where` maps it to the slots where it started, in an array("i"). An entry
 # of `where` is never removed on its own: it is live only while
 # flat[s] == left and flat[nxt[s]] == right, and is checked when read. A key
-# whose total falls to 0 leaves both dicts.
+# whose total falls to 0 leaves both dicts. The updates to both dicts are
+# written out where they happen rather than called: through two helpers,
+# training 500k words to 1,000 tokens took about 10% longer.
 # ---------------------------------------------------------------------------
 
 
@@ -82,7 +84,7 @@ def apply_merge(flat, nxt, prv, weight, totals, where, width, left, right, new_i
     if left == right or new_id == right:
         slots = sorted(slots)
     made = set()
-    gone = 0  # subtracted from the pair's own total at the end, so it stays above 0 until then
+    gone = 0  # taken from the pair's own total at the end, so that it stays above 0 until then
     for s in slots:
         r = nxt[s]
         if flat[s] != left or r < 0 or flat[r] != right:
