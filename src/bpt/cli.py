@@ -12,6 +12,8 @@ a key that names no flag exits 2; a null value means unset; an on/off flag
 takes only JSON true or false; any other value is read as the flag's text
 (a JSON bool, array or object exits 2) and must be in the flag's choices.
 Logs go to stderr; data and reports go to stdout or the requested output file.
+Each output file is written under a temporary name and renamed once whole
+(`staging.staged_files`), so a failed run keeps an earlier file at its path.
 Every command that writes a report checks that the directory of each output
 file (--out, --merges-out, --report) exists before it reads any input.
 build-vocab and create-instances log the interpreter's Unicode database
@@ -144,9 +146,14 @@ def _load_corpora(args: argparse.Namespace, read) -> tuple:
 
 
 def _emit_report(payload: dict, report_path) -> None:
+    """Print the report, or write it whole to `report_path` (staged, so a
+    failed write keeps an earlier report there)."""
+    from .staging import staged_files
+
     text = json.dumps(payload, indent=2, sort_keys=True)
     if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
+        with staged_files() as stage:
+            stage(report_path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -159,6 +166,7 @@ def _emit_report(payload: dict, report_path) -> None:
 def cmd_filter(args) -> int:
     from .corpus import text_lines
     from .mesh_filter import load_ruleset, parse_records_jsonl, select_articles
+    from .staging import staged_files
 
     ruleset_arg = _require(args, "ruleset", "--ruleset")
     in_path = _check_input(_require(args, "infile", "--in"), "input file")
@@ -169,10 +177,11 @@ def cmd_filter(args) -> int:
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
 
-    with open(in_path, encoding="utf-8") as f:
+    # --out is staged, so input that fails to parse leaves an earlier --out as it was
+    with open(in_path, encoding="utf-8") as f, staged_files() as stage:
         records = parse_records_jsonl(f)
         included, report = select_articles(records, ruleset)
-        with open(out_path, "w", encoding="utf-8") as out:
+        with open(stage(out_path), "w", encoding="utf-8") as out:
             first = True
             try:
                 for record in included:
@@ -275,15 +284,18 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
+    from .staging import staged_files
     from .tokenizer import WordPieceTokenizer
     from .vocab import Vocabulary
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
     tokenizer = WordPieceTokenizer(vocabulary)
-    with contextlib.ExitStack() as files:  # closes what it opened; stdin and stdout stay open
+    # closes what it opened, stdin and stdout staying open; --out is staged,
+    # so input that fails to read leaves an earlier --out as it was
+    with staged_files() as stage, contextlib.ExitStack() as files:
         fin = (files.enter_context(open(_check_input(args.infile, "input file"), encoding="utf-8"))
                if args.infile else sys.stdin)
-        fout = files.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        fout = files.enter_context(open(stage(args.out), "w", encoding="utf-8")) if args.out else sys.stdout
         try:
             for line in fin:
                 line = line.rstrip("\n")

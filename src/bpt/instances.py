@@ -157,7 +157,7 @@ def run_offsets(lengths: np.ndarray) -> np.ndarray:
 
 
 def batch_rows(max_seq_length: int) -> int:
-    """Pairs masked, or records checked, encoded or verified, per batch."""
+    """Pairs masked, or records checked or verified, per batch."""
     return max(1, _BATCH_CELLS // max_seq_length)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
@@ -45,7 +46,7 @@ from .errors import (
     TruncatedFileError,
     VocabHashMismatchError,
 )
-from .instances import PretrainInstance, batch_rows, run_offsets, structural_errors
+from .instances import PretrainInstance, batch_rows, structural_errors
 from .settings import InstanceConfig
 from .staging import staged_files
 from .vocab import Vocabulary
@@ -53,6 +54,7 @@ from .vocab import Vocabulary
 MAGIC = b"BPTI"
 VERSION = 1
 _HEADER = struct.Struct("<4sHH8sQ")
+_COUNT = struct.Struct("<H")
 _MASKED_DTYPE = np.dtype([("pos", "<u2"), ("label", "<u4")])
 _TAIL = struct.Struct("<BII")
 
@@ -110,7 +112,8 @@ class Manifest:
             raise InstanceFileError(f"{path}: manifest must hold a JSON object")
         files = data.get("files")
         if not (isinstance(files, list) and files and all(_is_entry(e) for e in files)):
-            raise InstanceFileError(f"{path}: manifest 'files' must list objects named by file names")
+            raise InstanceFileError(f"{path}: manifest 'files' must list objects, each with a file name, "
+                                    "an instance count and a sha256")
         for key in ("config", "statistics"):
             if not isinstance(data.get(key), (dict, type(None))):
                 raise InstanceFileError(f"{path}: manifest '{key}' must be an object or null")
@@ -118,9 +121,14 @@ class Manifest:
 
 
 def _is_entry(entry) -> bool:
-    """A manifest file entry whose name stays in the manifest's directory."""
-    name = entry.get("name") if isinstance(entry, dict) else None
-    return isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
+    """A manifest file entry whose name stays in the manifest's directory,
+    with the part's instance count and hex sha256, which every read checks."""
+    if not isinstance(entry, dict):
+        return False
+    name, count, digest = entry.get("name"), entry.get("instances"), entry.get("sha256")
+    return (isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
+            and type(count) is int and count >= 0
+            and isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None)
 
 
 _SIDECAR_SUFFIX = ".manifest.json"
@@ -130,37 +138,20 @@ def manifest_path(path: "str | Path") -> Path:
     return Path(str(path) + _SIDECAR_SUFFIX)
 
 
-def encode_records(batch: list) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of records in the file layout, as one byte buffer, and the
-    offset of each record in it followed by the buffer's size. A record of
-    n tokens and m masked positions takes 13 + 5n + 6m bytes."""
-    n = np.array([len(r.token_ids) for r in batch], np.int64)
-    m = np.array([len(r.masked_positions) for r in batch], np.int64)
-    one = np.ones(len(batch), np.int64)
-    masked = np.empty(int(m.sum()), _MASKED_DTYPE)
-    masked["pos"] = np.concatenate([r.masked_positions for r in batch])
-    masked["label"] = np.concatenate([r.masked_labels for r in batch])
-    offsets = run_offsets(13 + 5 * n + 6 * m)
-    start = offsets[:-1]
-    fields = (  # (values, where each record's run of them starts, run length in values)
-        (n.astype("<u2"), start, one),
-        (np.concatenate([r.token_ids for r in batch], dtype="<u4", casting="unsafe"), start + 2, n),
-        (np.concatenate([r.segment_ids for r in batch], dtype="<u1", casting="unsafe"), start + 2 + 4 * n, n),
-        (m.astype("<u2"), start + 2 + 5 * n, one),
-        (masked, start + 4 + 5 * n, m),
-        (np.frombuffer(b"".join([_TAIL.pack(1 if r.is_next else 0, r.origin_small_tokens, r.origin_large_tokens)
-                                 for r in batch]), f"V{_TAIL.size}"), offsets[1:] - _TAIL.size, one),
-    )
-    out = np.empty(offsets[-1], np.uint8)
-    # int32 indices, one per value rather than one per byte, keep a batch's temporaries small
-    for values, at, count in fields:
-        width = values.dtype.itemsize
-        first = np.repeat((at - width * run_offsets(count)[:-1]).astype(np.int32), count)
-        first += np.arange(0, width * len(values), width, dtype=np.int32)
-        for lane in values.view(np.uint8).reshape(len(values), width).T:  # each byte of a value in turn
-            out[first] = lane
-            first += 1
-    return out, offsets
+def encode_record(inst: PretrainInstance) -> bytes:
+    """One record in the file layout: 13 + 5n + 6m bytes for n tokens and m
+    masked positions."""
+    masked = np.empty(len(inst.masked_positions), _MASKED_DTYPE)
+    masked["pos"] = inst.masked_positions
+    masked["label"] = inst.masked_labels
+    return b"".join((
+        _COUNT.pack(len(inst.token_ids)),
+        inst.token_ids.astype("<u4").tobytes(),
+        inst.segment_ids.astype("<u1").tobytes(),
+        _COUNT.pack(len(masked)),
+        masked.tobytes(),
+        _TAIL.pack(1 if inst.is_next else 0, inst.origin_small_tokens, inst.origin_large_tokens),
+    ))
 
 
 def checked_batches(stream: Iterable[PretrainInstance], vocab: Vocabulary,
@@ -190,10 +181,10 @@ class _FileWriter:
         self._f = open(temporary, "wb")
         self._f.write(_HEADER.pack(MAGIC, VERSION, max_seq_length, vhash, 0))
 
-    def add(self, records: np.ndarray, count: int) -> None:
-        self._f.write(records)
-        self.body_bytes += len(records)
-        self.count += count
+    def add(self, record: bytes) -> None:
+        self._f.write(record)
+        self.body_bytes += len(record)
+        self.count += 1
 
     def close(self) -> dict:
         self._f.seek(16)  # instance_count is the final u64 of the header
@@ -224,7 +215,8 @@ def write_instances(
     effective configuration there).
 
     The stream is taken and checked a batch at a time (see
-    `checked_batches`), and each batch is encoded into one buffer.
+    `checked_batches`); the records of a checked batch are then encoded
+    (`encode_record`) and written one at a time.
 
     With max_file_bytes set, output rotates to numbered files
     ("<path>.00000", "<path>.00001", ...): a record that arrives when the
@@ -271,20 +263,12 @@ def _write_binary(stream: Iterable[PretrainInstance], path: Path, vocab: Vocabul
     writer = new_writer()
     try:
         for batch in checked_batches(stream, vocab, config.max_seq_length):
-            buffer, offsets = encode_records(batch)
-            first = 0
-            while first < len(batch):  # records [first, last) go to the current part
-                last = len(batch)
-                if rotating:  # up to the first record that arrives once its body reaches the limit
-                    reached = np.searchsorted(offsets, max_file_bytes - writer.body_bytes + offsets[first])
-                    last = min(max(int(reached), first + (writer.count == 0)), last)
-                if last > first:
-                    writer.add(buffer[offsets[first] : offsets[last]], last - first)
-                if last < len(batch):
+            for inst in batch:
+                if rotating and writer.count and writer.body_bytes >= max_file_bytes:
                     files.append(writer.close())
                     writer = new_writer()
-                first = last
-            del batch, buffer  # free this batch, and the arrays its records view, before the next is made
+                writer.add(encode_record(inst))
+            del batch, inst  # free this batch, and the arrays its records view, before the next is made
     except BaseException:
         writer._f.close()
         raise

@@ -4,8 +4,8 @@
 (".<name>.tmp" beside each target) and renames them to their own names, in
 the order they were staged, only once the whole group is written. This
 module imports nothing but the standard library, so commands that must not
-load numpy (`filter`, `shard`, `build-vocab`) can use it as the instance
-writer does.
+load numpy (`filter`, `shard`, `build-vocab`, `tokenize`) can use it as the
+instance writer does.
 """
 
 from __future__ import annotations
@@ -32,11 +32,18 @@ def staged_files() -> Iterator[Callable[["str | Path"], Path]]:
     last. When it raises, every temporary is removed: the failed run leaves
     no file that looks whole, and earlier files at the targets stay as they
     were. A target staged but never written is skipped on removal.
+
+    A target that exists and is not a regular file, such as a FIFO or
+    /dev/null, is returned as it is and written in place: a rename would
+    put a regular file where it was.
     """
     targets: list[Path] = []
 
     def stage(target: "str | Path") -> Path:
-        targets.append(Path(target))
+        target = Path(target)
+        if target.exists() and not target.is_file():
+            return target
+        targets.append(target)
         return _temporary(target)
 
     try:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .vocab import CONTINUATION_PREFIX, UNK, Vocabulary, normalize_split, pretokenize
 
-DEFAULT_MAX_CHARS_PER_WORD = 100
+MAX_CHARS_PER_WORD = 100
 # The word cache holds at most this many words, each of at most
-# max_chars_per_word characters: about 10 MB full on word-like text, about
+# MAX_CHARS_PER_WORD characters: about 10 MB full on word-like text, about
 # 70 MB at worst.
 WORD_CACHE_ENTRIES = 1 << 16
 
@@ -33,23 +33,19 @@ class WordPieceTokenizer:
     caches the ids of each distinct word, so WordPiece matches a repeated
     word once. A part of the normalized text that is a cached word is not
     pretokenized, since a word pretokenizes to itself. A word longer than
-    max_chars_per_word is [UNK] without matching and is not cached, and the
+    MAX_CHARS_PER_WORD is [UNK] without matching and is not cached, and the
     cache is emptied whenever it holds WORD_CACHE_ENTRIES words, which
     bounds its memory on inputs of any size.
     """
 
-    def __init__(self, vocab: Vocabulary, max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD):
-        if UNK not in vocab:
-            raise ValueError("vocabulary must contain [UNK]")
+    def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        self.max_chars_per_word = max_chars_per_word
-        self._unk = UNK
         self._word_ids: dict[str, tuple[int, ...]] = {}
 
     def tokenize_word(self, word: str) -> list[str]:
         """Greedy longest-match pieces of one already-normalized word."""
-        if len(word) > self.max_chars_per_word:
-            return [self._unk]
+        if len(word) > MAX_CHARS_PER_WORD:
+            return [UNK]
         pieces = []
         start = 0
         n = len(word)
@@ -65,7 +61,7 @@ class WordPieceTokenizer:
                     break
                 end -= 1
             if match is None:
-                return [self._unk]
+                return [UNK]
             pieces.append(match)
             start = end
         return pieces
@@ -82,7 +78,7 @@ class WordPieceTokenizer:
                 word_ids = cache.get(word)
                 if word_ids is None:
                     word_ids = tuple(self.vocab.id_of(t) for t in self.tokenize_word(word))
-                    if len(word) <= self.max_chars_per_word:
+                    if len(word) <= MAX_CHARS_PER_WORD:
                         if len(cache) >= WORD_CACHE_ENTRIES:
                             cache.clear()
                         cache[word] = word_ids
@@ -90,7 +86,5 @@ class WordPieceTokenizer:
         return TokenSequence(ids, self.vocab)
 
 
-def wordpiece_tokenize(
-    text: str, vocab: Vocabulary, max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD
-) -> TokenSequence:
-    return WordPieceTokenizer(vocab, max_chars_per_word).tokenize(text)
+def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
+    return WordPieceTokenizer(vocab).tokenize(text)

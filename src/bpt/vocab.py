@@ -135,16 +135,10 @@ def chunk_words(chunk: str) -> tuple[list[str], int]:
 class Vocabulary:
     """Ordered subword inventory: special tokens, then alphabet, then merges."""
 
-    def __init__(
-        self,
-        tokens: Iterable[str],
-        merges: "list[tuple[str, str]] | None" = None,
-        special_tokens: "list[str] | None" = None,
-    ):
+    def __init__(self, tokens: Iterable[str], merges: "list[tuple[str, str]] | None" = None):
         self.tokens = list(tokens)
-        self.special_tokens = list(special_tokens) if special_tokens is not None else list(SPECIAL_TOKENS)
         self.merges = list(merges) if merges is not None else []
-        if self.tokens[: len(self.special_tokens)] != self.special_tokens:
+        if self.tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise VocabError("special tokens must occupy the first vocabulary positions in order")
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
@@ -165,7 +159,7 @@ class Vocabulary:
 
     @property
     def n_special(self) -> int:
-        return len(self.special_tokens)
+        return len(SPECIAL_TOKENS)
 
     @property
     def pad_id(self) -> int:

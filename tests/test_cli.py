@@ -151,6 +151,61 @@ def test_filter_non_utf8_input_exits_3_naming_file(tmp_path, capsys, caplog):
     assert f"{records}: invalid UTF-8" in caplog.text
 
 
+def test_filter_failed_run_keeps_earlier_out(tmp_path, capsys):
+    records, out = tmp_path / "recs.jsonl", tmp_path / "o.txt"
+    good = [{**GOOD_RECORD, "text": f"alpha {i}\nbeta {i}"} for i in range(200)]
+    records.write_text("".join(json.dumps(r) + "\n" for r in good), encoding="utf-8")
+    code, _ = run(capsys, "filter", "--ruleset", "sP", "--in", records, "--out", out)
+    assert code == 0
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    lines = records.read_text(encoding="utf-8").splitlines()
+    records.write_text("\n".join(lines[:183] + ["42"] + lines[183:]) + "\n", encoding="utf-8")
+    earlier[records.name] = records.read_bytes()
+    code, _ = run(capsys, "filter", "--ruleset", "sP", "--in", records, "--out", out)
+    assert code == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier  # and no temporary file
+
+
+def test_failed_report_write_keeps_earlier_report(tmp_path, capsys, caplog, monkeypatch):
+    records = write_records(tmp_path / "recs.jsonl")
+    argv = ["filter", "--ruleset", "fP", "--in", records, "--out", tmp_path / "o.txt",
+            "--report", tmp_path / "report.json"]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text = Path.write_text
+
+    def disk_full_in_report(self, text, *args, **kwargs):
+        if "report" not in self.name:
+            return write_text(self, text, *args, **kwargs)
+        write_text(self, text[:10], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_report)
+    code, stdout = run(capsys, *argv)
+    assert code == 3 and stdout == ""
+    assert "No space left on device" in caplog.text
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier  # and no temporary file
+
+
+def test_report_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    import os
+    import stat
+
+    records, fifo = write_records(tmp_path / "recs.jsonl"), tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        code, _ = run(capsys, "filter", "--ruleset", "fP", "--in", records, "--out", tmp_path / "o.txt",
+                      "--report", fifo)
+        received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert json.loads(received)["included"] == 1
+
+
 def test_dump_ruleset(capsys):
     code, stdout = run(capsys, "dump-ruleset", "sP")
     assert code == 0
@@ -415,6 +470,20 @@ def test_tokenize_non_utf8_input_exits_3_naming_it(tmp_path, vocab_file, source)
     assert result.returncode == 3, stderr
     assert f"{infile if source == 'file' else '<stdin>'}: invalid UTF-8" in stderr
     assert "Traceback" not in stderr
+
+
+def test_tokenize_failed_run_keeps_earlier_out(tmp_path, capsys, vocab_file, corpora):
+    small, _ = corpora
+    infile, out = tmp_path / "in.txt", tmp_path / "tokens.txt"
+    infile.write_bytes(small.read_bytes())
+    code, _ = run(capsys, "tokenize", "--vocab", vocab_file, "--in", infile, "--out", out)
+    assert code == 0 and out.stat().st_size > 0
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    infile.write_bytes(small.read_bytes() + "caf\xe9\n".encode("latin-1"))  # breaks on its last line
+    earlier[infile.name] = infile.read_bytes()
+    code, _ = run(capsys, "tokenize", "--vocab", vocab_file, "--in", infile, "--out", out)
+    assert code == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier  # and no temporary file
 
 
 def test_tokenize_unwritable_out_closes_input(tmp_path, vocab_file, corpora):
@@ -805,13 +874,18 @@ def test_conventional_part_skips_origin_check(tmp_path, capsys, vocab_file, corp
     json.dumps({"files": [1, 2]}),
     json.dumps({"files": "c.bin"}),
     "part name with a separator",
+    "entry without sha256",
+    "entry without instances",
 ])
 def test_malformed_manifest_is_named(tmp_path, capsys, caplog, vocab_file, corpora, manifest_text):
     code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "c.bin", "--mode", "conventional")
     assert code == 0
-    if manifest_text == "part name with a separator":
+    edits = {"part name with a separator": lambda entry: entry.update(name="../c.bin"),
+             "entry without sha256": lambda entry: entry.pop("sha256"),
+             "entry without instances": lambda entry: entry.pop("instances")}
+    if manifest_text in edits:
         manifest = json.loads(manifest_path(out).read_text())
-        manifest["files"][0]["name"] = "../c.bin"
+        edits[manifest_text](manifest["files"][0])
         manifest_text = json.dumps(manifest)
     manifest_path(out).write_text(manifest_text)
     code, stdout = run(capsys, "verify", "--in", out, "--vocab", vocab_file)

@@ -20,7 +20,7 @@ from bpt.instances import InstanceConfig, PretrainInstance, create_instances_fro
 from bpt.rng import SplitRng
 from bpt.serialize import (
     Manifest,
-    encode_records,
+    encode_record,
     manifest_path,
     read_header,
     read_instances,
@@ -208,11 +208,9 @@ def records(draw):
 @example([record([2, 5, 3], [0, 0, 1], [], [], False, 0, 0)])
 @example([record([2**32 - 1] * 32, [0] * 16 + [1] * 16, range(20), [2**32 - 1] * 20, True, 2**32 - 1, 2**32 - 1),
           record([0] * 5, [0] * 5, [], [], True, 1, 2)])
+@example([record(range(2048), [0] * 1024 + [1] * 1024, range(0, 2100, 7), range(300), False, 2000, 48)])
 def test_batch_encoding_equals_per_record_oracle(batch):
-    buffer, offsets = encode_records(batch)
-    expected = [record_bytes_oracle(r) for r in batch]
-    assert buffer.tobytes() == b"".join(expected)
-    assert offsets.tolist() == list(itertools.accumulate(map(len, expected), initial=0))
+    assert [encode_record(r) for r in batch] == [record_bytes_oracle(r) for r in batch]
 
 
 def test_rotation_by_size(tmp_path):

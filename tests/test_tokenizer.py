@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpt import tokenizer
+from bpt.errors import VocabError
 from bpt.tokenizer import WordPieceTokenizer, wordpiece_tokenize
 from bpt.vocab import SPECIAL_TOKENS, Vocabulary, normalize, pretokenize
 
@@ -40,9 +41,9 @@ def test_unmatched_mid_word_is_unk_for_whole_word():
 
 def test_word_longer_than_limit_is_unk():
     vocab = make_vocab(["a", "##a"])
-    tok = WordPieceTokenizer(vocab, max_chars_per_word=5)
-    assert tok.tokenize("aaaaaa").tokens == ["[UNK]"]
-    assert tok.tokenize("aaaaa").tokens == ["a", "##a", "##a", "##a", "##a"]
+    tok = WordPieceTokenizer(vocab)
+    assert tok.tokenize("a" * 101).tokens == ["[UNK]"]
+    assert tok.tokenize("a" * 100).tokens == ["a"] + ["##a"] * 99
 
 
 def test_tokenize_normalizes_first():
@@ -51,8 +52,9 @@ def test_tokenize_normalizes_first():
 
 
 def test_requires_unk_token():
-    with pytest.raises(Exception):
-        WordPieceTokenizer(Vocabulary(SPECIAL_TOKENS[:1] + ["x"], special_tokens=SPECIAL_TOKENS[:1]))
+    # every vocabulary starts with the special tokens, [UNK] among them
+    with pytest.raises(VocabError):
+        Vocabulary(SPECIAL_TOKENS[:1] + ["x"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +146,7 @@ def test_word_cache_memory_stays_bounded_on_distinct_words(monkeypatch):
         for start in range(0, 16 * 256, 32):
             # 32 distinct short words and one distinct word too long to cache
             words = [f"a{i}" for i in range(start, start + 32)]
-            too_long = f"{start:0{tok.max_chars_per_word + 1}d}"
+            too_long = f"{start:0{tokenizer.MAX_CHARS_PER_WORD + 1}d}"
             tok.tokenize(" ".join(words + [too_long]))
             assert len(tok._word_ids) <= 256 and too_long not in tok._word_ids
         peak = tracemalloc.get_traced_memory()[1]
