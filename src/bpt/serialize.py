@@ -397,9 +397,9 @@ def _stream(parts: list) -> Iterator[PretrainInstance]:
                 return data
 
             for _ in range(header.instance_count):
-                (n,) = struct.unpack("<H", take(2))
+                (n,) = _COUNT.unpack(take(2))
                 tokens = take(5 * n + 2)  # token ids, segment ids, n_masked
-                (m,) = struct.unpack_from("<H", tokens, 5 * n)
+                (m,) = _COUNT.unpack_from(tokens, 5 * n)
                 rest = take(6 * m + _TAIL.size)
                 masked = np.frombuffer(rest, _MASKED_DTYPE, m)
                 is_next, small, large = _TAIL.unpack_from(rest, 6 * m)

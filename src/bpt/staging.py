@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -33,15 +34,17 @@ def staged_files() -> Iterator[Callable[["str | Path"], Path]]:
     no file that looks whole, and earlier files at the targets stay as they
     were. A target staged but never written is skipped on removal.
 
-    A target that exists and is not a regular file, such as a FIFO or
-    /dev/null, is returned as it is and written in place: a rename would
-    put a regular file where it was.
+    Only a target that does not exist, or is itself a regular file, is
+    staged. Any other target, such as a FIFO, /dev/null or a symlink (to a
+    regular file too, as /dev/stdout may be), is returned as it is and
+    written in place, through the link: a rename would put a regular file
+    where it was. The check uses `lstat`, so it does not follow links.
     """
     targets: list[Path] = []
 
     def stage(target: "str | Path") -> Path:
         target = Path(target)
-        if target.exists() and not target.is_file():
+        if os.path.lexists(target) and not stat.S_ISREG(target.lstat().st_mode):
             return target
         targets.append(target)
         return _temporary(target)

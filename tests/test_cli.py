@@ -206,6 +206,17 @@ def test_report_to_a_fifo_is_written_in_place(tmp_path, capsys):
     assert json.loads(received)["included"] == 1
 
 
+def test_report_to_a_symlink_is_written_through_the_link(tmp_path, capsys):
+    records, report, link = write_records(tmp_path / "recs.jsonl"), tmp_path / "report.json", tmp_path / "link.json"
+    report.write_text("earlier\n", encoding="utf-8")
+    link.symlink_to(report)
+    code, _ = run(capsys, "filter", "--ruleset", "fP", "--in", records, "--out", tmp_path / "o.txt",
+                  "--report", link)
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == report.resolve()
+    assert json.loads(report.read_text(encoding="utf-8"))["included"] == 1
+
+
 def test_dump_ruleset(capsys):
     code, stdout = run(capsys, "dump-ruleset", "sP")
     assert code == 0
