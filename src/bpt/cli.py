@@ -14,8 +14,10 @@ takes only JSON true or false; any other value is read as the flag's text
 Logs go to stderr; data and reports go to stdout or the requested output file.
 Each output file is written under a temporary name and renamed once whole
 (`staging.staged_files`), so a failed run keeps an earlier file at its path.
-Every command that writes a report checks that the directory of each output
-file (--out, --merges-out, --report) exists before it reads any input.
+Every command that writes a report checks, before it reads any input, that
+the directory of each output file (--out, --merges-out, --report) exists and
+that no two of its outputs (create-instances' manifest sidecar among them)
+name one file.
 build-vocab and create-instances log the interpreter's Unicode database
 version, which normalization depends on.
 
@@ -32,6 +34,8 @@ import contextlib
 import itertools
 import json
 import logging
+import operator
+import os
 import re
 import sys
 import time
@@ -122,14 +126,22 @@ def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{name}: invalid UTF-8 ({exc.reason})")
 
 
-def _check_output_dirs(args: argparse.Namespace, *keys: str) -> None:
+def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = ()) -> None:
     """A usage error naming the flag when the directory an output file under
-    `keys` would go to does not exist, so a run fails before it reads any
-    input rather than after its work is done."""
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None and not Path(value).parent.is_dir():
-            raise UsageError(f"--{key.replace('_', '-')}: directory {Path(value).parent} does not exist")
+    `keys` would go to does not exist, or naming both when two outputs (those
+    files and the (name, path) pairs `also` adds) are one file; so a run
+    fails before it reads any input, not after its work is done or after one
+    output has replaced another. Paths are compared by `os.path.abspath`,
+    which follows no link, so /dev/stdout and /dev/stderr stay two outputs."""
+    outputs = {}
+    for name, value in [(f"--{key.replace('_', '-')}", getattr(args, key)) for key in keys] + list(also):
+        if value is None:
+            continue
+        if not Path(value).parent.is_dir():
+            raise UsageError(f"{name}: directory {Path(value).parent} does not exist")
+        same = outputs.setdefault(os.path.abspath(value), name)
+        if same != name:
+            raise UsageError(f"{same} and {name} name the same file {value}")
 
 
 def _load_corpora(args: argparse.Namespace, read) -> tuple:
@@ -171,7 +183,7 @@ def cmd_filter(args) -> int:
     ruleset_arg = _require(args, "ruleset", "--ruleset")
     in_path = _check_input(_require(args, "infile", "--in"), "input file")
     out_path = Path(_require(args, "out", "--out"))
-    _check_output_dirs(args, "out", "report")
+    _check_outputs(args, "out", "report")
     try:
         ruleset = load_ruleset(ruleset_arg)
     except FileNotFoundError as exc:
@@ -201,38 +213,33 @@ def cmd_filter(args) -> int:
 
 
 def cmd_shard(args) -> int:
-    from .corpus import read_documents, shard_closes, write_document_text
-    from .staging import staged_files
+    from .corpus import pack_shards, read_documents, write_document_text
+    from .staging import remove_unlisted, staged_files
 
     in_path = _check_corpus(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
-    _check_output_dirs(args, "report")
+    _check_outputs(args, "report")
 
     # Each document goes to its shard file as it is read, so only it is held.
     # The shards are staged, so an input that fails to read leaves none, and
     # an earlier set at --out-dir stays as it was; once they are renamed into
     # place, the earlier set's higher-numbered shards go.
-    documents, sized = itertools.tee(read_documents(in_path, args.label, args.origin))
-    # each document's shard: how many shards closed before it
-    shard_of = itertools.accumulate(shard_closes((d.byte_size for d in sized), each), initial=0)
+    shards = pack_shards(read_documents(in_path, args.label, args.origin), operator.attrgetter("byte_size"), each)
     shard_bytes: list[int] = []
     count = 0
     with staged_files() as stage:
-        for k, shard in itertools.groupby(zip(documents, shard_of), key=lambda item: item[1]):
+        for k, shard in enumerate(shards):
             out_dir.mkdir(parents=True, exist_ok=True)
             shard_bytes.append(0)
             with open(stage(out_dir / f"shard-{k:05d}.txt"), "w", encoding="utf-8") as out:
-                for n, (doc, _) in enumerate(shard):
+                for n, doc in enumerate(shard):
                     out.write(("\n" if n else "") + write_document_text([doc]))  # a blank line between documents
                     shard_bytes[-1] += doc.byte_size
                     count += 1
     # An earlier run's shards numbered past this run's last one are not part of this set.
-    for path in out_dir.glob("shard-*.txt"):
-        number = path.name[len("shard-"):-len(".txt")]
-        is_shard_name = number.isascii() and number.isdigit() and path.name == f"shard-{int(number):05d}.txt"
-        if is_shard_name and int(number) >= len(shard_bytes):
-            path.unlink()
+    remove_unlisted(out_dir, r"shard-(?:[0-9]{5}|[1-9][0-9]{5,})\.txt",
+                    {f"shard-{k:05d}.txt" for k in range(len(shard_bytes))})
     payload = {
         "label": args.label,
         "documents": count,
@@ -254,7 +261,7 @@ def cmd_build_vocab(args) -> int:
     if args.amplify and (args.small is None or args.large is None):
         raise UsageError("--amplify requires both --small and --large corpora")
     out_path = Path(_require(args, "out", "--out"))
-    _check_output_dirs(args, "out", "merges_out", "report")
+    _check_outputs(args, "out", "merges_out", "report")
     # Outputs match only across interpreters with this Unicode database; the
     # version goes to the log, never into an output that must stay identical.
     log.info("build-vocab: Unicode database %s", unicodedata.unidata_version)
@@ -327,7 +334,7 @@ def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
 def cmd_create_instances(args) -> int:
     from .corpus import read_documents
     from .instances import generate_conventional, generate_simpt_from_documents
-    from .serialize import write_instances
+    from .serialize import manifest_path, write_instances
     from .tokenizer import WordPieceTokenizer
     from .vocab import Vocabulary
 
@@ -342,7 +349,7 @@ def cmd_create_instances(args) -> int:
     max_file_bytes = _positive_size(args, "max_file_bytes")
     if args.format == "jsonl" and max_file_bytes is not None:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
-    _check_output_dirs(args, "out", "report")
+    _check_outputs(args, "out", "report", also=(("the manifest of --out", manifest_path(out_path)),))
     log.info("create-instances: Unicode database %s", unicodedata.unidata_version)
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
@@ -395,7 +402,7 @@ def cmd_verify(args) -> int:
     from .vocab import Vocabulary
 
     infile = _require(args, "infile", "--in")
-    _check_output_dirs(args, "report")
+    _check_outputs(args, "report")
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
 
     tol = Tolerances(**{key: getattr(args, key) for key in _TOLERANCE_KEYS})
@@ -436,7 +443,7 @@ def cmd_compare(args) -> int:
     names = args.labels.split(",") if args.labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
-    _check_output_dirs(args, "report")
+    _check_outputs(args, "report")
     rows = []
     for path in paths:
         instance_set = open_instance_set(path)

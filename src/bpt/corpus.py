@@ -12,10 +12,14 @@ from __future__ import annotations
 import enum
 import glob as _glob
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CorpusError
+
+T = TypeVar("T")
 
 
 class Origin(enum.Enum):
@@ -165,47 +169,37 @@ def load_corpus(path: "str | Path", label: str, origin: "str | Origin") -> Corpu
     return Corpus(label=label, origin=origin, documents=list(read_documents(path, label, origin)))
 
 
-def shard_closes(byte_sizes: Iterable[int], each_file_size: int) -> Iterator[bool]:
-    """Greedy in-order packing of whole documents into shards, given the
-    documents' byte sizes as they come: for each document, whether its shard
-    closes after it.
+def pack_shards(items: Iterable[T], size: Callable[[T], int], each_file_size: int) -> Iterator[Iterator[T]]:
+    """Greedy in-order packing of whole items into shards, where `size(item)`
+    is an item's byte size: each shard's items, lazily, as `itertools.groupby`
+    gives them, so taking the next shard ends the one before.
 
-    Documents accumulate into the current shard until its byte size reaches
+    Items accumulate into the current shard until its byte size reaches
     each_file_size, then a new shard starts; only the last shard may be
-    smaller than the target. Documents are never split.
+    smaller than the target. Items are never split.
     """
     if each_file_size <= 0:
         raise CorpusError(f"each_file_size must be positive, got {each_file_size}")
-    filled = 0
-    for size in byte_sizes:
-        filled += size
+    filled, shard = 0, 0
+
+    def shard_of(item: T) -> int:
+        nonlocal filled, shard
+        current = shard
+        filled += size(item)
         if filled >= each_file_size:
-            filled = 0
-            yield True
-        else:
-            yield False
+            filled, shard = 0, shard + 1
+        return current
 
-
-def shard_ends(byte_sizes: Iterable[int], each_file_size: int) -> list[int]:
-    """The index after each shard's last document, as `shard_closes` packs
-    the documents; a last shard short of the target ends the list."""
-    ends: list[int] = []
-    n = 0
-    for n, closes in enumerate(shard_closes(byte_sizes, each_file_size), 1):
-        if closes:
-            ends.append(n)
-    if n and (not ends or ends[-1] != n):
-        ends.append(n)
-    return ends
+    return (shard_items for _, shard_items in groupby(items, shard_of))
 
 
 def split_corpus(corpus: Corpus, each_file_size: int) -> list[Shard]:
-    """The corpus's documents packed into shards as `shard_ends` packs them."""
-    ends = shard_ends((d.byte_size for d in corpus.documents), each_file_size)
-    if not ends:
+    """The corpus's documents packed into shards by `pack_shards`."""
+    shards = [Shard(k, corpus.origin, list(docs), each_file_size)
+              for k, docs in enumerate(pack_shards(corpus.documents, attrgetter("byte_size"), each_file_size))]
+    if not shards:
         raise CorpusError(f"cannot split empty corpus {corpus.label!r}")
-    return [Shard(k, corpus.origin, corpus.documents[start:end], each_file_size)
-            for k, (start, end) in enumerate(zip([0, *ends], ends))]
+    return shards
 
 
 def write_document_text(documents: list[Document]) -> str:

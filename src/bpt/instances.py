@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -502,32 +502,30 @@ def _stream(
                 yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
 
 
-def _sample_shards(units: list, k: int, rng: SplitRng) -> list:
+def _sample_shards(units: Sequence, k: int, rng: SplitRng) -> list:
     if len(units) >= k:
         return rng.sample(units, k)
     # fall back to with-replacement to preserve the byte balance
     return rng.choices(units, k)
 
 
-def _simpt_rounds(small: list, large: list, config: InstanceConfig, report: GenerationReport) -> Iterator[Unit]:
-    """simpt's unit plan over the shards of each corpus, each a (shard_id,
-    document indices) pair: round r draws shards_per_corpus of each and
-    pools their documents into one unit."""
+def _simpt_rounds(small: Sequence[Sequence[int]], large: Sequence[Sequence[int]], config: InstanceConfig,
+                  report: GenerationReport) -> Iterator[Unit]:
+    """simpt's unit plan over the shards of each corpus, each a sequence of
+    document indices: round r draws shards_per_corpus of each, by position,
+    and pools their documents into one unit."""
     seen: set = set()
     for r in range(config.n_rounds):
         rng_shards = SplitRng(config.master_seed, _STREAM_SHARDS, r)
-        small_sel = _sample_shards(small, config.shards_per_corpus, rng_shards)
-        large_sel = _sample_shards(large, config.shards_per_corpus, rng_shards)
-        combo = (
-            tuple(sorted(shard_id for shard_id, _ in small_sel)),
-            tuple(sorted(shard_id for shard_id, _ in large_sel)),
-        )
+        small_sel = _sample_shards(range(len(small)), config.shards_per_corpus, rng_shards)
+        large_sel = _sample_shards(range(len(large)), config.shards_per_corpus, rng_shards)
+        combo = (tuple(sorted(small_sel)), tuple(sorted(large_sel)))
         report.rounds += 1
         if combo in seen:
             report.shard_combo_collisions += 1
         seen.add(combo)
         rng_docs = SplitRng(config.master_seed, _STREAM_DOCS, r)
-        yield [d for _, docs in small_sel + large_sel for d in docs], rng_docs, 1
+        yield [d for k in small_sel for d in small[k]] + [d for k in large_sel for d in large[k]], rng_docs, 1
 
 
 def generate_simpt(
@@ -548,9 +546,9 @@ def generate_simpt(
         raise InstanceError("simpt requires non-empty shard lists for both corpora")
     report = GenerationReport(mode="simpt")
     shards = small_shards + large_shards
-    ends = list(accumulate((len(s.documents) for s in shards), initial=0))
-    units = [(s.shard_id, range(ends[k], ends[k + 1])) for k, s in enumerate(shards)]
-    small, large = units[: len(small_shards)], units[len(small_shards) :]
+    ends = accumulate((len(s.documents) for s in shards), initial=0)
+    blocks = [range(start, end) for start, end in pairwise(ends)]  # each shard's block indices
+    small, large = blocks[: len(small_shards)], blocks[len(small_shards) :]
     docs = [d for s in shards for d in s.documents]
     return _generate(docs, lambda block: _simpt_rounds(small, large, config, report), tokenizer, config,
                      report), report
@@ -566,21 +564,20 @@ def generate_simpt_from_documents(
     small-origin and of the large-origin `documents`, each in their order.
 
     The documents are read once, as the stream starts, and the shards are
-    split from the byte sizes in the tokenized block, so no document is held
+    packed from the byte sizes in the tokenized block, so no document is held
     after it is tokenized. Either origin having no document fails then.
     """
-    from .corpus import Origin, shard_ends
+    from .corpus import Origin, pack_shards
 
     if each_file_size <= 0:
         raise InstanceError(f"each_file_size must be positive, got {each_file_size}")
     report = GenerationReport(mode="simpt")
 
     def plan(block: TokenizedDocuments) -> Iterator[Unit]:
-        shards = []
+        sizes, shards = block.byte_sizes.tolist(), []
         for origin in (Origin.SMALL, Origin.LARGE):
-            docs = [d for d, o in enumerate(block.origins) if o is origin]
-            ends = shard_ends(block.byte_sizes[docs].tolist(), each_file_size)
-            shards.append([(k, docs[start:end]) for k, (start, end) in enumerate(zip([0, *ends], ends))])
+            docs = (d for d, o in enumerate(block.origins) if o is origin)
+            shards.append([list(shard) for shard in pack_shards(docs, sizes.__getitem__, each_file_size)])
         if not shards[0] or not shards[1]:
             raise InstanceError("simpt requires documents of both origins")
         return _simpt_rounds(*shards, config, report)

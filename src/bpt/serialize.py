@@ -48,7 +48,7 @@ from .errors import (
 )
 from .instances import PretrainInstance, batch_rows, structural_errors
 from .settings import InstanceConfig
-from .staging import staged_files
+from .staging import remove_unlisted, staged_files
 from .vocab import Vocabulary
 
 MAGIC = b"BPTI"
@@ -229,7 +229,9 @@ def write_instances(
     output directory and renamed only once the stream is exhausted: the
     parts in order, then the sidecar. On any error the temporaries are
     removed, so a failed write leaves nothing that looks whole, and an
-    earlier output at `path` stays as it was.
+    earlier output at `path` stays as it was. Once the set is in place, each
+    regular file there named `<path>` or `<path>.<digits>` that the
+    manifest does not list, an earlier output's, is removed.
     """
     path = Path(path)
     if format == "jsonl" and max_file_bytes is not None:
@@ -246,7 +248,10 @@ def write_instances(
             vhash = vocab_hash(vocab)
             files = _write_binary(stream, path, vocab, config, vhash, max_file_bytes, stage)
             vhash = vhash.hex()
-        return _write_manifest(stage(manifest_path(path)), files, vhash, config, statistics, run_config, format)
+        manifest = _write_manifest(stage(manifest_path(path)), files, vhash, config, statistics, run_config, format)
+    # an earlier output at `path`, rotated or not, that this set does not list is not part of it
+    remove_unlisted(path.parent, re.escape(path.name) + r"(?:\.[0-9]+)?", {entry["name"] for entry in files})
+    return manifest
 
 
 def _write_binary(stream: Iterable[PretrainInstance], path: Path, vocab: Vocabulary, config: InstanceConfig,

@@ -2,19 +2,21 @@
 
 `staged_files` stages a group of output files under temporary names
 (".<name>.tmp" beside each target) and renames them to their own names, in
-the order they were staged, only once the whole group is written. This
-module imports nothing but the standard library, so commands that must not
-load numpy (`filter`, `shard`, `build-vocab`, `tokenize`) can use it as the
-instance writer does.
+the order they were staged, only once the whole group is written;
+`remove_unlisted` then removes what an earlier run left of the set that the
+group replaces. This module imports nothing but the standard library, so
+commands that must not load numpy (`filter`, `shard`, `build-vocab`,
+`tokenize`) can use it as the instance writer does.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 import stat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 
 def _temporary(target: "str | Path") -> Path:
@@ -39,6 +41,10 @@ def staged_files() -> Iterator[Callable[["str | Path"], Path]]:
     regular file too, as /dev/stdout may be), is returned as it is and
     written in place, through the link: a rename would put a regular file
     where it was. The check uses `lstat`, so it does not follow links.
+
+    Staging one path twice (compared by `os.path.abspath`) raises
+    ValueError in the block, which then fails as on any error, before one
+    file could replace the other.
     """
     targets: list[Path] = []
 
@@ -46,6 +52,8 @@ def staged_files() -> Iterator[Callable[["str | Path"], Path]]:
         target = Path(target)
         if os.path.lexists(target) and not stat.S_ISREG(target.lstat().st_mode):
             return target
+        if any(os.path.abspath(target) == os.path.abspath(t) for t in targets):
+            raise ValueError(f"{target} is staged twice in one group")
         targets.append(target)
         return _temporary(target)
 
@@ -57,3 +65,15 @@ def staged_files() -> Iterator[Callable[["str | Path"], Path]]:
         raise
     for target in targets:
         os.replace(_temporary(target), target)
+
+
+def remove_unlisted(directory: Path, pattern: str, listed: Container[str]) -> None:
+    """Remove each regular file in `directory` whose name matches the regular
+    expression `pattern` in full and is not `listed`: what an earlier run
+    left of a set of files that this run's set, just renamed into place,
+    replaces. Anything else of that name, a symlink included, is left alone
+    (decided by `lstat`)."""
+    for path in directory.iterdir():
+        if (path.name not in listed and re.fullmatch(pattern, path.name)
+                and stat.S_ISREG(path.lstat().st_mode)):
+            path.unlink()

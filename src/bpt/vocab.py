@@ -162,10 +162,6 @@ class Vocabulary:
         return len(SPECIAL_TOKENS)
 
     @property
-    def pad_id(self) -> int:
-        return self._index[PAD]
-
-    @property
     def unk_id(self) -> int:
         return self._index[UNK]
 
@@ -236,17 +232,18 @@ def plan_amplification(small: Corpus, large: Corpus) -> AmplificationPlan:
     if not small.documents or not large.documents:
         raise VocabError("amplification requires two non-empty corpora")
     return AmplificationPlan.from_sizes(
-        corpus_word_counts_and_bytes(small)[1], corpus_word_counts_and_bytes(large)[1]
+        corpus_word_counts_and_bytes(small.documents)[1], corpus_word_counts_and_bytes(large.documents)[1]
     )
 
 
-def corpus_word_counts_and_bytes(corpus: "Corpus | Iterable[Document]") -> tuple[Counter, int]:
-    """Word counts and normalized UTF-8 byte size of the corpus, one newline
-    per sentence, from one `chunk_words` call per distinct U+0020 chunk.
+def corpus_word_counts_and_bytes(documents: Iterable[Document]) -> tuple[Counter, int]:
+    """Word counts and normalized UTF-8 byte size of a corpus's documents,
+    one newline per sentence, from one `chunk_words` call per distinct
+    U+0020 chunk.
 
-    `corpus` is a Corpus or its documents as any iterable, which is read
-    once: only the distinct chunks and their counts are held, so a stream
-    such as `corpus.read_documents` is counted without holding its text.
+    `documents` may be any iterable, which is read once: only the distinct
+    chunks and their counts are held, so a stream such as
+    `corpus.read_documents` is counted without holding its text.
 
     A non-empty normalized chunk adds its bytes plus a separator or the
     newline; a sentence whose chunks all normalize to nothing adds only its
@@ -256,7 +253,7 @@ def corpus_word_counts_and_bytes(corpus: "Corpus | Iterable[Document]") -> tuple
     chunks: Counter = Counter()
     size = 0
     vanishes = _NORMALIZES_TO_NOTHING
-    for doc in getattr(corpus, "documents", corpus):
+    for doc in documents:
         # the first character decides for nearly every sentence, without a generator
         size += sum(1 for s in doc.sentences if vanishes[ord(s[0])] and all(vanishes[ord(ch)] for ch in s))
         chunks.update(" ".join(doc.sentences).split(" "))  # each sentence's chunks, in one list
@@ -272,7 +269,7 @@ def corpus_word_counts_and_bytes(corpus: "Corpus | Iterable[Document]") -> tuple
 
 
 def corpus_word_counts(corpus: Corpus) -> Counter:
-    return corpus_word_counts_and_bytes(corpus)[0]
+    return corpus_word_counts_and_bytes(corpus.documents)[0]
 
 
 def combined_word_counts(

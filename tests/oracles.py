@@ -8,8 +8,9 @@ reductions, the record oracle packs one instance field by field with
 `struct`, the tree-number oracle compares dot-separated components
 directly, the normalize and pretokenize oracles apply the per-character
 rules in a loop rather than through translate tables, the truncation
-oracle pops one token at a time rather than computing the lengths, and the
-merge oracle rewrites one word's symbol list at a time.
+oracle pops one token at a time rather than computing the lengths, the
+merge oracle rewrites one word's symbol list at a time, and the packing
+oracle fills one shard list at a time in a plain loop.
 """
 
 from __future__ import annotations
@@ -262,3 +263,20 @@ def record_bytes_oracle(inst) -> bytes:
     parts.append(struct.pack("<BII", 1 if inst.is_next else 0, int(inst.origin_small_tokens),
                              int(inst.origin_large_tokens)))
     return b"".join(parts)
+
+
+def pack_shards_oracle(sizes: list[int], each_file_size: int) -> list[list[int]]:
+    """The item indices of each shard when items of byte `sizes` are packed
+    in order: a shard takes items until its bytes reach each_file_size."""
+    shards: list[list[int]] = []
+    current: list[int] = []
+    filled = 0
+    for index, size in enumerate(sizes):
+        current.append(index)
+        filled += size
+        if filled >= each_file_size:
+            shards.append(current)
+            current, filled = [], 0
+    if current:
+        shards.append(current)
+    return shards

@@ -1085,6 +1085,68 @@ def test_missing_output_directory_exits_2_before_reading_input(tmp_path, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["build-vocab", "create-instances", "filter"])
+def test_two_outputs_naming_one_file_exit_2_and_keep_the_earlier_file(tmp_path, capsys, caplog, monkeypatch,
+                                                                      vocab_file, corpora, command):
+    from bpt import cli, corpus, mesh_filter, vocab
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("input was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_corpora", must_not_run)
+    monkeypatch.setattr(corpus, "read_documents", must_not_run)
+    monkeypatch.setattr(mesh_filter, "load_ruleset", must_not_run)
+    monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
+    small, _ = corpora
+    records = write_records(tmp_path / "recs.jsonl")
+    same, sidecar = tmp_path / "same.txt", tmp_path / "out.bin.manifest.json"
+    argv, flags, same = {
+        "build-vocab": (["build-vocab", "--small", small, "--out", same, "--merges-out", same],
+                        "--out and --merges-out", same),
+        # the manifest sidecar of --out is an output too
+        "create-instances": (["create-instances", "--mode", "conventional", "--small", small,
+                              "--vocab", vocab_file, "--out", tmp_path / "out.bin", "--report", sidecar],
+                             "--report and the manifest of --out", sidecar),
+        "filter": (["filter", "--ruleset", "sP", "--in", records, "--out", same, "--report", same],
+                   "--out and --report", same),
+    }[command]
+    same.write_text("earlier\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, stdout = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"{flags} name the same file {same}" in caplog.text
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_stdout_and_stderr_are_two_outputs():
+    import argparse
+
+    from bpt.cli import _check_outputs
+
+    _check_outputs(argparse.Namespace(out="/dev/stdout", report="/dev/stderr"), "out", "report")
+
+
+def test_create_instances_removes_an_earlier_runs_parts(tmp_path, capsys, vocab_file, corpora):
+    small, _ = corpora
+    out = tmp_path / "out.bin"
+    (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
+    kept = ["out.bin.7z", "out.bin.old", "out.binary.00001", "out.bin.99999"]  # not parts, or not a regular file
+    for name in kept[:-1]:
+        (tmp_path / name).write_text("kept\n", encoding="utf-8")
+    (tmp_path / kept[-1]).symlink_to(tmp_path / "notes.txt")
+    parts = []
+    for extra in (["--max-file-bytes", "100"], ["--max-file-bytes", "1000"], []):
+        code, _ = run(capsys, "create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file,
+                      "--out", out, "--max-seq-length", "64", "--dupe-factor", "2", *extra)
+        assert code == 0
+        listed = [entry["name"] for entry in json.loads(manifest_path(out).read_text())["files"]]
+        assert sorted(p.name for p in tmp_path.glob("out.bin*")) == sorted(listed + kept + ["out.bin.manifest.json"])
+        parts.append(listed)
+    assert len(parts[0]) > len(parts[1]) > 1 and parts[2] == ["out.bin"]
+    for name in kept:
+        assert (tmp_path / name).read_text(encoding="utf-8") == "kept\n"
+
+
 def test_unicode_database_version_is_logged_and_in_no_output(tmp_path, capsys, caplog, corpora):
     import unicodedata
 

@@ -2,12 +2,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpt.corpus import (
     Origin,
     load_corpus,
+    pack_shards,
     read_documents,
     split_corpus,
     text_byte_size,
@@ -15,6 +16,8 @@ from bpt.corpus import (
     write_document_text,
 )
 from bpt.errors import CorpusError
+
+from .oracles import pack_shards_oracle
 
 
 def write(tmp_path, name, text):
@@ -200,6 +203,31 @@ def test_split_rejects_bad_inputs(tmp_path):
     corpus = make_corpus_with_sizes(tmp_path, [100])
     with pytest.raises(CorpusError):
         split_corpus(corpus, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), max_size=30), st.integers(1, 50))
+@example([5, 5, 10, 3], 10)  # shards that reach the target exactly, and a short last shard
+@example([3, 25, 2, 60, 1], 10)  # items larger than the target
+@example([10, 10], 10)  # no short last shard
+def test_pack_shards_equals_plain_loop_oracle(sizes, each_file_size):
+    shards = [list(shard) for shard in pack_shards(range(len(sizes)), sizes.__getitem__, each_file_size)]
+    assert shards == pack_shards_oracle(sizes, each_file_size)  # the same items, so the same shard sizes
+
+
+def test_pack_shards_reads_items_as_shards_are_taken():
+    read = []
+    items = (read.append(i) or i for i in range(6))
+    shards = pack_shards(items, lambda i: 4, 8)  # two items a shard
+    assert read == []
+    assert list(next(shards)) == [0, 1] and read == [0, 1, 2]  # the item that starts the next shard
+    assert list(next(shards)) == [2, 3] and read == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("each_file_size", [0, -1])
+def test_pack_shards_rejects_a_nonpositive_target_when_called(each_file_size):
+    with pytest.raises(CorpusError, match="each_file_size must be positive"):
+        pack_shards(iter([]), len, each_file_size)
 
 
 def test_document_text_round_trip(tmp_path, tiny_corpus):

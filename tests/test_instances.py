@@ -552,6 +552,19 @@ def test_simpt_collisions_counted():
     stream, report = generate_simpt(small, large, TOKENIZER, cfg)
     list(stream)
     assert report.shard_combo_collisions == 2  # single possible combination
+    # 3 + 3 shards, 2 a round: 9 combinations in 12 rounds. Draws and repeats
+    # go by a shard's position in its list, so other ids change nothing.
+    cfg = config(n_rounds=12, shards_per_corpus=2)
+    runs = []
+    for ids in ([0, 1, 2], [9, 4, 7]):
+        small = make_shards("s", Origin.SMALL, 3)
+        large = make_shards("l", Origin.LARGE, 3, word_offset=60)
+        for shard, shard_id in zip(small + large, ids + ids):
+            shard.shard_id = shard_id
+        stream, report = generate_simpt(small, large, TOKENIZER, cfg)
+        runs.append(([inst.payload() for inst in stream], report.shard_combo_collisions))
+    assert runs[1] == runs[0]
+    assert runs[0][1] >= 3
 
 
 def test_simpt_counts_an_empty_document_on_every_visit():

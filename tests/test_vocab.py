@@ -138,6 +138,16 @@ def test_vocabulary_round_trip(tmp_path):
     assert loaded.file_bytes() == vocab.file_bytes()
 
 
+def test_vocabulary_save_to_one_path_twice_fails_and_keeps_the_earlier_file(tmp_path):
+    vocab, _ = train_bpe({"hug": 3, "pug": 1, "bug": 1}, target_size=12, min_frequency=1)
+    path = tmp_path / "vocab.txt"
+    path.write_text("earlier\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="staged twice"):
+        vocab.save(path, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]  # and no temporary file
+    assert path.read_text(encoding="utf-8") == "earlier\n"
+
+
 def test_vocabulary_load_rejects_missing_specials(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("a\nb\nc\n", encoding="utf-8")
@@ -186,7 +196,7 @@ def test_one_pass_matches_word_counts_and_byte_size(tmp_path):
     p = tmp_path / "odd.txt"
     p.write_text(ODD_TEXT * 3, encoding="utf-8")
     corpus = load_corpus(p, "odd", Origin.SMALL)
-    counts, size = corpus_word_counts_and_bytes(corpus)
+    counts, size = corpus_word_counts_and_bytes(corpus.documents)
     assert (counts, size) == word_counts_and_bytes_oracle(s for d in corpus.documents for s in d.sentences)
     assert counts == corpus_word_counts(corpus)
     assert "fi" in "".join(counts) and "\u200b" not in "".join(counts)
@@ -200,7 +210,7 @@ def test_one_pass_byte_size_equals_normalized_byte_size(sentences):
     if not sentences:
         return
     corpus = Corpus("c", Origin.SMALL, [Document("c#0", Origin.SMALL, sentences)])
-    counts, size = corpus_word_counts_and_bytes(corpus)
+    counts, size = corpus_word_counts_and_bytes(corpus.documents)
     assert (counts, size) == word_counts_and_bytes_oracle(sentences)
     assert counts == corpus_word_counts(corpus)
 
@@ -226,7 +236,7 @@ def test_chunked_counts_match_per_sentence_oracle(documents):
     corpus = Corpus("c", Origin.SMALL, [Document(f"c#{i}", Origin.SMALL, d) for i, d in enumerate(documents)])
     sentences = [s for d in documents for s in d]
     expected = word_counts_and_bytes_oracle(sentences)
-    assert corpus_word_counts_and_bytes(corpus) == expected
+    assert corpus_word_counts_and_bytes(corpus.documents) == expected
     assert corpus_word_counts_and_bytes(iter(corpus.documents)) == expected  # a one-shot stream
 
 
@@ -237,7 +247,7 @@ def test_counting_normalizes_each_distinct_chunk_at_most_once(monkeypatch):
     calls = []
     original = vocab_module.normalize
     monkeypatch.setattr(vocab_module, "normalize", lambda text: calls.append(text) or original(text))
-    assert corpus_word_counts_and_bytes(corpus) == expected
+    assert corpus_word_counts_and_bytes(corpus.documents) == expected
     assert len(calls) == len(set(calls))
     assert set(calls) <= {chunk for s in sentences for chunk in s.split(" ")}
 
