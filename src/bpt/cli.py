@@ -17,7 +17,8 @@ Each output file is written under a temporary name and renamed once whole
 Every command that writes a report checks, before it reads any input, that
 the directory of each output file (--out, --merges-out, --report) exists and
 that no two of its outputs (create-instances' manifest sidecar among them)
-name one file.
+name one file; shard and create-instances also check that --report names no
+file of the set they write.
 build-vocab and create-instances log the interpreter's Unicode database
 version, which normalization depends on.
 
@@ -144,6 +145,18 @@ def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = ()) -> No
             raise UsageError(f"{same} and {name} name the same file {value}")
 
 
+def _check_report_outside(args: argparse.Namespace, directory, names: str, owner: str) -> None:
+    """A usage error naming both flags when --report names a file in
+    `directory` whose name matches `names`, the pattern the set that flag
+    `owner` writes passes to `staging.remove_unlisted`: the report would
+    replace one of the set's files, or a later run's cleanup would remove it.
+    Directories are compared as `_check_outputs` compares paths."""
+    report = args.report
+    if (report is not None and re.fullmatch(names, Path(report).name)
+            and os.path.abspath(Path(report).parent) == os.path.abspath(directory)):
+        raise UsageError(f"--report {report} names a file of the set that {owner} writes")
+
+
 def _load_corpora(args: argparse.Namespace, read) -> tuple:
     """`read(path, label, origin)` of the small and the large corpus; None
     for one not given. A corpus is labelled by --small-label/--large-label
@@ -184,10 +197,7 @@ def cmd_filter(args) -> int:
     in_path = _check_input(_require(args, "infile", "--in"), "input file")
     out_path = Path(_require(args, "out", "--out"))
     _check_outputs(args, "out", "report")
-    try:
-        ruleset = load_ruleset(ruleset_arg)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
+    ruleset = load_ruleset(ruleset_arg)
 
     # --out is staged, so input that fails to parse leaves an earlier --out as it was
     with open(in_path, encoding="utf-8") as f, staged_files() as stage:
@@ -214,12 +224,14 @@ def cmd_filter(args) -> int:
 
 def cmd_shard(args) -> int:
     from .corpus import pack_shards, read_documents, write_document_text
-    from .staging import remove_unlisted, staged_files
+    from .staging import PART_NUMBER, remove_unlisted, staged_files
 
     in_path = _check_corpus(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
     _check_outputs(args, "report")
+    shard_names = rf"shard-{PART_NUMBER}\.txt"
+    _check_report_outside(args, out_dir, shard_names, "--out-dir")
 
     # Each document goes to its shard file as it is read, so only it is held.
     # The shards are staged, so an input that fails to read leaves none, and
@@ -238,8 +250,7 @@ def cmd_shard(args) -> int:
                     shard_bytes[-1] += doc.byte_size
                     count += 1
     # An earlier run's shards numbered past this run's last one are not part of this set.
-    remove_unlisted(out_dir, r"shard-(?:[0-9]{5}|[1-9][0-9]{5,})\.txt",
-                    {f"shard-{k:05d}.txt" for k in range(len(shard_bytes))})
+    remove_unlisted(out_dir, shard_names, {f"shard-{k:05d}.txt" for k in range(len(shard_bytes))})
     payload = {
         "label": args.label,
         "documents": count,
@@ -315,26 +326,22 @@ def cmd_tokenize(args) -> int:
     return EXIT_OK
 
 
-def _build_instance_config(args: argparse.Namespace) -> InstanceConfig:
-    if args.mode == "simpt" and args.rounds is None:
-        raise UsageError("--rounds is required in simpt mode")
-    return InstanceConfig(
-        max_seq_length=args.max_seq_length,
-        masked_lm_prob=args.masked_lm_prob,
-        max_predictions_per_seq=args.max_predictions_per_seq,
-        short_seq_prob=args.short_seq_prob,
-        dupe_factor=args.dupe_factor,
-        n_rounds=args.rounds if args.rounds is not None else 0,
-        n_splits=args.n_splits,
-        shards_per_corpus=args.shards_per_corpus,
-        master_seed=args.seed,
-    )
+# create-instances flags that set the InstanceConfig field of the same name
+_INSTANCE_KEYS = (
+    "max_seq_length",
+    "masked_lm_prob",
+    "max_predictions_per_seq",
+    "short_seq_prob",
+    "dupe_factor",
+    "n_splits",
+    "shards_per_corpus",
+)
 
 
 def cmd_create_instances(args) -> int:
     from .corpus import read_documents
     from .instances import generate_conventional, generate_simpt_from_documents
-    from .serialize import manifest_path, write_instances
+    from .serialize import instance_file_names, manifest_path, write_instances
     from .tokenizer import WordPieceTokenizer
     from .vocab import Vocabulary
 
@@ -343,13 +350,17 @@ def cmd_create_instances(args) -> int:
         raise UsageError("simpt requires two corpora (--small and --large)")
     if not args.small and not args.large:
         raise UsageError("at least one corpus (--small/--large) is required")
-    icfg = _build_instance_config(args)
+    if mode == "simpt" and args.rounds is None:
+        raise UsageError("--rounds is required in simpt mode")
+    icfg = InstanceConfig(**{key: getattr(args, key) for key in _INSTANCE_KEYS}, n_rounds=args.rounds or 0,
+                          master_seed=args.seed)
     out_path = Path(_require(args, "out", "--out"))
     each = _positive_size(args, "each_file_size")
     max_file_bytes = _positive_size(args, "max_file_bytes")
     if args.format == "jsonl" and max_file_bytes is not None:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
     _check_outputs(args, "out", "report", also=(("the manifest of --out", manifest_path(out_path)),))
+    _check_report_outside(args, out_path.parent, instance_file_names(out_path), "--out")
     log.info("create-instances: Unicode database %s", unicodedata.unidata_version)
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
@@ -484,11 +495,7 @@ def cmd_compare(args) -> int:
 def cmd_dump_ruleset(args) -> int:
     from .mesh_filter import load_ruleset
 
-    try:
-        ruleset = load_ruleset(args.name)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
-    print(json.dumps(ruleset.to_dict(), indent=2))
+    print(json.dumps(load_ruleset(args.name).to_dict(), indent=2))
     return EXIT_OK
 
 
@@ -550,21 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output instance file")
     p.add_argument("--format", choices=["binary", "jsonl"], default="binary")
     p.add_argument("--rounds", type=int, help="simpt sampling rounds")
-    p.add_argument("--dupe-factor", dest="dupe_factor", type=int, default=InstanceConfig.dupe_factor)
-    p.add_argument("--n-splits", dest="n_splits", type=int, default=InstanceConfig.n_splits,
-                   help="conventional group count")
-    p.add_argument("--shards-per-corpus", dest="shards_per_corpus", type=int,
-                   default=InstanceConfig.shards_per_corpus)
+    for key in _INSTANCE_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=getattr(InstanceConfig, key),
+                       type=type(getattr(InstanceConfig, key)))
     p.add_argument("--each-file-size", dest="each_file_size", default="10MB",
                    help="shard target size (e.g. 10MB)")
-    p.add_argument("--max-seq-length", dest="max_seq_length", type=int,
-                   default=InstanceConfig.max_seq_length)
-    p.add_argument("--masked-lm-prob", dest="masked_lm_prob", type=float,
-                   default=InstanceConfig.masked_lm_prob)
-    p.add_argument("--max-predictions-per-seq", dest="max_predictions_per_seq", type=int,
-                   default=InstanceConfig.max_predictions_per_seq)
-    p.add_argument("--short-seq-prob", dest="short_seq_prob", type=float,
-                   default=InstanceConfig.short_seq_prob)
     p.add_argument("--seed", type=int, default=InstanceConfig.master_seed, help="master seed")
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--max-file-bytes", dest="max_file_bytes",

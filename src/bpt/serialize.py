@@ -48,7 +48,7 @@ from .errors import (
 )
 from .instances import PretrainInstance, batch_rows, structural_errors
 from .settings import InstanceConfig
-from .staging import remove_unlisted, staged_files
+from .staging import PART_NUMBER, remove_unlisted, staged_files
 from .vocab import Vocabulary
 
 MAGIC = b"BPTI"
@@ -230,8 +230,8 @@ def write_instances(
     parts in order, then the sidecar. On any error the temporaries are
     removed, so a failed write leaves nothing that looks whole, and an
     earlier output at `path` stays as it was. Once the set is in place, each
-    regular file there named `<path>` or `<path>.<digits>` that the
-    manifest does not list, an earlier output's, is removed.
+    regular file there whose name `instance_file_names(path)` matches and
+    that the manifest does not list, an earlier output's, is removed.
     """
     path = Path(path)
     if format == "jsonl" and max_file_bytes is not None:
@@ -250,8 +250,15 @@ def write_instances(
             vhash = vhash.hex()
         manifest = _write_manifest(stage(manifest_path(path)), files, vhash, config, statistics, run_config, format)
     # an earlier output at `path`, rotated or not, that this set does not list is not part of it
-    remove_unlisted(path.parent, re.escape(path.name) + r"(?:\.[0-9]+)?", {entry["name"] for entry in files})
+    remove_unlisted(path.parent, instance_file_names(path), {entry["name"] for entry in files})
     return manifest
+
+
+def instance_file_names(path: "str | Path") -> str:
+    """The regular expression for the names of the instance files that
+    `write_instances(..., path)` may write: `path`'s own name, and its name
+    with a part number, as rotated output's "<path>.00000" has."""
+    return re.escape(Path(path).name) + rf"(?:\.{PART_NUMBER})?"
 
 
 def _write_binary(stream: Iterable[PretrainInstance], path: Path, vocab: Vocabulary, config: InstanceConfig,
@@ -353,7 +360,7 @@ def open_instance_set(path: "str | Path") -> InstanceSet:
     if manifest_path(path).is_file():
         manifest = Manifest.load(manifest_path(path))
         entries = [e for e in manifest.files if e["name"] == path.name] or manifest.files
-    elif path.suffix[1:].isdigit() and manifest_path(path.with_suffix("")).is_file():
+    elif re.fullmatch(PART_NUMBER, path.suffix[1:]) and manifest_path(path.with_suffix("")).is_file():
         manifest = Manifest.load(manifest_path(path.with_suffix("")))
         entries = [e for e in manifest.files if e["name"] == path.name]
     if not entries:

@@ -18,6 +18,10 @@ import stat
 from pathlib import Path
 from typing import Callable, Container, Iterator
 
+# The number in the name of part k of a set of files, as f"{k:05d}" writes
+# it: five digits, or more without a leading zero.
+PART_NUMBER = r"(?:[0-9]{5}|[1-9][0-9]{5,})"
+
 
 def _temporary(target: "str | Path") -> Path:
     """The name a staged `target` is written under until its group is whole."""

@@ -84,11 +84,15 @@ def test_filter_splits_record_text_only_at_line_breaks(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "alpha beta\x1cgamma delta\nsecond line\nnext doc\x1c\x1cstill next doc\n"
 
 
-def test_filter_missing_ruleset_exits_2(tmp_path, capsys):
-    records = write_records(tmp_path / "recs.jsonl")
-    code, _ = run(capsys, "filter", "--ruleset", tmp_path / "nope.json",
-                  "--in", records, "--out", tmp_path / "o.txt")
-    assert code == 2
+@pytest.mark.parametrize("command", ["filter", "dump-ruleset"])
+def test_missing_ruleset_exits_2(tmp_path, capsys, caplog, command):
+    missing = tmp_path / "nope.json"
+    argv = {"filter": ["filter", "--ruleset", missing, "--in", write_records(tmp_path / "recs.jsonl"),
+                       "--out", tmp_path / "o.txt"],
+            "dump-ruleset": ["dump-ruleset", missing]}[command]
+    code, stdout = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"ruleset not found: {missing}" in caplog.text
 
 
 def test_filter_overlapping_ruleset_exits_2(tmp_path, capsys):
@@ -603,10 +607,19 @@ def test_unreadable_large_corpus_exits_3_and_keeps_earlier_output(tmp_path, caps
 
 
 def test_manifest_echoes_effective_config(tmp_path, capsys, vocab_file, corpora):
-    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "m.bin",
-                          "--mode", "simpt", "--rounds", "2", "--shards-per-corpus", "2")
+    from bpt.cli import _INSTANCE_KEYS
+    from bpt.settings import InstanceConfig
+
+    # a value other than the default for each flag that sets the InstanceConfig field of its name
+    values = {"max_seq_length": 72, "masked_lm_prob": 0.2, "max_predictions_per_seq": 12, "short_seq_prob": 0.2,
+              "dupe_factor": 2, "n_splits": 3, "shards_per_corpus": 2}
+    assert sorted(values) == sorted(_INSTANCE_KEYS)
+    assert all(value != getattr(InstanceConfig, key) for key, value in values.items())
+    flags = [part for key, value in values.items() for part in ("--" + key.replace("_", "-"), value)]
+    code, out, _ = create(capsys, tmp_path, vocab_file, corpora, "m.bin", "--mode", "simpt", "--rounds", "2", *flags)
     assert code == 0
     manifest = json.loads((tmp_path / "m.bin.manifest.json").read_text())
+    assert {key: manifest["config"][key] for key in values} == values
     assert manifest["config"]["mode"] == "simpt"
     assert manifest["config"]["n_rounds"] == 2
     assert manifest["config"]["master_seed"] == 5
@@ -1118,6 +1131,38 @@ def test_two_outputs_naming_one_file_exit_2_and_keep_the_earlier_file(tmp_path, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["create-instances", "shard"])
+def test_report_naming_a_file_of_the_set_exits_2_and_keeps_it(tmp_path, capsys, caplog, monkeypatch,
+                                                             vocab_file, corpora, command):
+    from bpt import cli, corpus, vocab
+
+    small, _ = corpora
+    argv, part, flags = {
+        "create-instances": (["create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file,
+                              "--out", tmp_path / "rot.bin", "--max-file-bytes", "100"],
+                             tmp_path / "rot.bin.00000", "--out"),
+        "shard": (["shard", "--in", small, "--each-file-size", "2KB", "--out-dir", tmp_path / "sh"],
+                  tmp_path / "sh" / "shard-00001.txt", "--out-dir"),
+    }[command]
+    # a report beside the set, or on stderr, is no file of it
+    for report in (tmp_path / "report.json", "/dev/stderr"):
+        code, _ = run(capsys, *argv, "--report", report)
+        assert code == 0
+    assert part.is_file()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("input was read before --report was checked")
+
+    monkeypatch.setattr(cli, "_load_corpora", must_not_run)
+    monkeypatch.setattr(corpus, "read_documents", must_not_run)
+    monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
+    code, stdout = run(capsys, *argv, "--report", part)
+    assert code == 2 and stdout == ""
+    assert f"--report {part} names a file of the set that {flags} writes" in caplog.text
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_stdout_and_stderr_are_two_outputs():
     import argparse
 
@@ -1130,7 +1175,8 @@ def test_create_instances_removes_an_earlier_runs_parts(tmp_path, capsys, vocab_
     small, _ = corpora
     out = tmp_path / "out.bin"
     (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
-    kept = ["out.bin.7z", "out.bin.old", "out.binary.00001", "out.bin.99999"]  # not parts, or not a regular file
+    # not names of parts the writer numbers (five digits, or more without a leading zero), or not a regular file
+    kept = ["out.bin.7z", "out.bin.old", "out.binary.00001", "out.bin.7", "out.bin.2024", "out.bin.99999"]
     for name in kept[:-1]:
         (tmp_path / name).write_text("kept\n", encoding="utf-8")
     (tmp_path / kept[-1]).symlink_to(tmp_path / "notes.txt")
