@@ -34,7 +34,6 @@ _EXPORTS = {
     "VerificationReport": "verify",
     "Vocabulary": "vocab",
     "WordPieceTokenizer": "tokenizer",
-    "coverage_report": "vocab",
     "create_instances_from_documents": "instances",
     "generate_conventional": "instances",
     "generate_simpt": "instances",

@@ -17,8 +17,9 @@ Each output file is written under a temporary name and renamed once whole
 Every command that writes a report checks, before it reads any input, that
 the directory of each output file (--out, --merges-out, --report) exists and
 that no two of its outputs (create-instances' manifest sidecar among them)
-name one file; shard and create-instances also check that --report names no
-file of the set they write.
+name one file, nor an output an input file or a file of a corpus directory
+(nor shard's --out-dir such a directory); shard and create-instances also
+check that --report names no file of the set they write.
 build-vocab and create-instances log the interpreter's Unicode database
 version, which normalization depends on.
 
@@ -127,13 +128,18 @@ def _not_utf8(name, exc: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{name}: invalid UTF-8 ({exc.reason})")
 
 
-def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = ()) -> None:
+def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = (), inputs: tuple = (),
+                   out_dir=None) -> None:
     """A usage error naming the flag when the directory an output file under
     `keys` would go to does not exist, or naming both when two outputs (those
-    files and the (name, path) pairs `also` adds) are one file; so a run
-    fails before it reads any input, not after its work is done or after one
-    output has replaced another. Paths are compared by `os.path.abspath`,
-    which follows no link, so /dev/stdout and /dev/stderr stay two outputs."""
+    files and the (name, path) pairs `also` adds) are one file, or when an
+    output is one of `inputs`, the (name, path) pairs the command reads, or a
+    file directly inside one that is a directory (a corpus directory, whose
+    files are read); `out_dir`, shard's directory, may not be such a
+    directory either. So a run fails before it reads any input, not after its
+    work is done or after an output has replaced another or an input. Paths
+    are compared by `os.path.abspath`, which follows no link, so /dev/stdout
+    and /dev/stderr stay two outputs."""
     outputs = {}
     for name, value in [(f"--{key.replace('_', '-')}", getattr(args, key)) for key in keys] + list(also):
         if value is None:
@@ -143,6 +149,18 @@ def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = ()) -> No
         same = outputs.setdefault(os.path.abspath(value), name)
         if same != name:
             raise UsageError(f"{same} and {name} name the same file {value}")
+    for source, value in inputs:
+        if value is None:
+            continue
+        path = os.path.abspath(value)
+        if path in outputs:
+            raise UsageError(f"{outputs[path]} and {source} name the same file {value}")
+        if Path(value).is_dir():
+            inside = [name for output, name in outputs.items() if os.path.dirname(output) == path]
+            if out_dir is not None and os.path.abspath(out_dir) == path:
+                inside.append("--out-dir")
+            if inside:
+                raise UsageError(f"{inside[0]} would write into the directory {value} whose files {source} reads")
 
 
 def _check_report_outside(args: argparse.Namespace, directory, names: str, owner: str) -> None:
@@ -196,7 +214,7 @@ def cmd_filter(args) -> int:
     ruleset_arg = _require(args, "ruleset", "--ruleset")
     in_path = _check_input(_require(args, "infile", "--in"), "input file")
     out_path = Path(_require(args, "out", "--out"))
-    _check_outputs(args, "out", "report")
+    _check_outputs(args, "out", "report", inputs=(("--in", in_path), ("--ruleset", ruleset_arg)))
     ruleset = load_ruleset(ruleset_arg)
 
     # --out is staged, so input that fails to parse leaves an earlier --out as it was
@@ -223,21 +241,22 @@ def cmd_filter(args) -> int:
 
 
 def cmd_shard(args) -> int:
-    from .corpus import pack_shards, read_documents, write_document_text
+    from .corpus import Origin, pack_shards, read_documents, write_document_text
     from .staging import PART_NUMBER, remove_unlisted, staged_files
 
     in_path = _check_corpus(_require(args, "infile", "--in"), "input corpus")
     out_dir = Path(_require(args, "out_dir", "--out-dir"))
     each = _positive_size(args, "each_file_size")
-    _check_outputs(args, "report")
+    _check_outputs(args, "report", inputs=(("--in", in_path),), out_dir=out_dir)
     shard_names = rf"shard-{PART_NUMBER}\.txt"
     _check_report_outside(args, out_dir, shard_names, "--out-dir")
 
     # Each document goes to its shard file as it is read, so only it is held.
     # The shards are staged, so an input that fails to read leaves none, and
     # an earlier set at --out-dir stays as it was; once they are renamed into
-    # place, the earlier set's higher-numbered shards go.
-    shards = pack_shards(read_documents(in_path, args.label, args.origin), operator.attrgetter("byte_size"), each)
+    # place, the earlier set's higher-numbered shards go. A shard file holds
+    # no origin, so the documents are read with a fixed one.
+    shards = pack_shards(read_documents(in_path, args.label, Origin.SMALL), operator.attrgetter("byte_size"), each)
     shard_bytes: list[int] = []
     count = 0
     with staged_files() as stage:
@@ -272,7 +291,7 @@ def cmd_build_vocab(args) -> int:
     if args.amplify and (args.small is None or args.large is None):
         raise UsageError("--amplify requires both --small and --large corpora")
     out_path = Path(_require(args, "out", "--out"))
-    _check_outputs(args, "out", "merges_out", "report")
+    _check_outputs(args, "out", "merges_out", "report", inputs=(("--small", args.small), ("--large", args.large)))
     # Outputs match only across interpreters with this Unicode database; the
     # version goes to the log, never into an output that must stay identical.
     log.info("build-vocab: Unicode database %s", unicodedata.unidata_version)
@@ -352,6 +371,11 @@ def cmd_create_instances(args) -> int:
         raise UsageError("at least one corpus (--small/--large) is required")
     if mode == "simpt" and args.rounds is None:
         raise UsageError("--rounds is required in simpt mode")
+    if mode == "simpt" and args.rounds < 1:  # zero rounds would write an empty set that verify passes
+        raise UsageError(f"--rounds must be at least 1 in simpt mode, got {args.rounds}")
+    if args.small and args.large and args.small_label == args.large_label:
+        # the two corpora's documents would share ids, and the report would merge their negative pairs
+        raise UsageError(f"--small-label and --large-label are both {args.small_label!r}; give each corpus its own")
     icfg = InstanceConfig(**{key: getattr(args, key) for key in _INSTANCE_KEYS}, n_rounds=args.rounds or 0,
                           master_seed=args.seed)
     out_path = Path(_require(args, "out", "--out"))
@@ -359,7 +383,8 @@ def cmd_create_instances(args) -> int:
     max_file_bytes = _positive_size(args, "max_file_bytes")
     if args.format == "jsonl" and max_file_bytes is not None:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
-    _check_outputs(args, "out", "report", also=(("the manifest of --out", manifest_path(out_path)),))
+    _check_outputs(args, "out", "report", also=(("the manifest of --out", manifest_path(out_path)),),
+                   inputs=(("--small", args.small), ("--large", args.large), ("--vocab", args.vocab)))
     _check_report_outside(args, out_path.parent, instance_file_names(out_path), "--out")
     log.info("create-instances: Unicode database %s", unicodedata.unidata_version)
 
@@ -413,13 +438,15 @@ def cmd_verify(args) -> int:
     from .vocab import Vocabulary
 
     infile = _require(args, "infile", "--in")
-    _check_outputs(args, "report")
-    vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
-
-    tol = Tolerances(**{key: getattr(args, key) for key in _TOLERANCE_KEYS})
+    _check_outputs(args, "report", inputs=(("--in", infile), ("--vocab", args.vocab)))
     origin_target = args.expected_origin_fraction
     if origin_target is not None and not 0.0 <= origin_target <= 1.0:
         raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
+    if origin_target is not None and args.no_origin_check:
+        raise UsageError("--expected-origin-fraction sets the target of the check that --no-origin-check skips; "
+                         "give one of them")
+    vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
+    tol = Tolerances(**{key: getattr(args, key) for key in _TOLERANCE_KEYS})
 
     try:
         instance_set = open_instance_set(infile)
@@ -454,7 +481,7 @@ def cmd_compare(args) -> int:
     names = args.labels.split(",") if args.labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
-    _check_outputs(args, "report")
+    _check_outputs(args, "report", inputs=tuple(zip(("the first file", "the second file"), paths)))
     rows = []
     for path in paths:
         instance_set = open_instance_set(path)
@@ -524,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shard", parents=[reports], help="split a corpus into fixed-size shards")
     p.add_argument("--in", dest="infile", help="corpus text file or directory")
     p.add_argument("--label", default="corpus", help="corpus label for doc ids")
-    p.add_argument("--origin", choices=["small", "large"], default="small", help="origin tag")
     p.add_argument("--each-file-size", dest="each_file_size", default="10MB",
                    help="shard target size (e.g. 10MB)")
     p.add_argument("--out-dir", dest="out_dir", help="directory for shard files")

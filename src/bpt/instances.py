@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InstanceError
-from .rng import _MASK64, SplitRng, fold
+from .rng import SplitRng, fold
 from .settings import InstanceConfig
 from .vocab import Vocabulary
 
@@ -240,7 +240,7 @@ def mask_tokens(
     special_positions: Iterable[int],
     vocab: Vocabulary,
     config: InstanceConfig,
-    rng: "SplitRng | int",
+    rng: SplitRng,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Select and replace MLM positions.
 
@@ -252,11 +252,10 @@ def mask_tokens(
     ids = np.ascontiguousarray(token_ids, np.int32)[None]
     special = np.zeros(ids.shape, np.uint8)
     special[0, np.fromiter(special_positions, np.int64)] = 1
-    seed = rng.next_u64() if isinstance(rng, SplitRng) else int(rng)
     masked, positions, labels = kernels.mask_sequence(
         ids,
         special,
-        np.array([seed & _MASK64], np.uint64),
+        np.array([rng.next_u64()], np.uint64),
         config.masked_lm_prob,
         config.max_predictions_per_seq,
         vocab.mask_id,
@@ -444,18 +443,12 @@ def create_instances_from_documents(
     config: InstanceConfig,
     rng: SplitRng,
     *,
-    n_dupes: int = 1,
     report: "GenerationReport | None" = None,
 ) -> list[PretrainInstance]:
-    """Pair consecutive-or-foreign segments per document and apply masking.
-
-    Segment pairs depend only on (rng, docs); with n_dupes > 1 the same pairs
-    are re-masked with per-dupe derived seeds, so pass k of n is identical to
-    pass k of any larger run with the same inputs.
-    """
+    """Pair consecutive-or-foreign segments per document and apply masking,
+    once; segment pairs and masks depend only on (rng, docs)."""
     report = GenerationReport() if report is None else report
-    return list(_generate(docs, lambda block: [(range(len(block.doc_ids)), rng, n_dupes)], tokenizer, config,
-                          report))
+    return list(_generate(docs, lambda block: [(range(len(block.doc_ids)), rng, 1)], tokenizer, config, report))
 
 
 def _generate(

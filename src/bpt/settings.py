@@ -57,7 +57,6 @@ class Tolerances:
     mask_selection_target: float = 0.15
     mask_selection_tol: float = 0.003
     mask_split_tol: float = 0.005
-    nsp_target: float = 0.5
     nsp_tol: float = 0.02
     origin_target: "float | None" = 0.5
     origin_tol: float = 0.05

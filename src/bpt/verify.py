@@ -133,7 +133,7 @@ def verify_file(
         names = ("mask_replaced_fraction", "mask_random_fraction", "mask_unchanged_fraction")
         for name, value, expected in zip(names, report.mask_split or (0.0, 0.0, 0.0), (0.80, 0.10, 0.10)):
             rows.append((name, value, expected, tol.mask_split_tol, masked_total, tol.min_masked))
-    rows.append(("nsp_positive_rate", report.nsp_positive_rate or 0.0, tol.nsp_target, tol.nsp_tol,
+    rows.append(("nsp_positive_rate", report.nsp_positive_rate or 0.0, 0.5, tol.nsp_tol,
                  tally.instances, tol.min_instances))
     if tol.origin_target is not None:
         rows.append(("small_origin_fraction", report.small_origin_fraction or 0.0, tol.origin_target,

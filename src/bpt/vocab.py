@@ -426,22 +426,3 @@ def train_bpe(
         report.truncated = True
     return Vocabulary(tokens, merges=merges), report
 
-
-def coverage_report(vocab: Vocabulary, terms: list[str]) -> list[dict]:
-    """Per-term vocabulary coverage: whole-token membership and the WordPiece
-    decomposition otherwise."""
-    from .tokenizer import WordPieceTokenizer
-
-    tok = WordPieceTokenizer(vocab)
-    rows = []
-    for term in terms:
-        norm = normalize(term)
-        pieces = tok.tokenize(term).tokens
-        rows.append(
-            {
-                "term": term,
-                "in_vocab": norm in vocab,
-                "pieces": pieces,
-            }
-        )
-    return rows

@@ -235,7 +235,7 @@ def test_dump_ruleset(capsys):
 def test_shard_writes_files_and_report(tmp_path, capsys, corpora):
     small, _ = corpora
     out_dir = tmp_path / "shards"
-    code, stdout = run(capsys, "shard", "--in", small, "--label", "s", "--origin", "small",
+    code, stdout = run(capsys, "shard", "--in", small, "--label", "s",
                        "--each-file-size", "2KB", "--out-dir", out_dir)
     assert code == 0
     report = json.loads(stdout)
@@ -329,16 +329,6 @@ def test_memory_does_not_grow_with_the_corpus(tmp_path, capsys, lexicon, command
         tracemalloc.stop()
     assert once.stat().st_size > 150_000
     assert large_peak - small_peak < 1_000_000, (small_peak, large_peak)
-
-
-def test_shard_bad_origin_in_config_exits_2_naming_flag(tmp_path, capsys, caplog, corpora):
-    small, _ = corpora
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"origin": "medium"}))
-    code, stdout = run(capsys, "shard", "--config", cfg, "--in", small, "--out-dir", tmp_path / "shards")
-    assert code == 2 and stdout == ""
-    assert "--origin" in caplog.text and "'medium'" in caplog.text
-    assert not (tmp_path / "shards").exists()
 
 
 @pytest.mark.parametrize("command", ["shard", "simpt", "conventional"])
@@ -1009,6 +999,7 @@ def test_verify_rotated_set_closes_every_file(tmp_path, capsys, vocab_file, corp
     ("create-instances", "small", 5, "small corpus not found: 5"),
     ("create-instances", "mode", "medium", "--mode"),
     ("build-vocab", "small_label", "a", "'small_label'"),  # build-vocab writes no document ids
+    ("shard", "origin", "large", "'origin'"),  # a shard file holds no origin
 ])
 def test_config_value_is_held_to_its_flags_rules(tmp_path, capsys, caplog, vocab_file, corpora,
                                                  command, key, value, message):
@@ -1020,6 +1011,8 @@ def test_config_value_is_held_to_its_flags_rules(tmp_path, capsys, caplog, vocab
         argv += ["--small", small]
     if command == "build-vocab":
         argv += ["--target-size", "600"]
+    elif command == "shard":
+        argv = ["--in", small, "--out-dir", tmp_path / "x.bin"]
     else:
         argv += ["--vocab", vocab_file] + (["--mode", "conventional"] if key != "mode" else [])
     code, stdout = run(capsys, command, "--config", cfg, *argv)
@@ -1098,18 +1091,23 @@ def test_missing_output_directory_exits_2_before_reading_input(tmp_path, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "create-instances", "filter"])
-def test_two_outputs_naming_one_file_exit_2_and_keep_the_earlier_file(tmp_path, capsys, caplog, monkeypatch,
-                                                                      vocab_file, corpora, command):
-    from bpt import cli, corpus, mesh_filter, vocab
+def forbid_reading_input(monkeypatch):
+    from bpt import cli, corpus, mesh_filter, serialize, vocab
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("input was read before the output paths were checked")
+        raise AssertionError("input was read before the flags were checked")
 
     monkeypatch.setattr(cli, "_load_corpora", must_not_run)
     monkeypatch.setattr(corpus, "read_documents", must_not_run)
     monkeypatch.setattr(mesh_filter, "load_ruleset", must_not_run)
+    monkeypatch.setattr(serialize, "open_instance_set", must_not_run)
     monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "create-instances", "filter"])
+def test_two_outputs_naming_one_file_exit_2_and_keep_the_earlier_file(tmp_path, capsys, caplog, monkeypatch,
+                                                                      vocab_file, corpora, command):
+    forbid_reading_input(monkeypatch)
     small, _ = corpora
     records = write_records(tmp_path / "recs.jsonl")
     same, sidecar = tmp_path / "same.txt", tmp_path / "out.bin.manifest.json"
@@ -1134,8 +1132,6 @@ def test_two_outputs_naming_one_file_exit_2_and_keep_the_earlier_file(tmp_path, 
 @pytest.mark.parametrize("command", ["create-instances", "shard"])
 def test_report_naming_a_file_of_the_set_exits_2_and_keeps_it(tmp_path, capsys, caplog, monkeypatch,
                                                              vocab_file, corpora, command):
-    from bpt import cli, corpus, vocab
-
     small, _ = corpora
     argv, part, flags = {
         "create-instances": (["create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file,
@@ -1150,17 +1146,90 @@ def test_report_naming_a_file_of_the_set_exits_2_and_keeps_it(tmp_path, capsys, 
         assert code == 0
     assert part.is_file()
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("input was read before --report was checked")
-
-    monkeypatch.setattr(cli, "_load_corpora", must_not_run)
-    monkeypatch.setattr(corpus, "read_documents", must_not_run)
-    monkeypatch.setattr(vocab.Vocabulary, "load", must_not_run)
+    forbid_reading_input(monkeypatch)
     code, stdout = run(capsys, *argv, "--report", part)
     assert code == 2 and stdout == ""
     assert f"--report {part} names a file of the set that {flags} writes" in caplog.text
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("case", ["build-vocab --out", "build-vocab --merges-out", "create-instances --out",
+                                  "create-instances --report", "create-instances corpus directory",
+                                  "shard --out-dir", "shard --report", "filter", "verify", "compare"])
+def test_output_naming_an_input_exits_2_and_keeps_it(tmp_path, capsys, caplog, monkeypatch, vocab_file, corpora,
+                                                     case):
+    small, large = corpora
+    folder = tmp_path / "cd"
+    folder.mkdir()
+    (folder / "a.txt").write_text(small.read_text(encoding="utf-8"), encoding="utf-8")
+    records, ruleset = write_records(tmp_path / "recs.jsonl"), tmp_path / "rules.json"
+    ruleset.write_text(json.dumps(RULESET), encoding="utf-8")
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    for path in (a, b):
+        path.write_bytes(b"an earlier instance file")
+    corpus_flags = ["--small", small, "--large", large]
+    create_flags = ["create-instances", "--mode", "conventional", "--vocab", vocab_file]
+    vocab_flags = ["build-vocab", "--target-size", "300", "--min-frequency", "1"]
+    argv, message = {
+        "build-vocab --out": ([*vocab_flags, *corpus_flags, "--out", small], "--out and --small name the same file"),
+        "build-vocab --merges-out": ([*vocab_flags, *corpus_flags, "--out", tmp_path / "v.txt", "--merges-out", large],
+                                     "--merges-out and --large name the same file"),
+        "create-instances --out": ([*create_flags, "--small", small, "--out", small],
+                                   "--out and --small name the same file"),
+        "create-instances --report": ([*create_flags, *corpus_flags, "--out", tmp_path / "o.bin",
+                                       "--report", vocab_file], "--report and --vocab name the same file"),
+        # a corpus directory's files are its input, so a second run would read the first one's output
+        "create-instances corpus directory": (
+            [*create_flags, "--small", folder, "--out", folder / "out.bin"],
+            f"--out would write into the directory {folder} whose files --small reads"),
+        "shard --out-dir": (["shard", "--in", folder, "--out-dir", folder],
+                            f"--out-dir would write into the directory {folder} whose files --in reads"),
+        "shard --report": (["shard", "--in", small, "--out-dir", tmp_path / "sh", "--report", small],
+                           "--report and --in name the same file"),
+        "filter": (["filter", "--ruleset", ruleset, "--in", records, "--out", tmp_path / "f.txt", "--report", ruleset],
+                   "--report and --ruleset name the same file"),
+        "verify": (["verify", "--in", a, "--vocab", vocab_file, "--report", a], "--report and --in name the same file"),
+        "compare": (["compare", a, b, "--report", b], "--report and the second file name the same file"),
+    }[case]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    forbid_reading_input(monkeypatch)
+    code, stdout = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert message in caplog.text
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("settings, message", [
+    ({"mode": "simpt", "rounds": 0}, "--rounds must be at least 1 in simpt mode, got 0"),
+    ({"small_label": "x", "large_label": "x"}, "--small-label and --large-label are both 'x'"),
+    ({"small_label": "large"}, "--small-label and --large-label are both 'large'"),
+    ({"expected_origin_fraction": 0.55, "no_origin_check": True},
+     "--expected-origin-fraction sets the target of the check that --no-origin-check skips"),
+], ids=["zero-rounds", "equal-labels", "the-large-label", "origin-fraction-without-check"])
+def test_setting_that_would_mislead_exits_2_naming_its_flags(tmp_path, capsys, caplog, monkeypatch, vocab_file,
+                                                              corpora, settings, message, source):
+    """Zero simpt rounds write an empty set that verify passes; equal labels
+    give both corpora the same document ids, which merges their negative
+    pairs in the report; a fraction for a skipped check is dropped."""
+    small, large = corpora
+    if "expected_origin_fraction" in settings:
+        argv = ["verify", "--in", tmp_path / "o.bin", "--vocab", vocab_file]
+    else:
+        argv = ["create-instances", "--small", small, "--large", large, "--vocab", vocab_file, "--out",
+                tmp_path / "o.bin", *([] if "mode" in settings else ["--mode", "conventional"])]
+    if source == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        argv += ["--config", cfg]
+    else:
+        for key, value in settings.items():
+            argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [value])
+    forbid_reading_input(monkeypatch)
+    code, stdout = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert message in caplog.text
+    assert not list(tmp_path.glob("o.bin*"))
 
 
 def test_stdout_and_stderr_are_two_outputs():

@@ -20,7 +20,6 @@ from bpt.vocab import (
     combined_word_counts,
     corpus_word_counts,
     corpus_word_counts_and_bytes,
-    coverage_report,
     normalize,
     plan_amplification,
     pretokenize,
@@ -441,19 +440,6 @@ def test_train_bpe_memory_stays_at_flat_array_scale():
         tracemalloc.stop()
     assert report.merges_performed == 60
     assert peak < 7_000_000, peak
-
-
-# --- coverage --------------------------------------------------------------
-
-
-def test_coverage_report_decomposes_missing_term():
-    vocab = make_vocab(["app", "stroke", "##end", "##ici", "##tis"])
-    rows = coverage_report(vocab, ["appendicitis", "stroke"])
-    by_term = {r["term"]: r for r in rows}
-    assert by_term["appendicitis"]["in_vocab"] is False
-    assert by_term["appendicitis"]["pieces"] == ["app", "##end", "##ici", "##tis"]
-    assert by_term["stroke"]["in_vocab"] is True
-    assert by_term["stroke"]["pieces"] == ["stroke"]
 
 
 def test_corpus_word_counts_normalizes(tmp_path):
