@@ -165,14 +165,15 @@ def _check_outputs(args: argparse.Namespace, *keys: str, also: tuple = (), input
 
 def _check_report_outside(args: argparse.Namespace, directory, names: str, owner: str) -> None:
     """A usage error naming both flags when --report names a file in
-    `directory` whose name matches `names`, the pattern the set that flag
-    `owner` writes passes to `staging.remove_unlisted`: the report would
-    replace one of the set's files, or a later run's cleanup would remove it.
-    Directories are compared as `_check_outputs` compares paths."""
+    `directory` whose name matches `names`, the pattern of a set's file
+    names: the report would replace one of the files of the set that `owner`
+    (a flag and its verb, "--out writes") writes or reads, or a later run's
+    cleanup would remove it. Directories are compared as `_check_outputs`
+    compares paths."""
     report = args.report
     if (report is not None and re.fullmatch(names, Path(report).name)
             and os.path.abspath(Path(report).parent) == os.path.abspath(directory)):
-        raise UsageError(f"--report {report} names a file of the set that {owner} writes")
+        raise UsageError(f"--report {report} names a file of the set that {owner}")
 
 
 def _load_corpora(args: argparse.Namespace, read) -> tuple:
@@ -249,7 +250,7 @@ def cmd_shard(args) -> int:
     each = _positive_size(args, "each_file_size")
     _check_outputs(args, "report", inputs=(("--in", in_path),), out_dir=out_dir)
     shard_names = rf"shard-{PART_NUMBER}\.txt"
-    _check_report_outside(args, out_dir, shard_names, "--out-dir")
+    _check_report_outside(args, out_dir, shard_names, "--out-dir writes")
 
     # Each document goes to its shard file as it is read, so only it is held.
     # The shards are staged, so an input that fails to read leaves none, and
@@ -374,7 +375,7 @@ def cmd_create_instances(args) -> int:
     if mode == "simpt" and args.rounds < 1:  # zero rounds would write an empty set that verify passes
         raise UsageError(f"--rounds must be at least 1 in simpt mode, got {args.rounds}")
     if args.small and args.large and args.small_label == args.large_label:
-        # the two corpora's documents would share ids, and the report would merge their negative pairs
+        # the two corpora's documents would share ids, so the output could not tell them apart
         raise UsageError(f"--small-label and --large-label are both {args.small_label!r}; give each corpus its own")
     icfg = InstanceConfig(**{key: getattr(args, key) for key in _INSTANCE_KEYS}, n_rounds=args.rounds or 0,
                           master_seed=args.seed)
@@ -385,19 +386,19 @@ def cmd_create_instances(args) -> int:
         raise UsageError("--max-file-bytes rotates binary output only; it cannot be used with --format jsonl")
     _check_outputs(args, "out", "report", also=(("the manifest of --out", manifest_path(out_path)),),
                    inputs=(("--small", args.small), ("--large", args.large), ("--vocab", args.vocab)))
-    _check_report_outside(args, out_path.parent, instance_file_names(out_path), "--out")
+    _check_report_outside(args, out_path.parent, instance_file_names(out_path), "--out writes")
     log.info("create-instances: Unicode database %s", unicodedata.unidata_version)
 
     vocabulary = Vocabulary.load(_check_input(_require(args, "vocab", "--vocab"), "vocabulary"))
-    tokenizer = WordPieceTokenizer(vocabulary)
     # The documents are read as they are tokenized, small corpus first, and
     # only their token ids are held. A corpus that cannot be read fails once
-    # the writer has begun, which then leaves no output.
+    # the writer has begun, which then leaves no output. No name here holds
+    # the tokenizer, so its word cache is freed once the stream has tokenized.
     docs = itertools.chain.from_iterable(d for d in _load_corpora(args, read_documents) if d)
     if mode == "simpt":
-        stream, report = generate_simpt_from_documents(docs, each, tokenizer, icfg)
+        stream, report = generate_simpt_from_documents(docs, each, WordPieceTokenizer(vocabulary), icfg)
     else:
-        stream, report = generate_conventional(docs, tokenizer, icfg)
+        stream, report = generate_conventional(docs, WordPieceTokenizer(vocabulary), icfg)
 
     run_config = {
         "mode": mode,
@@ -433,12 +434,15 @@ _TOLERANCE_KEYS = (
 
 
 def cmd_verify(args) -> int:
-    from .serialize import open_instance_set
+    from .serialize import instance_file_names, instance_set_base, manifest_path, open_instance_set
     from .verify import verify_file
     from .vocab import Vocabulary
 
     infile = _require(args, "infile", "--in")
-    _check_outputs(args, "report", inputs=(("--in", infile), ("--vocab", args.vocab)))
+    base = instance_set_base(infile)
+    _check_outputs(args, "report", inputs=(("--in", infile), ("the manifest of --in", manifest_path(base)),
+                                           ("--vocab", args.vocab)))
+    _check_report_outside(args, base.parent, instance_file_names(base), "--in reads")
     origin_target = args.expected_origin_fraction
     if origin_target is not None and not 0.0 <= origin_target <= 1.0:
         raise UsageError(f"--expected-origin-fraction must be in [0, 1], got {origin_target}")
@@ -472,7 +476,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .serialize import open_instance_set
+    from .serialize import instance_file_names, instance_set_base, manifest_path, open_instance_set
     from .verify import render_table, verify_file
 
     paths = [Path(p) for p in (args.files or [])]
@@ -481,7 +485,11 @@ def cmd_compare(args) -> int:
     names = args.labels.split(",") if args.labels else [p.name for p in paths]
     if len(names) != 2:
         raise UsageError("--labels must provide two comma-separated names")
-    _check_outputs(args, "report", inputs=tuple(zip(("the first file", "the second file"), paths)))
+    which, bases = ("the first file", "the second file"), [instance_set_base(p) for p in paths]
+    _check_outputs(args, "report", inputs=(*zip(which, paths), *(
+        (f"the manifest of {name}", manifest_path(base)) for name, base in zip(which, bases))))
+    for name, base in zip(which, bases):
+        _check_report_outside(args, base.parent, instance_file_names(base), f"compare reads as {name}")
     rows = []
     for path in paths:
         instance_set = open_instance_set(path)

@@ -20,10 +20,11 @@ The loop (`_generate`) tokenizes every sentence once into one flat id array
 (`tokenize_documents`), and a segment is one span of that array. Of each
 document the loop keeps only its id, origin and byte size, so documents read
 from a file one at a time are never all held; the plan is made from the
-tokenized block. Units run serially in plan order. Within one, the segment
-pairs are built once, then masked a batch at a time (one
-`kernels.mask_sequence` call per batch and dupe pass); each instance is
-yielded in order as soon as its batch is masked.
+tokenized block, and the tokenizer (with its word cache) is let go once the
+block is built. Units run serially in plan order. Within one, the segment
+pairs are built once into one integer table, then masked a batch of rows at
+a time (one `kernels.mask_sequence` call per batch and dupe pass); each
+instance is yielded in order as soon as its batch is masked.
 
 All randomness is counter-keyed by (master_seed, stream, unit, document), so
 any round or group can be regenerated in isolation.
@@ -52,6 +53,10 @@ if TYPE_CHECKING:  # `bpt verify` imports this module and reads no corpus and to
 # rng stream tags: shard sampling and document pairing must not share draws
 _STREAM_SHARDS = 1
 _STREAM_DOCS = 2
+
+# Columns of a unit's pair table, one int64 row per segment pair: A start,
+# A length, B start, B length, is_next, A document, B document
+_PAIR_COLUMNS = 7
 
 # Pairs are masked a batch at a time, padded to one width: a batch holds at
 # most this many cells of rows x max_seq_length, so its arrays stay under
@@ -208,7 +213,9 @@ class GenerationReport(InstanceTally):
     rounds: int = 0
     groups: int = 0
     shard_combo_collisions: int = 0
-    negative_pair_ids: set = field(default_factory=set, repr=False)
+    # one int64 key per negative: its two block document indices, the lower
+    # one in the high 32 bits, so an unordered pair of documents is one key
+    negative_keys: array = field(default_factory=lambda: array("q"), repr=False)
 
     # properties written next to the fields by to_dict
     _DERIVED = ("negatives", "is_next_fraction", "mask_selection_rate", "small_origin_fraction",
@@ -216,11 +223,12 @@ class GenerationReport(InstanceTally):
 
     def record(self, inst: PretrainInstance) -> None:
         super().record(inst)
-        if not inst.is_next:
-            a, b = inst.doc_id_a, inst.doc_id_b
-            self.negative_pair_ids.add((a, b) if a <= b else (b, a))
         if len(inst.masked_positions) == 0:
             self.degenerate_no_mask += 1
+
+    def record_negative(self, doc_a: int, doc_b: int) -> None:
+        """Key a negative instance by the block indices of its A and B documents."""
+        self.negative_keys.append(min(doc_a, doc_b) << 32 | max(doc_a, doc_b))
 
     @property
     def negatives(self) -> int:
@@ -228,10 +236,11 @@ class GenerationReport(InstanceTally):
 
     @property
     def distinct_negative_pairs(self) -> int:
-        return len(self.negative_pair_ids)
+        """Distinct unordered pairs of documents among the negatives."""
+        return len(np.unique(np.frombuffer(self.negative_keys, np.int64)))
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "negative_pair_ids"}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "negative_keys"}
         return {**out, **{name: getattr(self, name) for name in self._DERIVED}}
 
 
@@ -274,7 +283,7 @@ class TokenizedDocuments(NamedTuple):
     doc_ids: list[str]
     origins: list[Origin]
     byte_sizes: np.ndarray  # int64, each document's `byte_size`
-    ids: np.ndarray  # int32, the ids of every non-empty sentence in order
+    ids: np.ndarray  # uint16 (int32 above 65,536 tokens), the ids of every non-empty sentence in order
     sentences: np.ndarray  # int64 run offsets of the sentences into ids, then len(ids)
     doc_sentences: np.ndarray  # int64 run offsets of the documents into sentences, then their count
 
@@ -287,8 +296,10 @@ def tokenize_documents(docs: Iterable[Document], tokenizer: WordPieceTokenizer) 
     """One pass over `docs`, one `tokenize` call per sentence; of each
     document only its id, origin and byte size are kept. Sentences that
     tokenize to nothing are left out, so a document of only such sentences
-    has none."""
-    ids = array("i")  # grows without one Python int per token
+    has none. The ids take 2 bytes each when every id of the vocabulary fits
+    in a uint16 (at most 65,536 tokens), and 4 bytes otherwise."""
+    narrow = tokenizer.vocab.size <= 1 << 16
+    ids = array("H" if narrow else "i")  # grows without one Python int per token
     sentences, doc_sentences = array("q", [0]), array("q", [0])
     doc_ids, origins, byte_sizes = [], [], array("q")
     for doc in docs:
@@ -300,7 +311,8 @@ def tokenize_documents(docs: Iterable[Document], tokenizer: WordPieceTokenizer) 
         doc_ids.append(doc.doc_id)
         origins.append(doc.origin)
         byte_sizes.append(doc.byte_size)
-    return TokenizedDocuments(doc_ids, origins, np.frombuffer(byte_sizes, np.int64), np.frombuffer(ids, np.int32),
+    return TokenizedDocuments(doc_ids, origins, np.frombuffer(byte_sizes, np.int64),
+                              np.frombuffer(ids, np.uint16 if narrow else np.int32),
                               np.frombuffer(sentences, np.int64), np.frombuffer(doc_sentences, np.int64))
 
 
@@ -325,10 +337,13 @@ def _build_pairs_for_document(
     config: InstanceConfig,
     rng: SplitRng,
     report: GenerationReport,
-) -> list[tuple]:
-    """Segment pairs of document `usable[di]`, each (A start, A length,
-    B start, B length, is_next, A document, B document, mask seed base):
-    a segment is one run of `block.ids`, and truncation only trims its end."""
+    pairs: array,
+    seeds: array,
+) -> None:
+    """Append the segment pairs of document `usable[di]` to the unit's pair
+    table: one row of `_PAIR_COLUMNS` to `pairs` and the pair's mask seed
+    base to `seeds`. A segment is one run of `block.ids`, and truncation
+    only trims its end."""
     doc = usable[di]
     at = block.sentence_offsets(doc)  # sentence k is ids[at[k]:at[k + 1]]
     n = len(at) - 1
@@ -337,7 +352,6 @@ def _build_pairs_for_document(
     if rng.random() < config.short_seq_prob:
         target = rng.randint(2, max_num)
 
-    pairs: list[tuple] = []
     first = 0  # the current chunk is sentences first..i
     i = 0
     while i < n:
@@ -373,25 +387,26 @@ def _build_pairs_for_document(
                         i = bisect_left(at, at[a_end] + max(1, target - len_a), a_end + 1, n) - 1
                     b_start, len_b = at[a_end], at[i + 1] - at[a_end]
                 len_a, len_b = truncated_lengths(len_a, len_b, max_num)
-                pairs.append((at[first], len_a, b_start, len_b, not make_negative, doc, doc_b, rng.next_u64()))
+                pairs.extend((at[first], len_a, b_start, len_b, not make_negative, doc, doc_b))
+                seeds.append(rng.next_u64())
             first = i + 1
         i += 1
-    return pairs
 
 
 def _assemble(
     block: TokenizedDocuments,
-    pairs: list[tuple],
+    pairs: np.ndarray,
+    seeds: np.ndarray,
     vocab: Vocabulary,
     config: InstanceConfig,
     dupe_index: int,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    """Mask a batch of pairs in one kernel call, then record and yield its
-    instances in order."""
+    """Mask a batch of pair table rows, with their mask seed bases, in one
+    kernel call, then record and yield its instances in order."""
     from .corpus import Origin
 
-    a_start, len_a, b_start, len_b = np.array([pair[:4] for pair in pairs]).T[:, :, None]
+    a_start, len_a, b_start, len_b = pairs[:, :4].T[:, :, None]
     lengths = len_a + len_b + 3
     cols = np.arange(lengths.max())
     in_a = (cols >= 1) & (cols <= len_a)
@@ -401,11 +416,10 @@ def _assemble(
     ids[in_b] = block.ids[(b_start - len_a - 2 + cols)[in_b]]
     ids[:, 0] = vocab.cls_id
     ids[(cols == len_a + 1) | (cols == lengths - 1)] = vocab.sep_id
-    seeds = np.array([fold(pair[7], dupe_index) for pair in pairs], np.uint64)
     masked, positions, labels = kernels.mask_sequence(
         ids,
         ~(in_a | in_b),  # [CLS], [SEP] and the padding of shorter rows
-        seeds,
+        np.array([fold(seed, dupe_index) for seed in seeds.tolist()], np.uint64),
         config.masked_lm_prob,
         config.max_predictions_per_seq,
         vocab.mask_id,
@@ -415,7 +429,7 @@ def _assemble(
     segment_ids = (cols >= len_a + 2).astype(np.int8)
     n_masked = np.count_nonzero(positions >= 0, axis=1).tolist()
     origins = block.origins
-    for i, ((_, a, _, b, is_next, a_index, b_index, _), m) in enumerate(zip(pairs, n_masked)):
+    for i, ((_, a, _, b, is_next, a_index, b_index), m) in enumerate(zip(pairs.tolist(), n_masked)):
         small = (a if origins[a_index] is Origin.SMALL else 0) + (b if origins[b_index] is Origin.SMALL else 0)
         n = a + b + 3
         inst = PretrainInstance(
@@ -423,13 +437,15 @@ def _assemble(
             segment_ids=segment_ids[i, :n],
             masked_positions=positions[i, :m],
             masked_labels=labels[i, :m],
-            is_next=is_next,
+            is_next=bool(is_next),
             origin_small_tokens=small,
             origin_large_tokens=a + b - small,
             doc_id_a=block.doc_ids[a_index],
             doc_id_b=block.doc_ids[b_index],
         )
         report.record(inst)
+        if not is_next:
+            report.record_negative(a_index, b_index)
         yield inst
 
 
@@ -478,21 +494,24 @@ def _stream(
     config: InstanceConfig,
     report: GenerationReport,
 ) -> Iterator[PretrainInstance]:
-    block = tokenize_documents(docs, tokenizer)
-    del docs  # from here on the stream pins no document
+    block, vocab = tokenize_documents(docs, tokenizer), tokenizer.vocab
+    del docs, tokenizer  # from here on the stream pins no document and no word cache
     if not block.doc_ids:
         raise InstanceError("documents must be non-empty")
-    vocab, per_batch = tokenizer.vocab, batch_rows(config.max_seq_length)
+    per_batch = batch_rows(config.max_seq_length)
     for doc_indices, rng, n_dupes in plan(block):
         doc_indices = np.asarray(doc_indices, np.int64)
         empty = block.doc_sentences[doc_indices + 1] == block.doc_sentences[doc_indices]
         report.empty_documents += int(np.count_nonzero(empty))
         usable = doc_indices[~empty].tolist()
-        pairs = [pair for di in range(len(usable))
-                 for pair in _build_pairs_for_document(di, usable, block, config, rng.child(di), report)]
+        pairs, seeds = array("q"), array("Q")
+        for di in range(len(usable)):
+            _build_pairs_for_document(di, usable, block, config, rng.child(di), report, pairs, seeds)
+        table, seed_column = np.frombuffer(pairs, np.int64).reshape(-1, _PAIR_COLUMNS), np.frombuffer(seeds, np.uint64)
         for dupe in range(n_dupes):
-            for start in range(0, len(pairs), per_batch):
-                yield from _assemble(block, pairs[start : start + per_batch], vocab, config, dupe, report)
+            for start in range(0, len(table), per_batch):
+                rows = slice(start, start + per_batch)
+                yield from _assemble(block, table[rows], seed_column[rows], vocab, config, dupe, report)
 
 
 def _sample_shards(units: Sequence, k: int, rng: SplitRng) -> list:
@@ -616,7 +635,5 @@ def split_documents(docs: Sequence, n_splits: int) -> list[Sequence]:
 
 def pair_diversity(instances: Iterable[PretrainInstance]) -> int:
     """Distinct unordered (doc_id_a, doc_id_b) pairs among negative instances."""
-    report = GenerationReport()
-    for inst in instances:
-        report.record(inst)
-    return report.distinct_negative_pairs
+    return len({(min(inst.doc_id_a, inst.doc_id_b), max(inst.doc_id_a, inst.doc_id_b))
+                for inst in instances if not inst.is_next})

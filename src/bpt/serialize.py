@@ -254,6 +254,17 @@ def write_instances(
     return manifest
 
 
+def instance_set_base(path: "str | Path") -> Path:
+    """The base path of the set a read of `path` belongs to, from the name
+    alone: a sidecar path stands for its base, and a numbered part for the
+    path it was rotated from (see `open_instance_set`)."""
+    path = Path(path)
+    base_name = path.name.removesuffix(_SIDECAR_SUFFIX)
+    if base_name not in ("", path.name):
+        return path.with_name(base_name)
+    return path.with_suffix("") if re.fullmatch(PART_NUMBER, path.suffix[1:]) else path
+
+
 def instance_file_names(path: "str | Path") -> str:
     """The regular expression for the names of the instance files that
     `write_instances(..., path)` may write: `path`'s own name, and its name

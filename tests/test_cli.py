@@ -331,6 +331,43 @@ def test_memory_does_not_grow_with_the_corpus(tmp_path, capsys, lexicon, command
     assert large_peak - small_peak < 1_000_000, (small_peak, large_peak)
 
 
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+def test_create_instances_memory_grows_by_fixed_width_arrays(tmp_path, capsys, lexicon, vocab_file, mode):
+    """create-instances holds of the corpus its token ids (2 bytes each under
+    this vocabulary), an int64 table row per segment pair and an int64 key
+    per negative, and no tokenizer while it masks. An 8x large corpus
+    (1.4 MB more text) raised the traced peak by 0.69 MB for simpt, which
+    draws fixed shards a round, and by 0.93 MB for conventional, whose one
+    unit pairs every document; 4-byte ids, 8-tuples of pairs and string-pair
+    keys raised it by 1.11 and 2.10 MB."""
+    import tracemalloc
+
+    small = write_corpus_file(tmp_path / "small.txt", make_corpus_text(SplitRng(11), lexicon, n_docs=6))
+    once = write_corpus_file(tmp_path / "once.txt", make_corpus_text(SplitRng(12), lexicon, n_docs=60))
+    eight = write_corpus_file(tmp_path / "eight.txt", make_corpus_text(SplitRng(12), lexicon, n_docs=480))
+    if mode == "simpt":
+        flags = ["--rounds", "4", "--shards-per-corpus", "2", "--each-file-size", "20KB"]
+    else:
+        flags = ["--dupe-factor", "2", "--n-splits", "1"]
+
+    def peak(large: Path) -> int:
+        tracemalloc.reset_peak()
+        code, _ = run(capsys, "create-instances", "--mode", mode, "--small", small, "--large", large,
+                      "--vocab", vocab_file, "--out", tmp_path / f"{large.stem}.bin", "--max-seq-length", "64",
+                      "--seed", "5", *flags)
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    peak(once)  # loads the modules and fills the character tables
+    tracemalloc.start()
+    try:
+        small_peak, large_peak = peak(once), peak(eight)
+    finally:
+        tracemalloc.stop()
+    assert eight.stat().st_size > 7 * once.stat().st_size > 1_000_000
+    assert large_peak - small_peak < {"simpt": 900_000, "conventional": 1_500_000}[mode], (small_peak, large_peak)
+
+
 @pytest.mark.parametrize("command", ["shard", "simpt", "conventional"])
 @pytest.mark.parametrize("size", ["0", "0.4"])
 def test_zero_each_file_size_exits_2_naming_flag(tmp_path, capsys, caplog, vocab_file, corpora,
@@ -1153,6 +1190,39 @@ def test_report_naming_a_file_of_the_set_exits_2_and_keeps_it(tmp_path, capsys, 
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("named_by", ["base", "sidecar", "part"])
+@pytest.mark.parametrize("target", ["sidecar", "part"])
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_report_naming_a_file_of_the_input_set_exits_2_and_keeps_it(tmp_path, capsys, caplog, monkeypatch,
+                                                                   vocab_file, corpora, command, target, named_by):
+    """A report in place of the manifest or a part of a set that verify or
+    compare reads would break the set for every later read, however the
+    input names the set."""
+    small, _ = corpora
+    rot = tmp_path / "rot.bin"
+    code, _ = run(capsys, "create-instances", "--mode", "conventional", "--small", small, "--vocab", vocab_file,
+                  "--out", rot, "--max-file-bytes", "100")
+    assert code == 0
+    given = {"base": rot, "sidecar": manifest_path(rot), "part": tmp_path / "rot.bin.00002"}[named_by]
+    if command == "verify":
+        argv, name, reads = ["verify", "--in", given, "--vocab", vocab_file], "--in", "--in reads"
+    else:
+        argv, name, reads = ["compare", given, rot], "the first file", "compare reads as the first file"
+    part = tmp_path / "rot.bin.00001"
+    if target == "part":
+        report, message = part, f"--report {part} names a file of the set that {reads}"
+    else:
+        same = name if given == manifest_path(rot) else f"the manifest of {name}"
+        report, message = manifest_path(rot), f"--report and {same} name the same file"
+    assert report.is_file()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    forbid_reading_input(monkeypatch)
+    code, stdout = run(capsys, *argv, "--report", report)
+    assert code == 2 and stdout == ""
+    assert message in caplog.text
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("case", ["build-vocab --out", "build-vocab --merges-out", "create-instances --out",
                                   "create-instances --report", "create-instances corpus directory",
                                   "shard --out-dir", "shard --report", "filter", "verify", "compare"])
@@ -1210,8 +1280,9 @@ def test_output_naming_an_input_exits_2_and_keeps_it(tmp_path, capsys, caplog, m
 def test_setting_that_would_mislead_exits_2_naming_its_flags(tmp_path, capsys, caplog, monkeypatch, vocab_file,
                                                               corpora, settings, message, source):
     """Zero simpt rounds write an empty set that verify passes; equal labels
-    give both corpora the same document ids, which merges their negative
-    pairs in the report; a fraction for a skipped check is dropped."""
+    give both corpora the same document ids, which merges their documents
+    in any count of negative pairs by id; a fraction for a skipped check is
+    dropped."""
     small, large = corpora
     if "expected_origin_fraction" in settings:
         argv = ["verify", "--in", tmp_path / "o.bin", "--vocab", vocab_file]

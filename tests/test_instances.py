@@ -239,13 +239,48 @@ def test_tokenize_documents_equals_per_sentence_ids(tiny_corpus, small_tokenizer
     sentences = [ids for doc_ids in per_doc for ids in doc_ids]
     assert len(per_doc[0]) == len(docs[0].sentences) - 1 and per_doc[2] == []
     assert block.doc_ids == [d.doc_id for d in docs] and block.origins == [d.origin for d in docs]
-    assert block.byte_sizes.tolist() == [d.byte_size for d in docs] and block.ids.dtype == np.int32
+    assert block.byte_sizes.tolist() == [d.byte_size for d in docs] and block.ids.dtype == np.uint16
     assert block.ids.tolist() == [t for ids in sentences for t in ids]
     assert block.sentences.tolist() == run_offsets([len(ids) for ids in sentences]).tolist()
     assert block.doc_sentences.tolist() == run_offsets([len(d) for d in per_doc]).tolist()
     for d, doc_ids in enumerate(per_doc):
         at = block.sentence_offsets(d)
         assert [block.ids[start:end].tolist() for start, end in zip(at, at[1:])] == doc_ids
+
+
+@pytest.mark.parametrize("n_words, dtype", [(65_536 - len(SPECIAL_TOKENS), np.uint16),
+                                             (65_537 - len(SPECIAL_TOKENS), np.int32)])
+def test_token_block_is_uint16_while_every_id_fits(n_words, dtype):
+    """A vocabulary of at most 65,536 tokens gives a uint16 block, a larger
+    one an int32 block that keeps its ids of 65,536 and above."""
+    words = [f"w{i}" for i in range(n_words)]
+    vocab = Vocabulary(SPECIAL_TOKENS + words)
+    tokenizer = WordPieceTokenizer(vocab)
+    top = len(words)  # each document's first sentence takes three of the highest ids
+    docs = [Document(f"d#{k}", Origin.SMALL, [" ".join(words[top - 3 * k - 3 : top - 3 * k]),
+                                              " ".join(words[k : k + 4])]) for k in range(3)]
+    block = tokenize_documents(docs, tokenizer)
+    expected = [t for d in docs for s in d.sentences for t in tokenizer.tokenize(s).ids]
+    assert block.ids.dtype == dtype and block.ids.tolist() == expected and max(expected) == vocab.size - 1
+    insts = create_instances_from_documents(docs, tokenizer, config(), SplitRng(2))
+    assert insts and {t for i in insts for t in unmasked_ids(i)} <= set(expected) | {vocab.cls_id, vocab.sep_id}
+
+
+@pytest.mark.parametrize("mode", ["simpt", "conventional"])
+def test_stream_lets_the_tokenizer_go_once_it_has_tokenized(mode):
+    """The stream keeps the vocabulary, not the tokenizer and its word cache."""
+    tokenizer = WordPieceTokenizer(VOCAB)
+    ref = weakref.ref(tokenizer)
+    docs = iter(corpus_docs(4) + corpus_docs(4, Origin.LARGE))
+    if mode == "simpt":
+        stream, _ = generate_simpt_from_documents(docs, 100, tokenizer, config(n_rounds=2))
+    else:
+        stream, _ = generate_conventional(docs, tokenizer, config())
+    del tokenizer
+    next(stream)
+    gc.collect()
+    assert ref() is None
+    assert sum(1 for _ in stream) > 0
 
 
 def test_no_document_outlives_its_tokenization(tiny_corpus, small_tokenizer):
@@ -678,6 +713,26 @@ def test_pair_diversity_single_possible_pair():
     insts = create_instances_from_documents(docs, TOKENIZER, config(), SplitRng(0))
     assert insts and all(not i.is_next for i in insts)
     assert pair_diversity(insts) == 1
+
+
+@pytest.mark.parametrize("mode, shards_per_corpus", [("simpt", 2), ("simpt", 5), ("conventional", 0)])
+def test_negative_keys_count_what_the_document_ids_count(mode, shards_per_corpus):
+    """The report counts negatives by block document index; with unique
+    document ids that is `pair_diversity`'s count of id strings. Five shards
+    a round of the three small ones draws with replacement, so a document can
+    be its own negative partner."""
+    small = make_shards("s", Origin.SMALL, 3)
+    large = make_shards("l", Origin.LARGE, 6, word_offset=60)
+    if mode == "simpt":
+        stream, report = generate_simpt(small, large, TOKENIZER,
+                                        config(n_rounds=6, shards_per_corpus=shards_per_corpus, master_seed=4))
+    else:
+        docs = [d for shard in small + large for d in shard.documents]
+        stream, report = generate_conventional(docs, TOKENIZER, config(dupe_factor=3, n_splits=2, master_seed=4))
+    insts = list(stream)
+    assert report.distinct_negative_pairs == pair_diversity(insts) > 1
+    if shards_per_corpus > 3:
+        assert any(not i.is_next and i.doc_id_a == i.doc_id_b for i in insts)
 
 
 def test_simpt_beats_conventional_diversity_on_toy_corpora():
